@@ -22,7 +22,6 @@ from .core import (
     dist_to_target,
     encoded_slot_index,
     is_locally_rainbow,
-    prune_to_target,
     r_compatible,
     verify_witness,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "parse_instance",
     "partial_representative",
     "phs_layout",
-    "prune_to_target",
     "r_compatible",
     "read_dimacs",
     "read_phs_sets",

@@ -9,13 +9,10 @@ compatibility into set disjointness, and small shared graph utilities.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-logger = logging.getLogger(__name__)
+from typing import Container, Iterable, Sequence
 
 ColorSeq = tuple[int, ...]
 Arc = tuple[int, int]
@@ -225,46 +222,35 @@ def encoded_slot_index(color: int, position: int, r: int) -> int:
     return color * r + (position - 1)
 
 
-def dist_to_target(g: ColoredDigraph) -> list[int | None]:
-    """Shortest directed distance from each vertex to g.t; None if t is unreachable."""
-    dist: list[int | None] = [None] * g.n
-    dist[g.t] = 0
-    queue = deque([g.t])
+def bfs_distances(
+    adj: Sequence[Sequence[int]], source: int, allowed: Container[int] | None = None
+) -> list[int | None]:
+    """Arc counts of shortest paths from ``source`` along ``adj``; None if unreached.
+
+    With ``allowed`` given, the search enters only vertices in it; the
+    source itself is always included.
+    """
+    dist: list[int | None] = [None] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
     while queue:
         v = queue.popleft()
-        for u in g.in_neighbors[v]:
-            if dist[u] is None:
-                dist[u] = dist[v] + 1  # type: ignore[operator]
+        step = dist[v] + 1  # type: ignore[operator]
+        for u in adj[v]:
+            if dist[u] is None and (allowed is None or u in allowed):
+                dist[u] = step
                 queue.append(u)
     return dist
 
 
+def dist_to_target(g: ColoredDigraph) -> list[int | None]:
+    """Shortest directed distance from each vertex to g.t; None if t is unreachable."""
+    return bfs_distances(g.in_neighbors, g.t)
+
+
 def dist_from_source(g: ColoredDigraph, source: int | None = None) -> list[int | None]:
     """Shortest directed distance from ``source`` (default g.s) to each vertex."""
-    src = g.s if source is None else source
-    dist: list[int | None] = [None] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in g.out_neighbors[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1  # type: ignore[operator]
-                queue.append(v)
-    return dist
-
-
-def prune_to_target(g: ColoredDigraph) -> list[int | None]:
-    """Distances to t, logging how many vertices the solvers will ignore.
-
-    Vertices that cannot reach t can never appear on a witness; solvers skip
-    them rather than erroring out.
-    """
-    dist = dist_to_target(g)
-    dead = sum(1 for d in dist if d is None)
-    if dead:
-        logger.info("ignoring %d of %d vertices that cannot reach t", dead, g.n)
-    return dist
+    return bfs_distances(g.out_neighbors, g.s if source is None else source)
 
 
 def verify_witness(

@@ -8,14 +8,16 @@ band of intermediate distance levels. The solver therefore runs a
 window dynamic program over separator endpoints, querying the path
 engine for band-restricted segments and stitching their windows onto
 the stored prefixes. Band disjointness makes every stitched walk a
-simple path without tracking vertex sets globally.
+simple path without tracking vertex sets globally. Each band records the
+fewest arcs a u-to-v segment inside it needs, and segment queries with
+fewer arcs than that are skipped without running the path engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ColorSeq, ColoredDigraph, Query, Witness, dist_to_target
+from .core import ColorSeq, ColoredDigraph, Query, Witness, bfs_distances, dist_to_target
 from .path import segment_window_family
 from .walk import prune_window_cell, solve_walk
 
@@ -29,13 +31,15 @@ class Band:
 
     kind "interior" restricts to distance levels strictly between the
     endpoints'; kind "from-source" (start vertex only) allows every level
-    above the far endpoint's.
+    above the far endpoint's. ``hops`` is the fewest arcs of a u-to-v
+    path through the band, or None if there is none.
     """
 
     u: int
     v: int
     vertices: frozenset[int]
     kind: str
+    hops: int | None
 
 
 def build_band(g: ColoredDigraph, u: int, v: int, d: list[int | None]) -> Band:
@@ -43,16 +47,19 @@ def build_band(g: ColoredDigraph, u: int, v: int, d: list[int | None]) -> Band:
     dv = d[v]
     assert dv is not None
     if u == g.s:
+        kind = "from-source"
         vertices = frozenset(
             w for w in range(g.n) if w not in (u, v) and d[w] is not None and d[w] > dv
         )
-        return Band(u, v, vertices, "from-source")
-    du = d[u]
-    assert du is not None
-    vertices = frozenset(
-        w for w in range(g.n) if d[w] is not None and dv < d[w] < du
-    )
-    return Band(u, v, vertices, "interior")
+    else:
+        du = d[u]
+        assert du is not None
+        kind = "interior"
+        vertices = frozenset(
+            w for w in range(g.n) if d[w] is not None and dv < d[w] < du
+        )
+    hops = bfs_distances(g.out_neighbors, u, vertices | {v})[v]
+    return Band(u, v, vertices, kind, hops)
 
 
 def distance_separators(path: tuple[int, ...], d: list[int | None]) -> list[int]:
@@ -137,15 +144,17 @@ def solve_detour(
                         continue
                     if u != g.s and not (dv < du < dist):
                         continue
+                    band = band_cache.get((u, v))
+                    if band is None:
+                        band = band_cache[(u, v)] = build_band(g, u, v, d)
+                    if band.hops is None or band.hops > q:
+                        # the segment engine's distance gate would return no window
+                        continue
                     for prev_window in levels[p - q][u]:
                         tau = prev_window[:-1]
                         key = (u, v, q, tau)
                         if key not in seg_cache:
-                            if (u, v) not in band_cache:
-                                band_cache[(u, v)] = build_band(g, u, v, d)
-                            seg_cache[key] = segment_window_family(
-                                g, u, v, band_cache[(u, v)], q, tau, r
-                            )
+                            seg_cache[key] = segment_window_family(g, u, v, band, q, tau, r)
                         tail_len = max(0, min(p - q + 1, r - q))
                         tail = prev_window[len(prev_window) - tail_len :] if tail_len else ()
                         for seg_window, segment in seg_cache[key]:

@@ -12,7 +12,6 @@ radius-2 shortcut handles symmetric instances at shortest-path length.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Sequence
 
 from .core import (
@@ -20,7 +19,9 @@ from .core import (
     ColoredDigraph,
     Query,
     Witness,
+    bfs_distances,
     blocked_slots,
+    dist_from_source,
     encoded_slot_index,
 )
 from .repfam import LabeledSetFamily, algebraic_width, partial_representative
@@ -31,23 +32,6 @@ WEDGE_WIDTH_LIMIT = 200_000
 Member = tuple[tuple[int, ...], ColorSeq]
 ParentEntry = tuple[int, Member] | None
 PathCells = dict[int, dict[Member, ParentEntry]]
-
-
-def _bfs_rows(n: int, adj: Sequence[Sequence[int]]) -> list[list[int | None]]:
-    """BFS distance row from every vertex along the given adjacency."""
-    rows: list[list[int | None]] = []
-    for src in range(n):
-        dist: list[int | None] = [None] * n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if dist[u] is None:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        rows.append(dist)
-    return rows
 
 
 def _dedupe_cell(
@@ -125,20 +109,14 @@ def _dp_levels(
     for v in range(n):
         for u in out_adj[v]:
             in_adj[u].append(v)
-    dist_t: list[int | None] = [None] * n
-    dist_t[target] = 0
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        for u in in_adj[v]:
-            if dist_t[u] is None:
-                dist_t[u] = dist_t[v] + 1
-                queue.append(u)
-    reach = _bfs_rows(n, out_adj)
+    dist_t = bfs_distances(in_adj, target)
     start_window: ColorSeq = (colors[source],) if r >= 1 else ()
     levels: list[PathCells] = [{source: {((source,), start_window): None}}]
     if dist_t[source] is None or dist_t[source] > ell:
         return levels
+    num_colors = max(colors, default=0) + 1
+    # forward BFS rows, filled in when a vertex first receives members
+    reach: list[list[int | None] | None] = [None] * n
     for p in range(1, ell + 1):
         nxt: PathCells = {}
         for v in sorted(levels[p - 1]):
@@ -161,8 +139,11 @@ def _dp_levels(
                     if new_member not in cell:
                         cell[new_member] = (v, member)
         for u in list(nxt):
-            cell = _dedupe_cell(nxt[u], reach[u], ell - p)
-            cell = _prune_cell(cell, n, max(colors, default=0) + 1, r, r + ell - p, stats)
+            row = reach[u]
+            if row is None:
+                row = reach[u] = bfs_distances(out_adj, u)
+            cell = _dedupe_cell(nxt[u], row, ell - p)
+            cell = _prune_cell(cell, n, num_colors, r, r + ell - p, stats)
             nxt[u] = cell
         levels.append(nxt)
         if stats is not None:
@@ -307,15 +288,7 @@ def solve_r2_symmetric(g: ColoredDigraph, ell: int, *, stats: dict | None = None
         raise ValueError("shortcut requires a symmetric graph")
     if g.has_monochromatic_arc():
         raise ValueError("shortcut requires no monochromatic arc")
-    dist: dict[int, int] = {g.s: 0}
-    queue = deque([g.s])
-    while queue:
-        v = queue.popleft()
-        for u in g.out_neighbors[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    if g.t not in dist or dist[g.t] != ell:
+    if dist_from_source(g)[g.t] != ell:
         raise ValueError("shortcut requires ell equal to the s-t distance")
     # state: (vertex, color of the previous vertex); None before any step
     start = (g.s, -1)

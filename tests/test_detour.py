@@ -1,6 +1,7 @@
 """Detour solver: shortest distance plus a small slack."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from rainbowpaths import (
@@ -10,11 +11,14 @@ from rainbowpaths import (
     dist_to_target,
     distance_separators,
     gen_random,
+    oracle_path,
     solve_detour,
     solve_path,
     solve_walk,
     verify_witness,
 )
+from rainbowpaths import detour
+from rainbowpaths.cli import MAX_AUTO_DETOUR
 from rainbowpaths.detour import build_band
 
 
@@ -64,9 +68,19 @@ def test_build_band_kinds():
     from_source = build_band(g, g.s, 1, d)
     assert from_source.kind == "from-source"
     assert from_source.vertices == frozenset({2})
+    assert from_source.hops == 1
     interior = build_band(g, 2, 1, d)
     assert interior.kind == "interior"
     assert interior.vertices == frozenset()
+    assert interior.hops == 1
+    # no arc 2 -> 3; the segment runs 2 -> 1 -> 3 through band(2, 3) = {1}
+    assert build_band(g, 2, 3, d).hops == 2
+    # band(0, 4) = {1}: the route 0 -> 1 -> 2 -> 4 leaves it at 2
+    g2 = ColoredDigraph(6, (0, 1, 2, 0, 1, 2), ((5, 0), (0, 1), (1, 2), (2, 3), (2, 4), (4, 3)), 5, 3)
+    d2 = dist_to_target(g2)
+    blocked = build_band(g2, 0, 4, d2)
+    assert blocked.vertices == frozenset({1})
+    assert blocked.hops is None
 
 
 def test_matches_path_solver_randomized():
@@ -117,3 +131,69 @@ def test_witness_separator_segments_stay_short():
         anchors = [0] + seps
         for a, b in zip(anchors, anchors[1:]):
             assert b - a <= 2 * k + 1
+
+
+def test_band_hop_gate_only_skips_empty_segment_queries(monkeypatch):
+    """Every query the hop gate skips would have returned no window.
+
+    The solver runs once with the gate disabled (every band claims zero
+    hops), recording each segment query with its result; queries whose true
+    band hop count exceeds q must all have come back empty.
+    """
+    real_build_band = detour.build_band
+    real_segments = detour.segment_window_family
+    calls = []
+
+    def ungated_band(g, u, v, d):
+        return dataclasses.replace(real_build_band(g, u, v, d), hops=0)
+
+    def recorded_segments(g, u, v, band, q, tau, r):
+        result = real_segments(g, u, v, band, q, tau, r)
+        calls.append((g, u, v, q, tau, result))
+        return result
+
+    rng = random.Random(131)
+    for trial in range(150):
+        n = rng.randint(2, 9)
+        g, _ = gen_random(n, rng.choice((0.3, 0.5)), rng.randint(1, 4), 0, 0, seed=19000 + trial)
+        r = rng.randint(1, 3)
+        k = rng.randint(1, 4)
+        expected = solve_detour(g, r, k)
+        with monkeypatch.context() as m:
+            m.setattr(detour, "build_band", ungated_band)
+            m.setattr(detour, "segment_window_family", recorded_segments)
+            assert solve_detour(g, r, k) == expected, (trial, r, k)
+    d_cache = {}
+    gated = 0
+    for g, u, v, q, tau, result in calls:
+        d = d_cache.setdefault(id(g), dist_to_target(g))
+        hops = real_build_band(g, u, v, d).hops
+        if hops is None or hops > q:
+            gated += 1
+            assert result == [], (u, v, q, tau)
+    assert gated >= 300, gated
+
+
+def test_matches_oracle_at_auto_dispatch_maximum():
+    """Detour slack k = MAX_AUTO_DETOUR, the largest auto dispatch sends here."""
+    k = MAX_AUTO_DETOUR
+    rng = random.Random(141)
+    yes = no = 0
+    for trial in range(100):
+        n = rng.randint(2, 10)
+        g, _ = gen_random(n, rng.choice((0.25, 0.4)), rng.randint(1, 4), 0, 0, seed=21000 + trial)
+        r = rng.randint(1, 3)
+        d = dist_to_target(g)[g.s]
+        mine = solve_detour(g, r, k)
+        if d is None:
+            assert mine is None
+            continue
+        q = Query(r, d + k, "atmost")
+        ref = oracle_path(g, q)
+        assert (mine is None) == (ref is None), (trial, r)
+        if mine is None:
+            no += 1
+        else:
+            yes += 1
+            assert verify_witness(g, q, mine.vertices, require_path=True) == []
+    assert yes >= 20 and no >= 10, (yes, no)

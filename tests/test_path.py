@@ -9,6 +9,7 @@ from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
+    dist_from_source,
     dist_to_target,
     gen_random,
     oracle_path,
@@ -20,6 +21,7 @@ from rainbowpaths import (
     verify_witness,
 )
 from rainbowpaths.detour import build_band
+from rainbowpaths.path import _dp_levels
 
 
 def test_walk_yes_path_no():
@@ -63,6 +65,31 @@ def test_path_matches_oracle_randomized():
         assert (mine is None) == (ref is None), (trial, q)
         if mine is not None:
             assert verify_witness(g, q, mine.vertices, require_path=True) == []
+
+
+def test_cells_hold_one_member_per_forward_projection():
+    """After dedupe, no two members of a cell agree on what is still reachable.
+
+    The projection of a member at level p in the cell of u keeps the visited
+    vertices within ell - p arcs of u, measured here by a fresh BFS from u.
+    """
+    rng = random.Random(47)
+    shared = 0
+    for trial in range(60):
+        n = rng.randint(4, 9)
+        g, _ = gen_random(n, 0.45, rng.randint(2, 5), 0, 0, seed=23000 + trial)
+        ell = rng.randint(2, n - 1)
+        levels = _dp_levels(g.n, g.colors, g.out_neighbors, g.s, g.t, rng.randint(1, 3), ell)
+        for p, level in enumerate(levels[1:], start=1):
+            for u, cell in level.items():
+                row = dist_from_source(g, u)
+                keys = {
+                    (tuple(x for x in visited if row[x] is not None and row[x] <= ell - p), window)
+                    for visited, window in cell
+                }
+                assert len(keys) == len(cell), (trial, p, u)
+                shared += len(cell) > 1
+    assert shared >= 40, shared
 
 
 def test_segment_window_family_enumerates_windows():
