@@ -14,10 +14,15 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+
+# run from a bare checkout: the package source sits beside this directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rainbowpaths import LabeledSetFamily, unordered_representative
 from rainbowpaths._kernels import (

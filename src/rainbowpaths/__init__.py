@@ -48,7 +48,6 @@ from .repfam import (
     is_unordered_representative,
     ordered_bound,
     ordered_representative,
-    partial_representative,
     unordered_bound,
     unordered_representative,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "ordered_bound",
     "ordered_representative",
     "parse_instance",
-    "partial_representative",
     "phs_layout",
     "r_compatible",
     "read_dimacs",

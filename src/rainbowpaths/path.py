@@ -1,13 +1,15 @@
 """Locally rainbow path solvers.
 
 The path dynamic program tracks, per level and endpoint, pairs of
-(visited vertex set, trailing color window). Three devices keep cells
-small: a distance gate toward the target, a projection dedupe that
-identifies members agreeing on the forward-reachable part of their
-visited set, and representative-family pruning over a flattened universe
-mixing vertices with blocked color slots. The same engine runs on the
-auxiliary graphs used by the detour solver's segment queries, and a
-radius-2 shortcut handles symmetric instances at shortest-path length.
+(visited vertex set, trailing color window); a visited set is stored as a
+vertex bitmask. Three devices keep cells small: a distance gate toward
+the target, a projection dedupe that identifies members agreeing on the
+forward-reachable part of their visited set (it keys each member on
+``visited & near``, where ``near`` masks the vertices within the
+remaining budget), and representative-family pruning over a flattened
+universe mixing vertices with blocked color slots. The same engine runs
+on the auxiliary graphs used by the detour solver's segment queries, and
+a radius-2 shortcut handles symmetric instances at shortest-path length.
 """
 
 from __future__ import annotations
@@ -24,35 +26,40 @@ from .core import (
     dist_from_source,
     encoded_slot_index,
 )
-from .repfam import LabeledSetFamily, algebraic_width, partial_representative
+from .repfam import WEDGE_WIDTH_LIMIT, LabeledSetFamily, algebraic_width, unordered_representative
 
 PRUNE_THRESHOLD = 4096
-WEDGE_WIDTH_LIMIT = 200_000
 
-Member = tuple[tuple[int, ...], ColorSeq]
+# (visited vertex bitmask, trailing color window)
+Member = tuple[int, ColorSeq]
 ParentEntry = tuple[int, Member] | None
 PathCells = dict[int, dict[Member, ParentEntry]]
 
 
-def _dedupe_cell(
-    cell: dict[Member, ParentEntry],
-    reach_row: Sequence[int | None],
-    remaining: int,
-) -> dict[Member, ParentEntry]:
+def _near_masks(row: Sequence[int | None], horizon: int) -> list[int]:
+    """Cumulative masks of a BFS row: near[d] holds every x with row[x] <= d, for d <= horizon."""
+    near = [0] * (horizon + 1)
+    for x, d in enumerate(row):
+        if d is not None and d <= horizon:
+            near[d] |= 1 << x
+    for d in range(1, horizon + 1):
+        near[d] |= near[d - 1]
+    return near
+
+
+def _dedupe_cell(cell: dict[Member, ParentEntry], near_mask: int) -> dict[Member, ParentEntry]:
     """Keep one member per (forward-relevant visited set, window) projection.
 
-    Two members whose visited sets agree on the vertices reachable within
-    the remaining budget admit exactly the same completions, so dropping
-    one of them loses nothing.
+    ``near_mask`` holds the vertices reachable within the remaining budget.
+    Two members whose visited sets agree on those vertices admit exactly
+    the same completions, so dropping one of them loses nothing; the
+    first member of each projection, in cell order, is kept.
     """
     kept: dict[Member, ParentEntry] = {}
-    seen: set[tuple[tuple[int, ...], ColorSeq]] = set()
+    seen: set[Member] = set()
     for member, parent in cell.items():
         visited, window = member
-        key = (
-            tuple(x for x in visited if reach_row[x] is not None and reach_row[x] <= remaining),
-            window,
-        )
+        key = (visited & near_mask, window)
         if key in seen:
             continue
         seen.add(key)
@@ -77,18 +84,19 @@ def _prune_cell(
     tags = []
     for member in cell:
         visited, window = member
+        vertices = tuple(x for x in range(n) if visited >> x & 1)
         slot_part = (
             tuple(sorted(n + encoded_slot_index(c, i, r) for c, i in blocked_slots(window, r)))
             if r >= 1
             else ()
         )
-        flat.append(visited + slot_part)
+        flat.append(vertices + slot_part)
         tags.append(member)
     set_size = len(flat[0])
     if algebraic_width(set_size, budget, universe) > WEDGE_WIDTH_LIMIT:
         return cell
     family = LabeledSetFamily(universe, tuple(flat), tuple(tags))
-    kept = partial_representative(family, budget, backend="algebraic")
+    kept = unordered_representative(family, budget, backend="algebraic")
     if stats is not None:
         stats["rep_calls"] = stats.get("rep_calls", 0) + 1
     return {member: cell[member] for member in kept.tags}
@@ -111,19 +119,19 @@ def _dp_levels(
             in_adj[u].append(v)
     dist_t = bfs_distances(in_adj, target)
     start_window: ColorSeq = (colors[source],) if r >= 1 else ()
-    levels: list[PathCells] = [{source: {((source,), start_window): None}}]
+    levels: list[PathCells] = [{source: {(1 << source, start_window): None}}]
     if dist_t[source] is None or dist_t[source] > ell:
         return levels
     num_colors = max(colors, default=0) + 1
-    # forward BFS rows, filled in when a vertex first receives members
-    reach: list[list[int | None] | None] = [None] * n
+    # near masks of forward BFS rows, filled in when a vertex first needs a dedupe
+    reach: list[list[int] | None] = [None] * n
     for p in range(1, ell + 1):
         nxt: PathCells = {}
         for v in sorted(levels[p - 1]):
             for member in levels[p - 1][v]:
                 visited, window = member
                 for u in out_adj[v]:
-                    if u in visited:
+                    if visited >> u & 1:
                         continue
                     if dist_t[u] is None or dist_t[u] > ell - p:
                         continue
@@ -134,17 +142,19 @@ def _dp_levels(
                         new_window = (window + (c,))[-r:]
                     else:
                         new_window = ()
-                    new_member = (tuple(sorted(visited + (u,))), new_window)
+                    new_member = (visited | 1 << u, new_window)
                     cell = nxt.setdefault(u, {})
                     if new_member not in cell:
                         cell[new_member] = (v, member)
-        for u in list(nxt):
-            row = reach[u]
-            if row is None:
-                row = reach[u] = bfs_distances(out_adj, u)
-            cell = _dedupe_cell(nxt[u], row, ell - p)
-            cell = _prune_cell(cell, n, num_colors, r, r + ell - p, stats)
-            nxt[u] = cell
+        for u, cell in nxt.items():
+            # a single member can be neither deduped nor pruned
+            if len(cell) == 1:
+                continue
+            near = reach[u]
+            if near is None:
+                near = reach[u] = _near_masks(bfs_distances(out_adj, u), ell)
+            cell = _dedupe_cell(cell, near[ell - p])
+            nxt[u] = _prune_cell(cell, n, num_colors, r, r + ell - p, stats)
         levels.append(nxt)
         if stats is not None:
             stats["levels"] = p

@@ -102,6 +102,10 @@ def ordered_bound(r: int) -> int:
     return max(1, math.floor((r * math.e) ** r))
 
 
+# Largest algebraic_width a solver lets a prune materialize; wider cells stay unpruned.
+WEDGE_WIDTH_LIMIT = 200_000
+
+
 def algebraic_width(p: int, q: int, universe_size: int) -> int:
     """Number of wedge coordinates the algebraic backend would materialize."""
     q_eff = min(q, max(0, universe_size - p))
@@ -195,17 +199,6 @@ def unordered_representative(
         tuple(members[i] for i in keep),
         tuple(tags[i] for i in keep),
     )
-
-
-def partial_representative(
-    family: LabeledSetFamily, size_budget: int, backend: str = "algebraic"
-) -> LabeledSetFamily:
-    """Representative against structured obstructions of size <= size_budget.
-
-    A plain q-representative with q = size_budget serves any obstruction
-    family whose sets have that size, so this delegates.
-    """
-    return unordered_representative(family, size_budget, backend=backend)
 
 
 def _slot_universe(sequences: Sequence[ColorSeq], r: int) -> int:

@@ -15,9 +15,14 @@ from math import ceil, e
 
 from .core import ColoredDigraph, Query, Witness, dist_to_target
 from .oracle import oracle_walk
-from .repfam import SeqFamily, algebraic_width, ordered_bound, ordered_representative
+from .repfam import (
+    WEDGE_WIDTH_LIMIT,
+    SeqFamily,
+    algebraic_width,
+    ordered_bound,
+    ordered_representative,
+)
 
-WEDGE_WIDTH_LIMIT = 200_000
 ANY_LENGTH_BUDGET = 10**7
 
 Parent = tuple[int, tuple[int, ...]] | None

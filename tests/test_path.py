@@ -18,8 +18,10 @@ from rainbowpaths import (
     solve_path,
     solve_r2_symmetric,
     solve_walk,
+    unordered_bound,
     verify_witness,
 )
+from rainbowpaths import path
 from rainbowpaths.detour import build_band
 from rainbowpaths.path import _dp_levels
 
@@ -72,6 +74,7 @@ def test_cells_hold_one_member_per_forward_projection():
 
     The projection of a member at level p in the cell of u keeps the visited
     vertices within ell - p arcs of u, measured here by a fresh BFS from u.
+    Visited sets are vertex bitmasks, decoded here to the vertices they hold.
     """
     rng = random.Random(47)
     shared = 0
@@ -84,12 +87,64 @@ def test_cells_hold_one_member_per_forward_projection():
             for u, cell in level.items():
                 row = dist_from_source(g, u)
                 keys = {
-                    (tuple(x for x in visited if row[x] is not None and row[x] <= ell - p), window)
+                    (
+                        tuple(
+                            x
+                            for x in range(g.n)
+                            if visited >> x & 1 and row[x] is not None and row[x] <= ell - p
+                        ),
+                        window,
+                    )
                     for visited, window in cell
                 }
                 assert len(keys) == len(cell), (trial, p, u)
                 shared += len(cell) > 1
     assert shared >= 40, shared
+
+
+def test_pruned_path_cells_match_oracle(monkeypatch):
+    """With the prune threshold at 2, path cells get pruned and answers hold.
+
+    Each prune keeps at most unordered_bound(set size, budget) members, and
+    some prunes drop members. Lengths shrink with the radius to keep the
+    numpy minors affordable.
+    """
+    monkeypatch.setattr(path, "PRUNE_THRESHOLD", 2)
+    prunes = []
+    representative = path.unordered_representative
+
+    def recording(family, q, backend="algebraic"):
+        kept = representative(family, q, backend=backend)
+        prunes.append((family.set_size, q, len(family), len(kept)))
+        return kept
+
+    monkeypatch.setattr(path, "unordered_representative", recording)
+    rng = random.Random(97)
+    rep_calls = 0
+    for trial in range(150):
+        n = rng.randint(5, 9)
+        r = rng.randint(1, 3)
+        g, q = gen_random(
+            n,
+            rng.choice((0.4, 0.6)),
+            rng.randint(3, 6),
+            r,
+            rng.randint(2, 8 - 2 * r),
+            seed=31000 + trial,
+            mode=rng.choice(("atmost", "exact")),
+        )
+        stats: dict = {}
+        mine = solve_path(g, q, stats=stats)
+        ref = oracle_path(g, q)
+        assert (mine is None) == (ref is None), (trial, q)
+        if mine is not None:
+            assert verify_witness(g, q, mine.vertices, require_path=True) == []
+        rep_calls += stats.get("rep_calls", 0)
+    assert rep_calls == len(prunes) >= 100, rep_calls
+    for set_size, budget, rows, kept in prunes:
+        assert rows > 2
+        assert kept <= unordered_bound(set_size, budget), (set_size, budget, rows, kept)
+    assert sum(kept < rows for _, _, rows, kept in prunes) >= 5
 
 
 def test_segment_window_family_enumerates_windows():

@@ -13,7 +13,6 @@ from rainbowpaths import (
     is_unordered_representative,
     ordered_bound,
     ordered_representative,
-    partial_representative,
     unordered_bound,
     unordered_representative,
 )
@@ -85,7 +84,7 @@ def test_unordered_prune_is_idempotent():
 
 def test_partial_representative_budget_zero_keeps_one():
     fam = LabeledSetFamily.from_sets(4, [{0, 1}, {2, 3}, {0, 2}])
-    kept = partial_representative(fam, 0)
+    kept = unordered_representative(fam, 0)
     assert len(kept) == 1
 
 
