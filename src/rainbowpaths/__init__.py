@@ -26,6 +26,7 @@ from .core import (
     verify_witness,
 )
 from .detour import Band, build_band, distance_separators, solve_detour
+from .dispatch import solve
 from .instances import (
     CnfInput,
     PHSInput,
@@ -94,6 +95,7 @@ __all__ = [
     "read_phs_sets",
     "sat_layout",
     "segment_window_family",
+    "solve",
     "solve_detour",
     "solve_path",
     "solve_r1",

@@ -3,49 +3,14 @@
 Two hot loops live here: evaluating batches of maximal minors of a
 Vandermonde-style matrix (one wedge coordinate per row subset) and picking a
 greedy row basis by Gaussian elimination, both over the prime field
-Z/(2^31 - 1). A numba fast path compiles them when numba is importable;
-setting RAINBOWPATHS_KERNELS=numpy forces the pure-numpy fallback and
-RAINBOWPATHS_KERNELS=numba insists on the compiled path. Both
-implementations perform identical arithmetic, so results match exactly.
+Z/(2^31 - 1). Both are written in numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 MODULUS = np.int64(2**31 - 1)  # prime; products of two residues fit in int64
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def active_backend() -> str:
-    """Resolve the kernel backend from RAINBOWPATHS_KERNELS (auto/numba/numpy)."""
-    choice = os.environ.get("RAINBOWPATHS_KERNELS", "auto").lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("RAINBOWPATHS_KERNELS=numba but numba is not installed")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------- numpy path
 
 
 def _pow_mod_vec(base: np.ndarray, exp: int) -> np.ndarray:
@@ -60,7 +25,7 @@ def _pow_mod_vec(base: np.ndarray, exp: int) -> np.ndarray:
     return result
 
 
-def _batch_det_mod_numpy(mats: np.ndarray) -> np.ndarray:
+def _batch_det_mod(mats: np.ndarray) -> np.ndarray:
     """Determinants mod MODULUS of a (B, p, p) batch, by shared elimination."""
     m = mats % MODULUS
     batch, p, _ = m.shape
@@ -88,7 +53,7 @@ def _batch_det_mod_numpy(mats: np.ndarray) -> np.ndarray:
     return det
 
 
-def batch_minors_numpy(
+def batch_minors(
     vander: np.ndarray, set_cols: np.ndarray, coord_rows: np.ndarray
 ) -> np.ndarray:
     """Minor matrix: entry (i, c) is det(vander[coord_rows[c]][:, set_cols[i]]) mod MODULUS."""
@@ -101,11 +66,11 @@ def batch_minors_numpy(
     sub = vander[:, set_cols]  # (rank, n_sets, p)
     for ci in range(n_coords):
         mats = np.ascontiguousarray(np.swapaxes(sub[coord_rows[ci]], 0, 1))
-        out[:, ci] = _batch_det_mod_numpy(mats)
+        out[:, ci] = _batch_det_mod(mats)
     return out
 
 
-def greedy_row_basis_numpy(mat: np.ndarray) -> np.ndarray:
+def greedy_row_basis(mat: np.ndarray) -> np.ndarray:
     """Keep-mask of a greedy row basis, rows considered in the given order."""
     n_rows, width = mat.shape
     keep = np.zeros(n_rows, dtype=np.uint8)
@@ -131,117 +96,3 @@ def greedy_row_basis_numpy(mat: np.ndarray) -> np.ndarray:
                 pivinv[nred] = pow(int(cur[lead]), int(MODULUS) - 2, int(MODULUS))
                 nred += 1
     return keep
-
-
-# ---------------------------------------------------------------- numba path
-
-
-@njit(cache=True)
-def _pow_mod_scalar(base: np.int64, exp: np.int64) -> np.int64:
-    result = np.int64(1)
-    b = base % MODULUS
-    e = exp
-    while e:
-        if e & np.int64(1):
-            result = result * b % MODULUS
-        b = b * b % MODULUS
-        e >>= np.int64(1)
-    return result
-
-
-@njit(cache=True)
-def _det_mod_inplace(a: np.ndarray) -> np.int64:
-    p = a.shape[0]
-    det = np.int64(1)
-    for col in range(p):
-        piv_row = -1
-        for rr in range(col, p):
-            if a[rr, col] != 0:
-                piv_row = rr
-                break
-        if piv_row < 0:
-            return np.int64(0)
-        if piv_row != col:
-            for cc in range(col, p):
-                tmp = a[col, cc]
-                a[col, cc] = a[piv_row, cc]
-                a[piv_row, cc] = tmp
-            det = (MODULUS - det) % MODULUS
-        piv = a[col, col]
-        det = det * piv % MODULUS
-        inv = _pow_mod_scalar(piv, MODULUS - np.int64(2))
-        for rr in range(col + 1, p):
-            f = a[rr, col] * inv % MODULUS
-            if f:
-                for cc in range(col, p):
-                    a[rr, cc] = (a[rr, cc] - f * a[col, cc]) % MODULUS
-    return det
-
-
-@njit(cache=True)
-def batch_minors_numba(
-    vander: np.ndarray, set_cols: np.ndarray, coord_rows: np.ndarray
-) -> np.ndarray:
-    n_sets, p = set_cols.shape
-    n_coords = coord_rows.shape[0]
-    out = np.empty((n_sets, n_coords), dtype=np.int64)
-    buf = np.empty((p, p), dtype=np.int64)
-    for si in range(n_sets):
-        for ci in range(n_coords):
-            for a in range(p):
-                for b in range(p):
-                    buf[a, b] = vander[coord_rows[ci, a], set_cols[si, b]]
-            out[si, ci] = _det_mod_inplace(buf)
-    return out
-
-
-@njit(cache=True)
-def greedy_row_basis_numba(mat: np.ndarray) -> np.ndarray:
-    n_rows, width = mat.shape
-    keep = np.zeros(n_rows, dtype=np.uint8)
-    cap = min(n_rows, width)
-    red = np.empty((cap, width), dtype=np.int64)
-    pivcol = np.empty(cap, dtype=np.int64)
-    pivinv = np.empty(cap, dtype=np.int64)
-    nred = 0
-    cur = np.empty(width, dtype=np.int64)
-    for ri in range(n_rows):
-        for j in range(width):
-            cur[j] = mat[ri, j] % MODULUS
-        for bi in range(nred):
-            x = cur[pivcol[bi]]
-            if x:
-                f = x * pivinv[bi] % MODULUS
-                for j in range(width):
-                    cur[j] = (cur[j] - f * red[bi, j]) % MODULUS
-        lead = -1
-        for j in range(width):
-            if cur[j]:
-                lead = j
-                break
-        if lead >= 0:
-            keep[ri] = 1
-            if nred < cap:
-                for j in range(width):
-                    red[nred, j] = cur[j]
-                pivcol[nred] = lead
-                pivinv[nred] = _pow_mod_scalar(cur[lead], MODULUS - np.int64(2))
-                nred += 1
-    return keep
-
-
-# ---------------------------------------------------------------- dispatch
-
-
-def batch_minors(
-    vander: np.ndarray, set_cols: np.ndarray, coord_rows: np.ndarray
-) -> np.ndarray:
-    if active_backend() == "numba":
-        return batch_minors_numba(vander, set_cols, coord_rows)
-    return batch_minors_numpy(vander, set_cols, coord_rows)
-
-
-def greedy_row_basis(mat: np.ndarray) -> np.ndarray:
-    if active_backend() == "numba":
-        return greedy_row_basis_numba(mat)
-    return greedy_row_basis_numpy(mat)

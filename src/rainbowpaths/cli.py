@@ -1,6 +1,6 @@
-"""Command line interface.
+"""Command line interface: argument parsing, file reading and output.
 
-Subcommands: solve (dispatch a query to the right solver), generate
+Subcommands: solve (answer a query through ``dispatch.solve``), generate
 (emit instance files), verify (check a witness against an instance), and
 crosscheck (run a solver and a brute-force oracle side by side). The
 default solve output is a single witness line that verify can read back,
@@ -15,11 +15,9 @@ import sys
 import time
 from pathlib import Path
 
-from .core import ColoredDigraph, Query, Witness, dist_from_source, verify_witness
-from .detour import solve_detour
+from .core import ColoredDigraph, Query, verify_witness
+from .dispatch import SOLVERS, solve
 from .instances import (
-    CnfInput,
-    PHSInput,
     gen_3sat_instance,
     gen_phs_instance,
     gen_random,
@@ -29,18 +27,14 @@ from .instances import (
     write_instance,
 )
 from .oracle import oracle_path, oracle_walk
-from .path import solve_path, solve_r2_symmetric
-from .walk import solve_r1, solve_walk, solve_walk_any_length
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
-MAX_AUTO_DETOUR = 4
-
 
 class CliError(Exception):
-    """Usage or input error; maps to exit code 2."""
+    """Usage or input error; maps to exit code 2, as does a ValueError."""
 
 
 def _read_text(path: str) -> str:
@@ -59,105 +53,11 @@ def _load_instance(path: str) -> tuple[ColoredDigraph, Query]:
         raise CliError(f"bad instance: {exc}") from None
 
 
-def _shortest_distance(g: ColoredDigraph) -> int | None:
-    return dist_from_source(g)[g.t]
-
-
-def _dispatch_auto(
-    g: ColoredDigraph, query: Query, stats: dict
-) -> tuple[Witness | None, str]:
-    """Pick a solver for the path question, preferring polynomial shortcuts."""
-    dist = _shortest_distance(g)
-    if dist is None:
-        return None, "unreachable"
-    r, ell, mode = query.r, query.ell, query.mode
-    if mode == "any":
-        if r == 0:
-            return solve_r1_or_r0(g, g.n - 1, r), "r0-bfs"
-        if r == 1:
-            return solve_r1(g, g.n - 1), "r1-bfs"
-        return solve_path(g, query, stats=stats), "path-dp"
-    if r == 0 and mode == "atmost":
-        return solve_r1_or_r0(g, ell, r), "r0-bfs"
-    if r == 1 and mode == "atmost":
-        return solve_r1(g, ell), "r1-bfs"
-    if (
-        r == 2
-        and ell == dist
-        and g.is_symmetric()
-        and not g.has_monochromatic_arc()
-    ):
-        return solve_r2_symmetric(g, ell, stats=stats), "r2-edge-bfs"
-    if ell == dist:
-        return solve_walk(g, Query(r=r, ell=dist, mode="atmost"), stats=stats), "walk-dp"
-    if mode == "atmost" and dist < ell <= dist + MAX_AUTO_DETOUR:
-        return solve_detour(g, r, ell - dist, stats=stats), "detour-dp"
-    return solve_path(g, query, stats=stats), "path-dp"
-
-
-def solve_r1_or_r0(g: ColoredDigraph, ell: int, r: int) -> Witness | None:
-    """Shortest-walk BFS; with r=0 all arcs qualify, with r=1 monochromatic ones drop."""
-    if r == 0:
-        # reuse the r=1 routine on a recolored graph where every arc is allowed
-        recolored = ColoredDigraph(g.n, tuple(range(g.n)), g.arcs, g.s, g.t)
-        hit = solve_r1(recolored, ell)
-        return hit
-    return solve_r1(g, ell)
-
-
-def _run_solver(
-    g: ColoredDigraph, query: Query, solver: str, backend: str, stats: dict
-) -> tuple[Witness | None, str]:
-    if solver == "auto":
-        return _dispatch_auto(g, query, stats)
-    if solver == "walk":
-        if query.mode == "any":
-            name = f"walk-any-{backend}"
-            return solve_walk_any_length(g, query.r, backend=backend, stats=stats), name
-        return solve_walk(g, query, stats=stats), "walk-dp"
-    if solver == "any-walk":
-        name = f"walk-any-{backend}"
-        return solve_walk_any_length(g, query.r, backend=backend, stats=stats), name
-    if solver == "path":
-        return solve_path(g, query, stats=stats), "path-dp"
-    if solver == "detour":
-        if query.mode != "atmost":
-            raise CliError(
-                "the detour solver answers at-most queries only; use --solver path"
-            )
-        dist = _shortest_distance(g)
-        if dist is None:
-            return None, "detour-dp"
-        return solve_detour(g, query.r, query.ell - dist, stats=stats), "detour-dp"
-    if solver == "r1":
-        if query.r != 1:
-            raise CliError("--solver r1 requires a radius-1 query")
-        if query.mode == "exact":
-            raise CliError("the r1 shortcut answers at-most queries only; use --solver path")
-        ell = g.n - 1 if query.mode == "any" else query.ell
-        return solve_r1(g, ell), "r1-bfs"
-    if solver == "r2-symmetric":
-        if query.r != 2:
-            raise CliError("--solver r2-symmetric requires a radius-2 query")
-        try:
-            return solve_r2_symmetric(g, query.ell, stats=stats), "r2-edge-bfs"
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    if solver == "oracle":
-        return oracle_walk(g, query), "oracle-walk"
-    if solver == "oracle-path":
-        return oracle_path(g, query), "oracle-path"
-    raise CliError(f"unknown solver {solver!r}")
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     g, query = _load_instance(args.instance)
     stats: dict = {}
     started = time.perf_counter()
-    try:
-        witness, name = _run_solver(g, query, args.solver, args.backend, stats)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    witness, name = solve(g, query, args.solver, args.backend, stats=stats)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json:
         report = {
@@ -214,17 +114,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             args.n, args.arc_probability, args.colors, args.r, args.ell, args.seed, args.mode
         )
     elif args.kind == "phs":
-        try:
-            inp = read_phs_sets(_read_text(args.file))
-            g, query = gen_phs_instance(inp)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        g, query = gen_phs_instance(read_phs_sets(_read_text(args.file)))
     else:
-        try:
-            cnf = read_dimacs(_read_text(args.file))
-            g, query = gen_3sat_instance(cnf)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        g, query = gen_3sat_instance(read_dimacs(_read_text(args.file)))
     text = write_instance(g, query)
     if args.output == "-":
         sys.stdout.write(text)
@@ -235,11 +127,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     g, query = _load_instance(args.instance)
-    stats: dict = {}
-    try:
-        witness, name = _run_solver(g, query, args.solver, args.backend, stats)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    witness, name = solve(g, query, args.solver, args.backend)
     walk_semantics = name.startswith(("walk", "oracle-walk", "r1", "r0"))
     oracle_fn = oracle_walk if walk_semantics else oracle_path
     try:
@@ -265,21 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an instance file ('-' for stdin)")
     solve.add_argument("instance")
-    solve.add_argument(
-        "--solver",
-        default="auto",
-        choices=[
-            "auto",
-            "walk",
-            "any-walk",
-            "path",
-            "detour",
-            "r1",
-            "r2-symmetric",
-            "oracle",
-            "oracle-path",
-        ],
-    )
+    solve.add_argument("--solver", default="auto", choices=SOLVERS)
     solve.add_argument("--backend", default="cap", choices=["cap", "product"])
     solve.add_argument("--json", action="store_true", help="emit a JSON run report")
     solve.set_defaults(func=cmd_solve)
@@ -316,15 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     crosscheck.add_argument(
         "--solver",
         default="auto",
-        choices=[
-            "auto",
-            "walk",
-            "any-walk",
-            "path",
-            "detour",
-            "r1",
-            "r2-symmetric",
-        ],
+        choices=[name for name in SOLVERS if not name.startswith("oracle")],
     )
     crosscheck.add_argument("--backend", default="cap", choices=["cap", "product"])
     crosscheck.set_defaults(func=cmd_crosscheck)
@@ -337,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Sequence
+from typing import Any, Container, Iterable, Mapping, Sequence
 
 ColorSeq = tuple[int, ...]
 Arc = tuple[int, int]
@@ -251,6 +251,29 @@ def dist_to_target(g: ColoredDigraph) -> list[int | None]:
 def dist_from_source(g: ColoredDigraph, source: int | None = None) -> list[int | None]:
     """Shortest directed distance from ``source`` (default g.s) to each vertex."""
     return bfs_distances(g.out_neighbors, g.s if source is None else source)
+
+
+def backtrack(
+    levels: Sequence[Mapping[int, Mapping[Any, tuple[int, Any] | None]]],
+    level: int,
+    v: int,
+    key: Any,
+) -> tuple[int, ...]:
+    """Vertices of the walk that reached member ``key`` of ``levels[level][v]``.
+
+    A layered DP level maps each vertex to a cell, and a cell maps each
+    member to its parent ``(vertex, member)`` one level down, or to None
+    at level 0. The vertices are returned first to last.
+    """
+    vertices = [v]
+    parent = levels[level][v][key]
+    while parent is not None:
+        level -= 1
+        v, key = parent
+        vertices.append(v)
+        parent = levels[level][v][key]
+    assert level == 0
+    return tuple(reversed(vertices))
 
 
 def verify_witness(

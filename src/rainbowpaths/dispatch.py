@@ -1,0 +1,128 @@
+"""Solver dispatch: one entry point that answers a query with a named solver.
+
+``solve(g, query)`` picks the cheapest sound solver for the path question:
+BFS shortcuts for r <= 1, the symmetric radius-2 product search when it
+applies, the walk DP when the budget equals the s-t distance (where walks
+and paths coincide), the detour solver for small slack, and the path DP
+otherwise. Any solver in ``SOLVERS`` can also be forced by name.
+"""
+
+from __future__ import annotations
+
+from .core import ColoredDigraph, Query, Witness, dist_from_source
+from .detour import solve_detour
+from .oracle import oracle_path, oracle_walk
+from .path import solve_path, solve_r2_symmetric
+from .walk import solve_r1, solve_walk, solve_walk_any_length
+
+SOLVERS = (
+    "auto",
+    "walk",
+    "any-walk",
+    "path",
+    "detour",
+    "r1",
+    "r2-symmetric",
+    "oracle",
+    "oracle-path",
+)
+
+MAX_AUTO_DETOUR = 4
+
+
+def _solve_r0(g: ColoredDigraph, ell: int) -> Witness | None:
+    """Shortest-walk BFS with every arc allowed: the r=1 routine on distinct colors."""
+    recolored = ColoredDigraph(g.n, tuple(range(g.n)), g.arcs, g.s, g.t)
+    return solve_r1(recolored, ell)
+
+
+def _solve_auto(
+    g: ColoredDigraph, query: Query, stats: dict | None
+) -> tuple[Witness | None, str]:
+    dist = dist_from_source(g)[g.t]
+    if dist is None:
+        return None, "unreachable"
+    r, ell, mode = query.r, query.ell, query.mode
+    if mode == "any":
+        if r == 0:
+            return _solve_r0(g, g.n - 1), "r0-bfs"
+        if r == 1:
+            return solve_r1(g, g.n - 1), "r1-bfs"
+        return solve_path(g, query, stats=stats), "path-dp"
+    if r == 0 and mode == "atmost":
+        return _solve_r0(g, ell), "r0-bfs"
+    if r == 1 and mode == "atmost":
+        return solve_r1(g, ell), "r1-bfs"
+    if (
+        r == 2
+        and ell == dist
+        and g.is_symmetric()
+        and not g.has_monochromatic_arc()
+    ):
+        return solve_r2_symmetric(g, ell, stats=stats), "r2-edge-bfs"
+    if ell == dist:
+        return solve_walk(g, Query(r=r, ell=dist, mode="atmost"), stats=stats), "walk-dp"
+    if mode == "atmost" and dist < ell <= dist + MAX_AUTO_DETOUR:
+        return solve_detour(g, r, ell - dist, stats=stats), "detour-dp"
+    return solve_path(g, query, stats=stats), "path-dp"
+
+
+def solve(
+    g: ColoredDigraph,
+    query: Query,
+    solver: str = "auto",
+    backend: str = "cap",
+    *,
+    stats: dict | None = None,
+) -> tuple[Witness | None, str]:
+    """Answer a query with the named solver, or let ``"auto"`` pick one.
+
+    Args:
+        g: the colored digraph.
+        query: radius, length bound, and mode.
+        solver: one of ``SOLVERS``.
+        backend: any-length walk backend, "cap" or "product".
+        stats: optional dict populated with the chosen solver's counters.
+
+    Returns:
+        The witness (or None) and the name of the solver that ran, such as
+        "walk-dp", "path-dp" or "unreachable".
+
+    Raises:
+        ValueError: for an unknown solver, or a forced solver that does not
+            answer this query.
+    """
+    if solver == "auto":
+        return _solve_auto(g, query, stats)
+    if solver == "any-walk" or (solver == "walk" and query.mode == "any"):
+        name = f"walk-any-{backend}"
+        return solve_walk_any_length(g, query.r, backend=backend, stats=stats), name
+    if solver == "walk":
+        return solve_walk(g, query, stats=stats), "walk-dp"
+    if solver == "path":
+        return solve_path(g, query, stats=stats), "path-dp"
+    if solver == "detour":
+        if query.mode != "atmost":
+            raise ValueError(
+                "the detour solver answers at-most queries only; use --solver path"
+            )
+        dist = dist_from_source(g)[g.t]
+        if dist is None:
+            return None, "detour-dp"
+        return solve_detour(g, query.r, query.ell - dist, stats=stats), "detour-dp"
+    if solver == "r1":
+        if query.r != 1:
+            raise ValueError("--solver r1 requires a radius-1 query")
+        if query.mode == "exact":
+            raise ValueError("the r1 shortcut answers at-most queries only; use --solver path")
+        ell = g.n - 1 if query.mode == "any" else query.ell
+        return solve_r1(g, ell), "r1-bfs"
+    if solver == "r2-symmetric":
+        if query.r != 2:
+            raise ValueError("--solver r2-symmetric requires a radius-2 query")
+        return solve_r2_symmetric(g, query.ell, stats=stats), "r2-edge-bfs"
+    if solver == "oracle":
+        return oracle_walk(g, query), "oracle-walk"
+    if solver == "oracle-path":
+        return oracle_path(g, query), "oracle-path"
+    raise ValueError(f"unknown solver {solver!r}")

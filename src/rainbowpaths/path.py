@@ -21,6 +21,7 @@ from .core import (
     ColoredDigraph,
     Query,
     Witness,
+    backtrack,
     bfs_distances,
     blocked_slots,
     dist_from_source,
@@ -170,20 +171,6 @@ def _dp_levels(
     return levels
 
 
-def _backtrack(levels: list[PathCells], level: int, v: int, member: Member) -> list[int]:
-    vertices = [v]
-    parent = levels[level][v][member]
-    p = level
-    while parent is not None:
-        p -= 1
-        v, member = parent
-        vertices.append(v)
-        parent = levels[p][v][member]
-    assert p == 0
-    vertices.reverse()
-    return vertices
-
-
 def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) -> Witness | None:
     """Decide existence of a locally rainbow s-t path within a length bound.
 
@@ -206,12 +193,12 @@ def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
     if exact:
         if len(levels) > ell and g.t in levels[ell]:
             member = next(iter(levels[ell][g.t]))
-            return Witness(tuple(_backtrack(levels, ell, g.t, member)))
+            return Witness(backtrack(levels, ell, g.t, member))
         return None
     for p in range(1, len(levels)):
         if g.t in levels[p]:
             member = next(iter(levels[p][g.t]))
-            return Witness(tuple(_backtrack(levels, p, g.t, member)))
+            return Witness(backtrack(levels, p, g.t, member))
     return None
 
 
@@ -277,7 +264,7 @@ def segment_window_family(
         if window in seen:
             continue
         seen.add(window)
-        aux_path = _backtrack(levels, length, aux_id[v], member)
+        aux_path = backtrack(levels, length, aux_id[v], member)
         segment = tuple(real[x] for x in aux_path[len(tau):])
         results.append((window, segment))
     return results

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from math import ceil, e
 
-from .core import ColoredDigraph, Query, Witness, dist_to_target
+from .core import ColoredDigraph, Query, Witness, backtrack, dist_to_target
 from .oracle import oracle_walk
 from .repfam import (
     WEDGE_WIDTH_LIMIT,
@@ -85,19 +85,6 @@ def _advance(
     return nxt
 
 
-def _backtrack(levels: list[Cells], level: int, v: int, window: tuple[int, ...]) -> Witness:
-    vertices = [v]
-    cur = levels[level][v][window]
-    p = level
-    while cur is not None:
-        p -= 1
-        v, window = cur
-        vertices.append(v)
-        cur = levels[p][v][window]
-    assert p == 0
-    return Witness(tuple(reversed(vertices)))
-
-
 def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) -> Witness | None:
     """Decide existence of a locally rainbow s-t walk within a length bound.
 
@@ -128,12 +115,12 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
             stats["levels"] = p
         if query.mode == "atmost" and g.t in nxt:
             window = next(iter(nxt[g.t]))
-            return _backtrack(levels, p, g.t, window)
+            return Witness(backtrack(levels, p, g.t, window))
         if not nxt:
             return None
     if query.mode == "exact" and g.t in levels[ell]:
         window = next(iter(levels[ell][g.t]))
-        return _backtrack(levels, ell, g.t, window)
+        return Witness(backtrack(levels, ell, g.t, window))
     return None
 
 
@@ -178,7 +165,7 @@ def solve_walk_any_length(
             stats["levels"] = p
         if g.t in nxt:
             window = next(iter(nxt[g.t]))
-            return _backtrack(levels, p, g.t, window)
+            return Witness(backtrack(levels, p, g.t, window))
         signature = frozenset((v, w) for v, cell in nxt.items() for w in cell)
         if not signature or signature in seen_states:
             return None

@@ -18,8 +18,8 @@ from rainbowpaths import (
     verify_witness,
 )
 from rainbowpaths import detour
-from rainbowpaths.cli import MAX_AUTO_DETOUR
 from rainbowpaths.detour import build_band
+from rainbowpaths.dispatch import MAX_AUTO_DETOUR
 
 
 def test_negative_slack_is_no():

@@ -1,0 +1,69 @@
+"""Library dispatch: auto answers match the path oracle, forced solvers refuse."""
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+import helpers
+from rainbowpaths import (
+    ColoredDigraph,
+    Query,
+    dist_from_source,
+    gen_random,
+    oracle_path,
+    solve,
+    verify_witness,
+)
+
+AUTO_NAMES = {"unreachable", "r0-bfs", "r1-bfs", "r2-edge-bfs", "walk-dp", "detour-dp", "path-dp"}
+
+
+def check_auto(g: ColoredDigraph, q: Query, names: Counter) -> None:
+    witness, name = solve(g, q)
+    names[name] += 1
+    reference = oracle_path(g, q)
+    assert (witness is None) == (reference is None), (g, q, name)
+    if witness is not None:
+        assert verify_witness(g, q, witness.vertices, require_path=True) == [], (g, q, name)
+
+
+def test_auto_dispatch_matches_path_oracle():
+    rng = random.Random(2024)
+    names: Counter = Counter()
+    for seed in range(1000):
+        n = rng.randint(2, 8)
+        g, q = gen_random(
+            n,
+            rng.uniform(0.3, 0.8),
+            rng.randint(1, 4),
+            rng.randint(0, 3),
+            rng.randint(0, 8),
+            seed,
+            rng.choice(("atmost", "exact", "any")),
+        )
+        check_auto(g, q, names)
+    symmetric = 0
+    while symmetric < 20:
+        g = helpers.symmetric_no_mono_graph(rng, rng.randint(3, 8), rng.randint(2, 4), 0.4)
+        dist = dist_from_source(g)[g.t] if g is not None else None
+        if dist is None:
+            continue
+        symmetric += 1
+        check_auto(g, Query(2, dist, rng.choice(("atmost", "exact"))), names)
+    assert set(names) == AUTO_NAMES, names
+
+
+def test_forced_solver_refusals_raise_value_error():
+    g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
+    with pytest.raises(ValueError, match="at-most"):
+        solve(g, Query(1, 2, "exact"), "detour")
+    with pytest.raises(ValueError, match="radius-1"):
+        solve(g, Query(2, 2, "atmost"), "r1")
+    with pytest.raises(ValueError, match="at-most"):
+        solve(g, Query(1, 2, "exact"), "r1")
+    with pytest.raises(ValueError, match="radius-2"):
+        solve(g, Query(1, 2, "atmost"), "r2-symmetric")
+    with pytest.raises(ValueError, match="unknown solver"):
+        solve(g, Query(1, 2, "atmost"), "bogus")
