@@ -25,7 +25,12 @@ from rainbowpaths import LabeledSetFamily, unordered_representative
 from rainbowpaths._kernels import MODULUS, batch_minors, greedy_row_basis
 
 
-def make_minor_workload(rng: np.random.Generator, rank: int, n_sets: int, p: int, n_coords: int):
+def make_minor_workload(rng: np.random.Generator, rank: int, n_sets: int, p: int):
+    """Vandermonde rows, random p-sets of columns, and every p-subset of rows as a coordinate.
+
+    Using all C(rank, p) coordinates, as repfam does, gives the minor
+    matrix full column rank.
+    """
     universe = 40
     vander = np.empty((rank, universe), dtype=np.int64)
     xs = np.arange(1, universe + 1, dtype=np.int64)
@@ -36,10 +41,8 @@ def make_minor_workload(rng: np.random.Generator, rank: int, n_sets: int, p: int
     set_cols = np.stack(
         [rng.choice(universe, size=p, replace=False) for _ in range(n_sets)]
     ).astype(np.int64)
-    coords = np.stack(
-        [rng.choice(rank, size=p, replace=False) for _ in range(n_coords)]
-    ).astype(np.int64)
-    return vander, np.sort(set_cols, axis=1), np.sort(coords, axis=1)
+    coords = np.array(list(combinations(range(rank), p)), dtype=np.int64)
+    return vander, np.sort(set_cols, axis=1), coords
 
 
 def make_family(seed: int, universe: int, p: int, count: int) -> LabeledSetFamily:
@@ -64,7 +67,7 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = np.random.default_rng(7)
-    vander, set_cols, coords = make_minor_workload(rng, rank=8, n_sets=4000, p=4, n_coords=70)
+    vander, set_cols, coords = make_minor_workload(rng, rank=8, n_sets=4000, p=4)
     minors = batch_minors(vander, set_cols, coords)
     fam = make_family(11, universe=14, p=4, count=900)
     rows = [

@@ -57,7 +57,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     g, query = _load_instance(args.instance)
     stats: dict = {}
     started = time.perf_counter()
-    witness, name = solve(g, query, args.solver, args.backend, stats=stats)
+    witness, name = solve(g, query, args.solver, stats=stats)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json:
         report = {
@@ -127,7 +127,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     g, query = _load_instance(args.instance)
-    witness, name = solve(g, query, args.solver, args.backend)
+    witness, name = solve(g, query, args.solver)
     walk_semantics = name.startswith(("walk", "oracle-walk", "r1", "r0"))
     oracle_fn = oracle_walk if walk_semantics else oracle_path
     try:
@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file ('-' for stdin)")
     solve.add_argument("instance")
     solve.add_argument("--solver", default="auto", choices=SOLVERS)
-    solve.add_argument("--backend", default="cap", choices=["cap", "product"])
     solve.add_argument("--json", action="store_true", help="emit a JSON run report")
     solve.set_defaults(func=cmd_solve)
 
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=[name for name in SOLVERS if not name.startswith("oracle")],
     )
-    crosscheck.add_argument("--backend", default="cap", choices=["cap", "product"])
     crosscheck.set_defaults(func=cmd_crosscheck)
 
     return parser

@@ -4,7 +4,8 @@ A walk is locally rainbow with locality ``r`` if within every window of
 min(r + 1, length) consecutive vertices all colors are pairwise distinct.
 This module provides the instance substrate (graph, query, witness), the
 window compatibility test used by every solver, the slot encoding that turns
-compatibility into set disjointness, and small shared graph utilities.
+compatibility into set disjointness, small shared graph utilities, and the
+layered dynamic program that the walk, path and segment solvers run.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Container, Iterable, Mapping, Sequence
+from typing import Any, Callable, Container, Iterable, Mapping, Sequence
 
 ColorSeq = tuple[int, ...]
 Arc = tuple[int, int]
+# a layered-DP member: (visited vertex bitmask, trailing color window)
+Member = tuple[int, ColorSeq]
+Cell = dict[Member, tuple[int, Member] | None]
+Level = dict[int, Cell]
 
 MODES = ("atmost", "exact", "any")
 
@@ -253,6 +258,84 @@ def dist_from_source(g: ColoredDigraph, source: int | None = None) -> list[int |
     return bfs_distances(g.out_neighbors, g.s if source is None else source)
 
 
+def layered_dp(
+    out_adj: Sequence[Sequence[int]],
+    colors: Sequence[int],
+    bits: Sequence[int],
+    source: int,
+    target: int,
+    dist_t: Sequence[int | None],
+    r: int,
+    ell: int,
+    mode: str,
+    reduce: Callable[[int, int, Cell], Cell],
+    stats: dict | None = None,
+    total_key: str = "total_members",
+) -> list[Level]:
+    """The layered DP shared by the walk, path and segment solvers.
+
+    ``levels[p][u]`` is the cell of walks of p arcs from ``source`` to u.
+    It maps each member ``(mask, window)`` to its parent ``(vertex,
+    member)`` one level down, or to None at level 0, the format
+    :func:`backtrack` reads. The mask ORs ``bits[x]`` over the visited
+    vertices x: ``1 << x`` forbids revisits (paths), 0 allows them
+    (walks). The window holds the last min(r, len) colors. An arc into u
+    extends a member when u's bit is not in its mask, u's color is not in
+    its window, and ``dist_t[u] <= ell - p``. Every cell with more than
+    one member is replaced by ``reduce(u, p, cell)``.
+
+    The DP stops after level ``ell``, after an empty level, or, in modes
+    "atmost" and "any", after the first level holding ``target``. Mode
+    "any" also stops when a level's members repeat an earlier level's,
+    which proves the DP cycles only if the transition does not depend on
+    p: every entry of ``dist_t`` must then be 0 or None.
+
+    ``stats`` receives ``levels``, ``max_cell``, and the member count
+    summed over levels under ``total_key``.
+    """
+    start: Member = (bits[source], (colors[source],) if r >= 1 else ())
+    levels: list[Level] = [{source: {start: None}}]
+    if dist_t[source] is None or dist_t[source] > ell:  # type: ignore[operator]
+        return levels
+    # slicing the extended window from ``cut`` keeps its last r colors;
+    # at r = 0 windows stay empty, and an empty window admits every color
+    cut = -r if r >= 1 else 1
+    seen: set[frozenset] = set()
+    for p in range(1, ell + 1):
+        prev = levels[-1]
+        nxt: Level = {}
+        for v in sorted(prev):
+            # the arcs out of v that pass the distance gate, with their target cells
+            heads = [
+                (bits[u], colors[u], nxt.setdefault(u, {}))
+                for u in out_adj[v]
+                if dist_t[u] is not None and dist_t[u] <= ell - p  # type: ignore[operator]
+            ]
+            for member in prev[v]:
+                mask, window = member
+                for bit, c, cell in heads:
+                    if mask & bit or c in window:
+                        continue
+                    new_member = (mask | bit, (window + (c,))[cut:])
+                    if new_member not in cell:
+                        cell[new_member] = (v, member)
+        nxt = {u: reduce(u, p, cell) if len(cell) > 1 else cell for u, cell in nxt.items() if cell}
+        levels.append(nxt)
+        if stats is not None:
+            stats["levels"] = p
+            stats[total_key] = stats.get(total_key, 0) + sum(len(c) for c in nxt.values())
+            if nxt:
+                stats["max_cell"] = max(stats.get("max_cell", 0), max(len(c) for c in nxt.values()))
+        if not nxt or (mode != "exact" and target in nxt):
+            break
+        if mode == "any":
+            state = frozenset((u, member) for u, cell in nxt.items() for member in cell)
+            if state in seen:
+                break
+            seen.add(state)
+    return levels
+
+
 def backtrack(
     levels: Sequence[Mapping[int, Mapping[Any, tuple[int, Any] | None]]],
     level: int,
@@ -274,6 +357,14 @@ def backtrack(
         parent = levels[level][v][key]
     assert level == 0
     return tuple(reversed(vertices))
+
+
+def witness_at(levels: Sequence[Level], target: int) -> Witness | None:
+    """The walk to the first member of ``target``'s cell in the last level, if it has one."""
+    cell = levels[-1].get(target)
+    if cell is None:
+        return None
+    return Witness(backtrack(levels, len(levels) - 1, target, next(iter(cell))))
 
 
 def verify_witness(

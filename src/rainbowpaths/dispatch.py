@@ -71,7 +71,6 @@ def solve(
     g: ColoredDigraph,
     query: Query,
     solver: str = "auto",
-    backend: str = "cap",
     *,
     stats: dict | None = None,
 ) -> tuple[Witness | None, str]:
@@ -81,7 +80,6 @@ def solve(
         g: the colored digraph.
         query: radius, length bound, and mode.
         solver: one of ``SOLVERS``.
-        backend: any-length walk backend, "cap" or "product".
         stats: optional dict populated with the chosen solver's counters.
 
     Returns:
@@ -95,8 +93,7 @@ def solve(
     if solver == "auto":
         return _solve_auto(g, query, stats)
     if solver == "any-walk" or (solver == "walk" and query.mode == "any"):
-        name = f"walk-any-{backend}"
-        return solve_walk_any_length(g, query.r, backend=backend, stats=stats), name
+        return solve_walk_any_length(g, query.r, stats=stats), "walk-any-cap"
     if solver == "walk":
         return solve_walk(g, query, stats=stats), "walk-dp"
     if solver == "path":

@@ -1,9 +1,10 @@
 """Locally rainbow path solvers.
 
-The path dynamic program tracks, per level and endpoint, pairs of
-(visited vertex set, trailing color window); a visited set is stored as a
-vertex bitmask. Three devices keep cells small: a distance gate toward
-the target, a projection dedupe that identifies members agreeing on the
+The path dynamic program is ``core.layered_dp`` with one bit per vertex,
+so it tracks, per level and endpoint, pairs of (visited vertex set,
+trailing color window); a visited set is stored as a vertex bitmask.
+Three devices keep cells small: the engine's distance gate toward the
+target, a projection dedupe that identifies members agreeing on the
 forward-reachable part of their visited set (it keys each member on
 ``visited & near``, where ``near`` masks the vertices within the
 remaining budget), and representative-family pruning over a flattened
@@ -17,8 +18,11 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from .core import (
+    Cell,
     ColorSeq,
     ColoredDigraph,
+    Level,
+    Member,
     Query,
     Witness,
     backtrack,
@@ -26,15 +30,12 @@ from .core import (
     blocked_slots,
     dist_from_source,
     encoded_slot_index,
+    layered_dp,
+    witness_at,
 )
 from .repfam import WEDGE_WIDTH_LIMIT, LabeledSetFamily, algebraic_width, unordered_representative
 
 PRUNE_THRESHOLD = 4096
-
-# (visited vertex bitmask, trailing color window)
-Member = tuple[int, ColorSeq]
-ParentEntry = tuple[int, Member] | None
-PathCells = dict[int, dict[Member, ParentEntry]]
 
 
 def _near_masks(row: Sequence[int | None], horizon: int) -> list[int]:
@@ -48,7 +49,7 @@ def _near_masks(row: Sequence[int | None], horizon: int) -> list[int]:
     return near
 
 
-def _dedupe_cell(cell: dict[Member, ParentEntry], near_mask: int) -> dict[Member, ParentEntry]:
+def _dedupe_cell(cell: Cell, near_mask: int) -> Cell:
     """Keep one member per (forward-relevant visited set, window) projection.
 
     ``near_mask`` holds the vertices reachable within the remaining budget.
@@ -56,7 +57,7 @@ def _dedupe_cell(cell: dict[Member, ParentEntry], near_mask: int) -> dict[Member
     the same completions, so dropping one of them loses nothing; the
     first member of each projection, in cell order, is kept.
     """
-    kept: dict[Member, ParentEntry] = {}
+    kept: Cell = {}
     seen: set[Member] = set()
     for member, parent in cell.items():
         visited, window = member
@@ -69,13 +70,13 @@ def _dedupe_cell(cell: dict[Member, ParentEntry], near_mask: int) -> dict[Member
 
 
 def _prune_cell(
-    cell: dict[Member, ParentEntry],
+    cell: Cell,
     n: int,
     num_colors: int,
     r: int,
     budget: int,
     stats: dict | None,
-) -> dict[Member, ParentEntry]:
+) -> Cell:
     """Representative-family pruning over the vertex + blocked-slot universe."""
     if len(cell) <= PRUNE_THRESHOLD:
         return cell
@@ -103,7 +104,7 @@ def _prune_cell(
     return {member: cell[member] for member in kept.tags}
 
 
-def _dp_levels(
+def _path_levels(
     n: int,
     colors: Sequence[int],
     out_adj: Sequence[Sequence[int]],
@@ -111,64 +112,28 @@ def _dp_levels(
     target: int,
     r: int,
     ell: int,
+    mode: str,
     stats: dict | None = None,
-) -> list[PathCells]:
-    """Run the prefix DP for ell levels; levels[p][v] maps members to parents."""
+) -> list[Level]:
+    """The path DP: members carry visited bits, and cells get the dedupe and the prune."""
     in_adj: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         for u in out_adj[v]:
             in_adj[u].append(v)
-    dist_t = bfs_distances(in_adj, target)
-    start_window: ColorSeq = (colors[source],) if r >= 1 else ()
-    levels: list[PathCells] = [{source: {(1 << source, start_window): None}}]
-    if dist_t[source] is None or dist_t[source] > ell:
-        return levels
     num_colors = max(colors, default=0) + 1
     # near masks of forward BFS rows, filled in when a vertex first needs a dedupe
     reach: list[list[int] | None] = [None] * n
-    for p in range(1, ell + 1):
-        nxt: PathCells = {}
-        for v in sorted(levels[p - 1]):
-            for member in levels[p - 1][v]:
-                visited, window = member
-                for u in out_adj[v]:
-                    if visited >> u & 1:
-                        continue
-                    if dist_t[u] is None or dist_t[u] > ell - p:
-                        continue
-                    if r >= 1:
-                        c = colors[u]
-                        if c in window:
-                            continue
-                        new_window = (window + (c,))[-r:]
-                    else:
-                        new_window = ()
-                    new_member = (visited | 1 << u, new_window)
-                    cell = nxt.setdefault(u, {})
-                    if new_member not in cell:
-                        cell[new_member] = (v, member)
-        for u, cell in nxt.items():
-            # a single member can be neither deduped nor pruned
-            if len(cell) == 1:
-                continue
-            near = reach[u]
-            if near is None:
-                near = reach[u] = _near_masks(bfs_distances(out_adj, u), ell)
-            cell = _dedupe_cell(cell, near[ell - p])
-            nxt[u] = _prune_cell(cell, n, num_colors, r, r + ell - p, stats)
-        levels.append(nxt)
-        if stats is not None:
-            stats["levels"] = p
-            stats["total_members"] = stats.get("total_members", 0) + sum(
-                len(c) for c in nxt.values()
-            )
-            if nxt:
-                stats["max_cell"] = max(
-                    stats.get("max_cell", 0), max(len(c) for c in nxt.values())
-                )
-        if not nxt:
-            break
-    return levels
+
+    def reduce(u: int, p: int, cell: Cell) -> Cell:
+        near = reach[u]
+        if near is None:
+            near = reach[u] = _near_masks(bfs_distances(out_adj, u), ell)
+        cell = _dedupe_cell(cell, near[ell - p])
+        return _prune_cell(cell, n, num_colors, r, r + ell - p, stats)
+
+    bits = [1 << x for x in range(n)]
+    dist_t = bfs_distances(in_adj, target)
+    return layered_dp(out_adj, colors, bits, source, target, dist_t, r, ell, mode, reduce, stats)
 
 
 def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) -> Witness | None:
@@ -180,26 +145,16 @@ def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
     Returns:
         A witness path, or None.
     """
-    r = query.r
     if query.mode == "any":
-        ell, exact = g.n - 1, False
+        ell, mode = g.n - 1, "atmost"
     elif query.mode == "atmost":
-        ell, exact = min(query.ell, g.n - 1), False
+        ell, mode = min(query.ell, g.n - 1), "atmost"
     else:
-        ell, exact = query.ell, True
+        ell, mode = query.ell, "exact"
         if ell > g.n - 1:
             return None
-    levels = _dp_levels(g.n, g.colors, g.out_neighbors, g.s, g.t, r, ell, stats)
-    if exact:
-        if len(levels) > ell and g.t in levels[ell]:
-            member = next(iter(levels[ell][g.t]))
-            return Witness(backtrack(levels, ell, g.t, member))
-        return None
-    for p in range(1, len(levels)):
-        if g.t in levels[p]:
-            member = next(iter(levels[p][g.t]))
-            return Witness(backtrack(levels, p, g.t, member))
-    return None
+    levels = _path_levels(g.n, g.colors, g.out_neighbors, g.s, g.t, query.r, ell, mode, stats)
+    return witness_at(levels, g.t)
 
 
 def segment_window_family(
@@ -254,12 +209,10 @@ def segment_window_family(
         out_adj[chain_base + i].append(nxt)
     source = chain_base if tau else aux_id[u]
     length = len(tau) + q
-    levels = _dp_levels(n_aux, colors, out_adj, source, aux_id[v], r, length)
+    levels = _path_levels(n_aux, colors, out_adj, source, aux_id[v], r, length, "exact")
     results: list[tuple[ColorSeq, tuple[int, ...]]] = []
     seen: set[ColorSeq] = set()
-    if len(levels) <= length or aux_id[v] not in levels[length]:
-        return results
-    for member in levels[length][aux_id[v]]:
+    for member in levels[-1].get(aux_id[v], ()):
         window = member[1][-min(q + 1, r):] if r >= 1 else ()
         if window in seen:
             continue

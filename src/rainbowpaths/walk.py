@@ -1,20 +1,30 @@
 """Locally rainbow walk solvers.
 
-The main solver runs a level-by-level dynamic program whose cells hold
-trailing color windows, pruned with ordered representative families so
-cell sizes stay bounded by a function of the locality radius alone. The
-any-length variant either caps the searched length (the cap is linear in
-the vertex count for fixed radius) or falls back to an explicit product
-search. A radius-1 shortcut reduces to plain reachability.
+The main solver runs the layered dynamic program of ``core.layered_dp``
+with no visited set, so its cells hold trailing color windows; they are
+pruned with ordered representative families so cell sizes stay bounded
+by a function of the locality radius alone. The any-length variant caps
+the searched length (the cap is linear in the vertex count for fixed
+radius). A radius-1 shortcut reduces to plain reachability.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from math import ceil, e
+from typing import Any
 
-from .core import ColoredDigraph, Query, Witness, backtrack, dist_to_target
-from .oracle import oracle_walk
+from .core import (
+    Cell,
+    ColoredDigraph,
+    ColorSeq,
+    Level,
+    Query,
+    Witness,
+    bfs_distances,
+    dist_to_target,
+    layered_dp,
+    witness_at,
+)
 from .repfam import (
     WEDGE_WIDTH_LIMIT,
     SeqFamily,
@@ -25,13 +35,10 @@ from .repfam import (
 
 ANY_LENGTH_BUDGET = 10**7
 
-Parent = tuple[int, tuple[int, ...]] | None
-Cells = dict[int, dict[tuple[int, ...], Parent]]
-
 
 def prune_window_cell(
-    windows: dict[tuple[int, ...], Parent], r: int, stats: dict | None = None
-) -> dict[tuple[int, ...], Parent]:
+    windows: dict[ColorSeq, Any], r: int, stats: dict | None = None
+) -> dict[ColorSeq, Any]:
     """Replace a window cell by an ordered representative when it grows too large.
 
     Values of the dict are carried along untouched; also used by the
@@ -52,37 +59,28 @@ def prune_window_cell(
     return {w: windows[w] for w in kept.sequences}
 
 
-def _advance(
+def _walk_levels(
     g: ColoredDigraph,
-    cells: Cells,
     r: int,
-    allowed: dict[int, bool],
+    dist_t: list[int | None],
+    ell: int,
+    mode: str,
     stats: dict | None,
-) -> Cells:
-    """One DP level: extend every stored window along every out-arc."""
-    nxt: Cells = {}
-    for v in sorted(cells):
-        for window, _parent in cells[v].items():
-            for u in g.out_neighbors[v]:
-                if not allowed.get(u, False):
-                    continue
-                if r >= 1:
-                    c = g.colors[u]
-                    if c in window:
-                        continue
-                    new_window = (window + (c,))[-r:]
-                else:
-                    new_window = ()
-                cell = nxt.setdefault(u, {})
-                if new_window not in cell:
-                    cell[new_window] = (v, window)
-    for u in list(nxt):
-        nxt[u] = prune_window_cell(nxt[u], r, stats)
-    if stats is not None:
-        stats["total_windows"] = stats.get("total_windows", 0) + sum(len(c) for c in nxt.values())
-        if nxt:
-            stats["max_cell"] = max(stats.get("max_cell", 0), max(len(c) for c in nxt.values()))
-    return nxt
+) -> list[Level]:
+    """The walk DP: members keep an empty visited mask, and cells get the window prune."""
+
+    def reduce(u: int, p: int, cell: Cell) -> Cell:
+        windows = {window: parent for (_, window), parent in cell.items()}
+        kept = prune_window_cell(windows, r, stats)
+        if kept is windows:
+            return cell
+        return {(0, window): parent for window, parent in kept.items()}
+
+    no_bits = [0] * g.n
+    return layered_dp(
+        g.out_neighbors, g.colors, no_bits, g.s, g.t, dist_t, r, ell, mode, reduce, stats,
+        total_key="total_windows",
+    )
 
 
 def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) -> Witness | None:
@@ -99,29 +97,8 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
     """
     if query.mode not in ("atmost", "exact"):
         raise ValueError("solve_walk handles modes 'atmost' and 'exact'; see solve_walk_any_length")
-    r, ell = query.r, query.ell
-    dist_t = dist_to_target(g)
-    start: Cells = {g.s: {(g.colors[g.s],) if r >= 1 else (): None}}
-    if dist_t[g.s] is None or dist_t[g.s] > ell:
-        return None
-    levels: list[Cells] = [start]
-    for p in range(1, ell + 1):
-        allowed = {
-            v: dist_t[v] is not None and dist_t[v] <= ell - p for v in range(g.n)
-        }
-        nxt = _advance(g, levels[p - 1], r, allowed, stats)
-        levels.append(nxt)
-        if stats is not None:
-            stats["levels"] = p
-        if query.mode == "atmost" and g.t in nxt:
-            window = next(iter(nxt[g.t]))
-            return Witness(backtrack(levels, p, g.t, window))
-        if not nxt:
-            return None
-    if query.mode == "exact" and g.t in levels[ell]:
-        window = next(iter(levels[ell][g.t]))
-        return Witness(backtrack(levels, ell, g.t, window))
-    return None
+    levels = _walk_levels(g, query.r, dist_to_target(g), query.ell, query.mode, stats)
+    return witness_at(levels, g.t)
 
 
 def any_length_cap(n: int, r: int) -> int:
@@ -132,45 +109,27 @@ def any_length_cap(n: int, r: int) -> int:
 
 
 def solve_walk_any_length(
-    g: ColoredDigraph, r: int, backend: str = "cap", *, stats: dict | None = None
+    g: ColoredDigraph, r: int, *, stats: dict | None = None
 ) -> Witness | None:
     """Decide existence of a locally rainbow s-t walk of unrestricted length.
 
-    The "cap" backend reruns the bounded DP up to a radius-dependent cap,
-    stopping early if the pruned level state repeats (the transition is
-    deterministic, so a repeat proves divergence). The "product" backend
-    searches the explicit (vertex, window) product graph.
+    Runs the walk DP up to a radius-dependent cap, stopping early if the
+    pruned level state repeats. Its distance gate admits every vertex that
+    can reach t at every level, so the transition does not depend on the
+    level, and a repeat proves divergence.
+
+    Raises:
+        ValueError: if the estimated DP work exceeds ``ANY_LENGTH_BUDGET``.
     """
-    if backend == "product":
-        return oracle_walk(g, Query(r=r, ell=0, mode="any"))
-    if backend != "cap":
-        raise ValueError(f"unknown backend {backend!r}")
     cap = any_length_cap(g.n, r)
     per_cell = min(ordered_bound(r), max(1, g.num_colors) ** r)
     if cap * g.n * per_cell > ANY_LENGTH_BUDGET:
         raise ValueError(
-            f"estimated cap-backend work {cap * g.n * per_cell} exceeds {ANY_LENGTH_BUDGET}; "
-            "use backend='product'"
+            f"estimated any-length walk DP work {cap * g.n * per_cell} exceeds "
+            f"{ANY_LENGTH_BUDGET}; use --solver oracle"
         )
-    dist_t = dist_to_target(g)
-    if dist_t[g.s] is None:
-        return None
-    allowed = {v: dist_t[v] is not None for v in range(g.n)}
-    levels: list[Cells] = [{g.s: {(g.colors[g.s],) if r >= 1 else (): None}}]
-    seen_states: set[frozenset] = set()
-    for p in range(1, cap + 1):
-        nxt = _advance(g, levels[p - 1], r, allowed, stats)
-        levels.append(nxt)
-        if stats is not None:
-            stats["levels"] = p
-        if g.t in nxt:
-            window = next(iter(nxt[g.t]))
-            return Witness(backtrack(levels, p, g.t, window))
-        signature = frozenset((v, w) for v, cell in nxt.items() for w in cell)
-        if not signature or signature in seen_states:
-            return None
-        seen_states.add(signature)
-    return None
+    reaches_t = [None if d is None else 0 for d in dist_to_target(g)]
+    return witness_at(_walk_levels(g, r, reaches_t, cap, "any", stats), g.t)
 
 
 def solve_r1(g: ColoredDigraph, ell: int) -> Witness | None:
@@ -180,22 +139,17 @@ def solve_r1(g: ColoredDigraph, ell: int) -> Witness | None:
     radius 1 a shortest compliant walk is simple, so this also answers the
     path question.
     """
-    parent: dict[int, int | None] = {g.s: None}
-    frontier = deque([(g.s, 0)])
-    while frontier:
-        v, d = frontier.popleft()
-        if v == g.t:
-            vertices = []
-            cur: int | None = v
-            while cur is not None:
-                vertices.append(cur)
-                cur = parent[cur]
-            return Witness(tuple(reversed(vertices)))
-        if d == ell:
-            continue
-        for u in g.out_neighbors[v]:
-            if u in parent or g.colors[u] == g.colors[v]:
-                continue
-            parent[u] = v
-            frontier.append((u, d + 1))
-    return None
+    colors = g.colors
+    adj = [[u for u in g.out_neighbors[v] if colors[u] != colors[v]] for v in range(g.n)]
+    dist = bfs_distances(adj, g.s)
+    d = dist[g.t]
+    if d is None or d > ell:
+        return None
+    vertices = [g.t]
+    while d > 0:
+        d -= 1
+        v = vertices[-1]
+        vertices.append(
+            next(u for u in g.in_neighbors[v] if dist[u] == d and colors[u] != colors[v])
+        )
+    return Witness(tuple(reversed(vertices)))

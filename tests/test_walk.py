@@ -98,11 +98,11 @@ def test_any_length_backends_agree():
     for trial in range(120):
         g, _ = gen_random(rng.randint(2, 7), 0.35, rng.randint(1, 4), 0, 0, seed=7000 + trial)
         r = rng.randint(0, 3)
-        cap = solve_walk_any_length(g, r, backend="cap")
-        product = solve_walk_any_length(g, r, backend="product")
+        q = Query(r, 0, "any")
+        cap = solve_walk_any_length(g, r)
+        product = oracle_walk(g, q)
         assert (cap is None) == (product is None), trial
         if cap is not None:
-            q = Query(r, 0, "any")
             assert verify_witness(g, q, cap.vertices) == []
             assert verify_witness(g, q, product.vertices) == []
 
@@ -115,13 +115,13 @@ def test_any_length_requires_lap_around_cycle():
     )
     w = solve_walk_any_length(g, 2)
     assert w == Witness((0, 1, 2, 3, 1, 4))
-    assert solve_walk_any_length(g, 2, backend="product") is not None
+    assert oracle_walk(g, Query(2, 0, "any")) is not None
 
 
 def test_any_length_no_instance_terminates_quickly():
     g = chain((0, 0, 1))
     assert solve_walk_any_length(g, 1) is None
-    assert solve_walk_any_length(g, 1, backend="product") is None
+    assert oracle_walk(g, Query(1, 0, "any")) is None
 
 
 def test_any_length_budget_refusal():
@@ -129,7 +129,7 @@ def test_any_length_budget_refusal():
     arcs = tuple((i, i + 1) for i in range(n - 1))
     g = ColoredDigraph(n, tuple(i % 5 for i in range(n)), arcs, 0, n - 1)
     with pytest.raises(ValueError):
-        solve_walk_any_length(g, 4, backend="cap")
+        solve_walk_any_length(g, 4)
 
 
 def test_solve_r1_matches_walk():
@@ -148,3 +148,34 @@ def test_stats_are_recorded():
     stats: dict = {}
     solve_walk(chain((0, 1, 2)), Query(2, 2, "atmost"), stats=stats)
     assert stats
+
+
+def test_walk_cells_prune_inside_solves():
+    """Dense radius-2 instances make walk cells outgrow ordered_bound(2) mid-solve.
+
+    With one color per vertex, a cell from level 2 on holds one window per
+    predecessor color, so a vertex with 31 in-neighbours can collect more
+    than ordered_bound(2) = 29 windows and must be pruned; answers and
+    witnesses still match the product-graph oracle.
+    """
+    n = 34
+    rep_calls = 0
+    for trial in range(12):
+        rng = random.Random(80_000 + trial)
+        arcs = [
+            (u, v)
+            for v in range(n)
+            for u in rng.sample([x for x in range(n) if x != v], rng.choice((20, 31)))
+        ]
+        g = ColoredDigraph(n, tuple(range(n)), tuple(sorted(arcs)), 0, n - 1)
+        for mode in ("atmost", "exact"):
+            q = Query(2, rng.randint(3, 4), mode)
+            stats: dict = {}
+            mine = solve_walk(g, q, stats=stats)
+            ref = oracle_walk(g, q)
+            assert (mine is None) == (ref is None), (trial, q)
+            if mine is not None:
+                assert verify_witness(g, q, mine.vertices) == []
+            assert stats["max_cell"] <= ordered_bound(2), (trial, q)
+            rep_calls += stats.get("rep_calls", 0)
+    assert rep_calls >= 50, rep_calls
