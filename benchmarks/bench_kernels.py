@@ -21,7 +21,7 @@ import numpy as np
 # run from a bare checkout: the package source sits beside this directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rainbowpaths import LabeledSetFamily, unordered_representative
+from rainbowpaths import representative_keep
 from rainbowpaths._kernels import MODULUS, batch_minors, greedy_row_basis
 
 
@@ -45,11 +45,10 @@ def make_minor_workload(rng: np.random.Generator, rank: int, n_sets: int, p: int
     return vander, np.sort(set_cols, axis=1), coords
 
 
-def make_family(seed: int, universe: int, p: int, count: int) -> LabeledSetFamily:
+def make_family(seed: int, universe: int, p: int, count: int) -> list[tuple[int, ...]]:
     rng = random.Random(seed)
     pool = list(combinations(range(universe), p))
-    members = tuple(sorted(rng.sample(pool, min(count, len(pool)))))
-    return LabeledSetFamily(universe, members, tuple(range(len(members))))
+    return sorted(rng.sample(pool, min(count, len(pool))))
 
 
 def timed(fn, repeats: int) -> float:
@@ -69,11 +68,12 @@ def main() -> None:
     rng = np.random.default_rng(7)
     vander, set_cols, coords = make_minor_workload(rng, rank=8, n_sets=4000, p=4)
     minors = batch_minors(vander, set_cols, coords)
-    fam = make_family(11, universe=14, p=4, count=900)
+    universe = 14
+    fam = make_family(11, universe, p=4, count=900)
     rows = [
         ("batch minors 4000x70", lambda: batch_minors(vander, set_cols, coords)),
         ("greedy row basis 4000x70", lambda: greedy_row_basis(minors)),
-        ("prune 900 sets, q=4", lambda: unordered_representative(fam, 4)),
+        ("prune 900 sets, q=4", lambda: representative_keep(fam, universe, 4)),
     ]
     for label, fn in rows:
         print(f"{label:<28}{timed(fn, args.repeats) * 1000:>10.2f}ms")

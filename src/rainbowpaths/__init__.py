@@ -23,6 +23,7 @@ from .core import (
     encoded_slot_index,
     is_locally_rainbow,
     r_compatible,
+    slot_set,
     verify_witness,
 )
 from .detour import Band, build_band, distance_separators, solve_detour
@@ -40,18 +41,16 @@ from .instances import (
     sat_layout,
     write_instance,
 )
-from .oracle import oracle_3sat, oracle_path, oracle_phs, oracle_walk
-from .path import segment_window_family, solve_path, solve_r2_symmetric
-from .repfam import (
-    LabeledSetFamily,
-    SeqFamily,
-    is_ordered_representative,
-    is_unordered_representative,
-    ordered_bound,
-    ordered_representative,
-    unordered_bound,
-    unordered_representative,
+from .oracle import (
+    is_set_representative,
+    is_window_representative,
+    oracle_3sat,
+    oracle_path,
+    oracle_phs,
+    oracle_walk,
 )
+from .path import segment_window_family, solve_path, solve_r2_symmetric
+from .repfam import ordered_bound, representative_keep, unordered_bound
 from .walk import any_length_cap, solve_r1, solve_walk, solve_walk_any_length
 
 __version__ = "0.1.0"
@@ -62,10 +61,8 @@ __all__ = [
     "CnfInput",
     "ColorSeq",
     "ColoredDigraph",
-    "LabeledSetFamily",
     "PHSInput",
     "Query",
-    "SeqFamily",
     "Witness",
     "any_length_cap",
     "blocked_slots",
@@ -80,21 +77,22 @@ __all__ = [
     "gen_phs_instance",
     "gen_random",
     "is_locally_rainbow",
-    "is_ordered_representative",
-    "is_unordered_representative",
+    "is_set_representative",
+    "is_window_representative",
     "oracle_3sat",
     "oracle_path",
     "oracle_phs",
     "oracle_walk",
     "ordered_bound",
-    "ordered_representative",
     "parse_instance",
     "phs_layout",
     "r_compatible",
     "read_dimacs",
     "read_phs_sets",
+    "representative_keep",
     "sat_layout",
     "segment_window_family",
+    "slot_set",
     "solve",
     "solve_detour",
     "solve_path",
@@ -103,7 +101,6 @@ __all__ = [
     "solve_walk",
     "solve_walk_any_length",
     "unordered_bound",
-    "unordered_representative",
     "verify_witness",
     "write_instance",
 ]

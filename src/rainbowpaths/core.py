@@ -187,6 +187,17 @@ def blocked_slots(window: Sequence[int], r: int) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
+def slot_set(window: Sequence[int], r: int, offset: int = 0) -> tuple[int, ...]:
+    """The window's blocked slots as sorted integers ``offset + encoded_slot_index``; () at r = 0.
+
+    For windows drawn from colors [0, c) the result lies in
+    [offset, offset + c * r), the set form a representative prune takes.
+    """
+    if r == 0:
+        return ()
+    return tuple(sorted(offset + encoded_slot_index(c, i, r) for c, i in blocked_slots(window, r)))
+
+
 def claimed_slots(prefix: Sequence[int], r: int) -> frozenset[tuple[int, int]]:
     """Encode a continuation's first entries as the (color, position) slots it claims."""
     return frozenset((prefix[i - 1], i) for i in range(1, min(r, len(prefix)) + 1))

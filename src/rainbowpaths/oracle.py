@@ -3,14 +3,18 @@
 Small-instance oracles used to validate the dynamic programs and the
 hardness constructions: a product-graph search for walks, an exhaustive
 DFS for simple paths, and direct enumeration for permutation hitting and
-3-SAT. All are deliberately simple and guarded by size ceilings.
+3-SAT. Exhaustive references for representative families sit beside
+them: greedy-coverage prunes and the definitional checks, for families
+of sets and of color windows. All are deliberately simple; the solvers
+are guarded by size ceilings.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations, product
+from typing import Iterable, Sequence
 
-from .core import ColoredDigraph, Query, Witness
+from .core import ColoredDigraph, ColorSeq, Query, Witness, r_compatible
 
 STATE_CEILING = 10**7
 
@@ -181,3 +185,97 @@ def oracle_3sat(clauses: list[tuple[int, ...]]) -> dict[int, bool] | None:
         ):
             return assignment
     return None
+
+
+def _exhaustive_keep(sets: Sequence[Sequence[int]], universe: int, q: int) -> list[int]:
+    """Greedy coverage: keep a set iff it serves a not-yet-served obstruction.
+
+    Obstructions are exactly the q_eff-subsets of the universe; a set
+    serves an obstruction by being disjoint from it. Each kept set carries
+    a witness obstruction that all earlier kept sets intersect, which
+    bounds the kept count by unordered_bound(p, q).
+    """
+    q_eff = min(q, max(0, universe - len(sets[0])))
+    kept: list[int] = []
+    kept_sets: list[frozenset[int]] = []
+    for idx, m in enumerate(sets):
+        mset = frozenset(m)
+        rest = [e for e in range(universe) if e not in mset]
+        for obstruction in combinations(rest, q_eff):
+            oset = frozenset(obstruction)
+            if not any(not (k & oset) for k in kept_sets):
+                kept.append(idx)
+                kept_sets.append(mset)
+                break
+    return kept
+
+
+def _fresh_palette(windows: Iterable[ColorSeq], r: int) -> list[int]:
+    """Family colors plus r fresh ones.
+
+    Any continuation over arbitrary colors behaves, against every stored
+    window, like one whose out-of-family colors are replaced by distinct
+    fresh colors, and a continuation has at most r positions, so r fresh
+    colors make the enumeration exhaustive.
+    """
+    colors = sorted({c for s in windows for c in s})
+    base = (colors[-1] + 1) if colors else 0
+    return colors + [base + i for i in range(r)]
+
+
+def _ordered_exhaustive_keep(windows: Sequence[ColorSeq], r: int) -> list[int]:
+    """Greedy coverage over all continuations of length <= r; sorted kept indices."""
+    palette = _fresh_palette(windows, r)
+    kept: list[int] = []
+    for length in range(r + 1):
+        for rho in product(palette, repeat=length):
+            if any(r_compatible(windows[i], rho, r) for i in kept):
+                continue
+            for idx, s in enumerate(windows):
+                if r_compatible(s, rho, r):
+                    kept.append(idx)
+                    break
+    return sorted(kept)
+
+
+def is_set_representative(
+    kept: Sequence[Sequence[int]], full: Sequence[Sequence[int]], universe: int, q: int
+) -> bool:
+    """Definitional check, exhaustive over all obstructions in [0, universe) of size <= q."""
+    kept_sets = [frozenset(m) for m in kept]
+    full_sets = [frozenset(m) for m in full]
+    if not all(m in full_sets for m in kept_sets):
+        return False
+    for size in range(q + 1):
+        for obstruction in combinations(range(universe), size):
+            oset = set(obstruction)
+            if any(not (m & oset) for m in full_sets) and not any(
+                not (m & oset) for m in kept_sets
+            ):
+                return False
+    return True
+
+
+def is_window_representative(
+    kept: Sequence[ColorSeq],
+    full: Sequence[ColorSeq],
+    r: int,
+    palette: Sequence[int] | None = None,
+) -> bool:
+    """Definitional check over all continuations of length <= r.
+
+    Continuations are drawn from ``palette`` (default: the family's
+    colors plus r fresh ones, which is exhaustive up to renaming); all
+    sequences are tried, rainbow or not.
+    """
+    if not all(s in full for s in kept):
+        return False
+    if palette is None:
+        palette = _fresh_palette(full, r)
+    for length in range(r + 1):
+        for rho in product(palette, repeat=length):
+            if any(r_compatible(s, rho, r) for s in full) and not any(
+                r_compatible(s, rho, r) for s in kept
+            ):
+                return False
+    return True

@@ -27,13 +27,12 @@ from .core import (
     Witness,
     backtrack,
     bfs_distances,
-    blocked_slots,
     dist_from_source,
-    encoded_slot_index,
     layered_dp,
+    slot_set,
     witness_at,
 )
-from .repfam import WEDGE_WIDTH_LIMIT, LabeledSetFamily, algebraic_width, unordered_representative
+from .repfam import representative_keep
 
 PRUNE_THRESHOLD = 4096
 
@@ -81,27 +80,17 @@ def _prune_cell(
     if len(cell) <= PRUNE_THRESHOLD:
         return cell
     assert budget >= 0
-    universe = n + num_colors * r
-    flat = []
-    tags = []
-    for member in cell:
-        visited, window = member
-        vertices = tuple(x for x in range(n) if visited >> x & 1)
-        slot_part = (
-            tuple(sorted(n + encoded_slot_index(c, i, r) for c, i in blocked_slots(window, r)))
-            if r >= 1
-            else ()
-        )
-        flat.append(vertices + slot_part)
-        tags.append(member)
-    set_size = len(flat[0])
-    if algebraic_width(set_size, budget, universe) > WEDGE_WIDTH_LIMIT:
+    members = list(cell)
+    sets = [
+        tuple(x for x in range(n) if visited >> x & 1) + slot_set(window, r, n)
+        for visited, window in members
+    ]
+    keep = representative_keep(sets, n + num_colors * r, budget)
+    if keep is None:
         return cell
-    family = LabeledSetFamily(universe, tuple(flat), tuple(tags))
-    kept = unordered_representative(family, budget, backend="algebraic")
     if stats is not None:
         stats["rep_calls"] = stats.get("rep_calls", 0) + 1
-    return {member: cell[member] for member in kept.tags}
+    return {members[i]: cell[members[i]] for i in keep}
 
 
 def _path_levels(

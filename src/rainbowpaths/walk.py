@@ -23,15 +23,10 @@ from .core import (
     bfs_distances,
     dist_to_target,
     layered_dp,
+    slot_set,
     witness_at,
 )
-from .repfam import (
-    WEDGE_WIDTH_LIMIT,
-    SeqFamily,
-    algebraic_width,
-    ordered_bound,
-    ordered_representative,
-)
+from .repfam import ordered_bound, representative_keep
 
 ANY_LENGTH_BUDGET = 10**7
 
@@ -41,22 +36,20 @@ def prune_window_cell(
 ) -> dict[ColorSeq, Any]:
     """Replace a window cell by an ordered representative when it grows too large.
 
-    Values of the dict are carried along untouched; also used by the
-    detour solver, whose cells have the same shape.
+    Values of the dict are carried along untouched, and kept windows come
+    back in sorted order; a cell too wide to prune stays as it is. Also
+    used by the detour solver, whose cells have the same shape.
     """
     if r == 0 or len(windows) <= ordered_bound(r):
         return windows
-    keys = list(windows)
-    family = SeqFamily(r, tuple(keys), tuple(keys))
+    keys = sorted(windows)
     universe = (max(max(w) for w in keys) + 1) * r
-    length = len(keys[0])
-    slots = length * r - length * (length - 1) // 2
-    if algebraic_width(slots, r, universe) > WEDGE_WIDTH_LIMIT:
+    keep = representative_keep([slot_set(w, r) for w in keys], universe, r)
+    if keep is None:
         return windows
-    kept = ordered_representative(family, backend="algebraic")
     if stats is not None:
         stats["rep_calls"] = stats.get("rep_calls", 0) + 1
-    return {w: windows[w] for w in kept.sequences}
+    return {keys[i]: windows[keys[i]] for i in sorted(keep)}
 
 
 def _walk_levels(

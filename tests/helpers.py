@@ -6,7 +6,7 @@ import io
 import random
 import sys
 
-from rainbowpaths import ColoredDigraph
+from rainbowpaths import ColoredDigraph, representative_keep, slot_set
 from rainbowpaths.cli import main as cli_main
 
 
@@ -60,3 +60,23 @@ def compliant_cnf(rng: random.Random, n: int) -> list[tuple[int, int, int]]:
         clauses = [tuple(deck[3 * j: 3 * j + 3]) for j in range(m)]
         if all(len({abs(l) for l in c}) == 3 for c in clauses):
             return clauses
+
+
+def window_keep(windows: list[tuple[int, ...]], r: int) -> list[int] | None:
+    """Kept indices of an ordered representative of ``windows``, as the walk prune computes it."""
+    universe = (max(max(w) for w in windows) + 1) * r
+    return representative_keep([slot_set(w, r) for w in windows], universe, r)
+
+
+def core_sets(rng: random.Random, universe: int, p: int, core: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` random p-subsets of [0, universe) that all contain the same ``core`` elements."""
+    shared = rng.sample(range(universe), core)
+    rest = [e for e in range(universe) if e not in shared]
+    return [tuple(sorted(shared + rng.sample(rest, p - core))) for _ in range(count)]
+
+
+def core_windows(rng: random.Random, length: int, core: int, num_colors: int, count: int) -> list[tuple[int, ...]]:
+    """Distinct rainbow windows, sorted, that all end in the same ``core`` colors, as in a walk cell."""
+    suffix = tuple(rng.sample(range(num_colors), core))
+    rest = [c for c in range(num_colors) if c not in suffix]
+    return sorted({tuple(rng.sample(rest, length - core)) + suffix for _ in range(count)})

@@ -14,10 +14,8 @@ import helpers
 from rainbowpaths import (
     CnfInput,
     ColoredDigraph,
-    LabeledSetFamily,
     PHSInput,
     Query,
-    SeqFamily,
     blocked_slots,
     claimed_slots,
     dist_to_target,
@@ -26,16 +24,16 @@ from rainbowpaths import (
     gen_phs_instance,
     gen_random,
     is_locally_rainbow,
-    is_ordered_representative,
-    is_unordered_representative,
+    is_set_representative,
+    is_window_representative,
     oracle_3sat,
     oracle_path,
     oracle_phs,
     oracle_walk,
     ordered_bound,
-    ordered_representative,
     phs_layout,
     r_compatible,
+    representative_keep,
     solve_detour,
     solve_path,
     solve_r1,
@@ -43,10 +41,10 @@ from rainbowpaths import (
     solve_walk,
     solve_walk_any_length,
     unordered_bound,
-    unordered_representative,
     verify_witness,
     write_instance,
 )
+from rainbowpaths.oracle import _exhaustive_keep, _ordered_exhaustive_keep
 
 CRITERION_1_BUDGET_SECONDS = 120.0
 
@@ -159,22 +157,35 @@ def test_criterion_03_detour_equals_path_at_shifted_budget():
 
 
 def test_criterion_04_representative_families_pass_definitional_checks():
-    """200 random families per flavor, both backends, bounds included."""
+    """200 random families per flavor plus 100 sharing a core, both backends, bounds included."""
     failures = []
     rng = random.Random(30_000)
+    set_keeps = {"algebraic": representative_keep, "exhaustive": _exhaustive_keep}
+    window_keeps = {"algebraic": helpers.window_keep, "exhaustive": _ordered_exhaustive_keep}
+
+    def check_sets(trial, fam, universe, p, q):
+        for backend, keep in set_keeps.items():
+            kept = [fam[i] for i in keep(fam, universe, q)]
+            if len(kept) > unordered_bound(p, q):
+                failures.append((trial, backend, "size"))
+            if not is_set_representative(kept, fam, universe, q):
+                failures.append((trial, backend, "definition"))
+
+    def check_windows(trial, seqs, r):
+        for backend, keep in window_keeps.items():
+            kept = [seqs[i] for i in keep(seqs, r)]
+            if len(kept) > ordered_bound(r):
+                failures.append((trial, backend, "ordered size"))
+            if not is_window_representative(kept, seqs, r):
+                failures.append((trial, backend, "ordered definition"))
+
     for trial in range(200):
         universe = rng.randint(3, 10)
         p = rng.randint(1, min(3, universe))
         q = rng.randint(0, 3)
         pool = list(combinations(range(universe), p))
         count = min(len(pool), rng.randint(1, 50))
-        fam = LabeledSetFamily(universe, tuple(sorted(rng.sample(pool, count))), tuple(range(count)))
-        for backend in ("algebraic", "exhaustive"):
-            kept = unordered_representative(fam, q, backend=backend)
-            if len(kept) > unordered_bound(p, q):
-                failures.append((trial, backend, "size"))
-            if not is_unordered_representative(kept, fam, q):
-                failures.append((trial, backend, "definition"))
+        check_sets(trial, sorted(rng.sample(pool, count)), universe, p, q)
     for trial in range(200):
         r = rng.randint(1, 3)
         colors = rng.randint(2, 4)
@@ -182,15 +193,24 @@ def test_criterion_04_representative_families_pass_definitional_checks():
         pool = set()
         for _ in range(50):
             pool.add(tuple(rng.sample(range(colors), length)))
-        seqs = tuple(sorted(pool))
-        fam = SeqFamily(r, seqs, tuple(range(len(seqs))))
-        for backend in ("algebraic", "exhaustive"):
-            kept = ordered_representative(fam, backend=backend)
-            if len(kept.sequences) > ordered_bound(r):
-                failures.append((trial, backend, "ordered size"))
-            if not is_ordered_representative(kept, fam, r):
-                failures.append((trial, backend, "ordered definition"))
-    verdict(4, not failures, f"200 unordered + 200 ordered families, {len(failures)} failures")
+        check_windows(trial, sorted(pool), r)
+    # every member shares c >= 1 elements (sets) or its last c colors
+    # (windows), as in path and walk cells; set families keep duplicates
+    for trial in range(100):
+        universe = rng.randint(4, 10)
+        p = rng.randint(2, 4)
+        fam = helpers.core_sets(rng, universe, p, rng.randint(1, p - 1), rng.randint(2, 40))
+        check_sets(("core", trial), fam, universe, p, rng.randint(0, 3))
+    for trial in range(100):
+        r = rng.randint(1, 3)
+        length = rng.randint(1, r)
+        seqs = helpers.core_windows(rng, length, rng.randint(1, length), rng.randint(length + 1, 5), 30)
+        check_windows(("core", trial), seqs, r)
+    verdict(
+        4,
+        not failures,
+        f"200 unordered + 200 ordered families, 100 + 100 sharing a core, {len(failures)} failures",
+    )
     assert not failures, failures[:5]
 
 

@@ -197,3 +197,52 @@ def test_matches_oracle_at_auto_dispatch_maximum():
             yes += 1
             assert verify_witness(g, q, mine.vertices, require_path=True) == []
     assert yes >= 20 and no >= 10, (yes, no)
+
+
+def fan_graph(rng: random.Random, blocked: bool) -> ColoredDigraph:
+    """s feeds 45+ vertices of distinct colours, they feed 2-4 middle vertices, and those feed t.
+
+    Each middle vertex hears from about 80% of the fan, so its radius-2
+    window cell outgrows ordered_bound(2) and is pruned. Six random arcs
+    among the fan and middle vertices open detours. With ``blocked``, the
+    middle vertices take t's colour, so every arc into t is monochromatic.
+    """
+    fan = list(range(2, 2 + rng.randint(45, 50)))
+    middle = list(range(fan[-1] + 1, fan[-1] + 1 + rng.randint(2, 4)))
+    n = middle[-1] + 1
+    colors = [0, n - 1] + list(range(1, n - 1))
+    if blocked:
+        for w in middle:
+            colors[w] = colors[1]
+    arcs = {(0, a) for a in fan} | {(w, 1) for w in middle}
+    arcs |= {(a, w) for a in fan for w in middle if rng.random() < 0.8}
+    extra = set()
+    while len(extra) < 6:
+        arc = tuple(rng.sample(fan + middle, 2))
+        if arc not in arcs:
+            extra.add(arc)
+    dense = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return ColoredDigraph(n, tuple(dense[c] for c in colors), tuple(sorted(arcs | extra)), 0, 1)
+
+
+def test_detour_cells_prune_inside_solves():
+    """Fan graphs make the detour DP prune its window cells, and answers still match the oracle."""
+    rng = random.Random(151)
+    rep_calls = yes = no = 0
+    for trial in range(12):
+        g = fan_graph(rng, blocked=trial % 3 == 2)
+        d = dist_to_target(g)[g.s]
+        for k in (1, 2):
+            stats: dict = {}
+            mine = solve_detour(g, 2, k, stats=stats)
+            q = Query(2, d + k, "atmost")
+            ref = oracle_path(g, q)
+            assert (mine is None) == (ref is None), (trial, k)
+            if mine is None:
+                no += 1
+            else:
+                yes += 1
+                assert verify_witness(g, q, mine.vertices, require_path=True) == []
+            rep_calls += stats.get("rep_calls", 0)
+    print(f"detour fan graphs: {rep_calls} prunes, {yes} YES, {no} NO")
+    assert rep_calls >= 50 and yes >= 12 and no >= 6, (rep_calls, yes, no)

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -142,3 +145,14 @@ def test_greedy_row_basis_keeps_the_minor_rows_python_would():
     coord_rows = np.array([(a, b) for a in range(rank) for b in range(a + 1, rank)], dtype=np.int64)
     minors = batch_minors(vander, set_cols, coord_rows)
     assert greedy_row_basis(minors).tolist() == greedy_keep(minors.tolist())
+
+
+def test_bench_kernels_script_runs():
+    """The kernel benchmark script runs on the current API and prints its three timing rows."""
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--repeats", "1"], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()
+    assert len(rows) == 3 and all(row.endswith("ms") for row in rows), done.stdout

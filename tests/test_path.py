@@ -112,14 +112,15 @@ def test_pruned_path_cells_match_oracle(monkeypatch):
     """
     monkeypatch.setattr(path, "PRUNE_THRESHOLD", 2)
     prunes = []
-    representative = path.unordered_representative
+    representative = path.representative_keep
 
-    def recording(family, q, backend="algebraic"):
-        kept = representative(family, q, backend=backend)
-        prunes.append((family.set_size, q, len(family), len(kept)))
+    def recording(sets, universe, q):
+        kept = representative(sets, universe, q)
+        if kept is not None:
+            prunes.append((len(sets[0]), q, len(sets), len(kept)))
         return kept
 
-    monkeypatch.setattr(path, "unordered_representative", recording)
+    monkeypatch.setattr(path, "representative_keep", recording)
     rng = random.Random(97)
     rep_calls = 0
     # at-most solves stop at the first level holding t, which most of them

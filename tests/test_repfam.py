@@ -1,4 +1,4 @@
-"""Representative-family pruning, both set and sequence flavors."""
+"""Representative-family pruning, for families of sets and of color windows."""
 from __future__ import annotations
 
 import random
@@ -6,39 +6,20 @@ from itertools import combinations
 
 import pytest
 
+from helpers import core_sets, core_windows, window_keep
 from rainbowpaths import (
-    LabeledSetFamily,
-    SeqFamily,
-    is_ordered_representative,
-    is_unordered_representative,
+    is_set_representative,
+    is_window_representative,
     ordered_bound,
-    ordered_representative,
+    representative_keep,
     unordered_bound,
-    unordered_representative,
 )
+from rainbowpaths.oracle import _exhaustive_keep, _ordered_exhaustive_keep
+from rainbowpaths.repfam import WEDGE_WIDTH_LIMIT, algebraic_width
 
-BACKENDS = ("algebraic", "exhaustive")
-
-
-def test_family_validation():
-    with pytest.raises(ValueError):
-        LabeledSetFamily(3, ((0, 0),), (0,))
-    with pytest.raises(ValueError):
-        LabeledSetFamily(3, ((0,), (1, 2)), (0, 1))
-    with pytest.raises(ValueError):
-        LabeledSetFamily(2, ((0, 2),), (0,))
-    fam = LabeledSetFamily.from_sets(4, [{1, 3}, {0, 2}])
-    assert fam.set_size == 2
-    assert len(fam) == 2
-
-
-def test_seq_family_requires_rainbow_members():
-    with pytest.raises(ValueError):
-        SeqFamily(2, ((0, 0),), (0,))
-    with pytest.raises(ValueError):
-        SeqFamily(2, ((0, 1), (2,)), (0, 1))
-    fam = SeqFamily(2, ((0, 1), (1, 0)), (0, 1))
-    assert len(fam.sequences) == 2
+# each maps (sets, universe, q), or (windows, r), to kept input indices
+KEEPS = {"algebraic": representative_keep, "exhaustive": _exhaustive_keep}
+WINDOW_KEEPS = {"algebraic": window_keep, "exhaustive": _ordered_exhaustive_keep}
 
 
 def test_bounds():
@@ -49,86 +30,112 @@ def test_bounds():
     assert ordered_bound(2) == 29
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def test_keep_validates_sets():
+    with pytest.raises(ValueError):
+        representative_keep([(0, 1)], 3, -1)
+    with pytest.raises(ValueError):
+        representative_keep([(0,), (1, 2)], 3, 1)
+    with pytest.raises(ValueError):
+        representative_keep([(0, 2)], 2, 1)
+    with pytest.raises(ValueError):
+        representative_keep([(-1, 0)], 2, 1)
+    with pytest.raises(ValueError):
+        representative_keep([(1, 1)], 3, 1)
+    assert representative_keep([], 3, 1) == []
+
+
+def test_keep_skips_families_too_wide_to_prune():
+    assert algebraic_width(10, 10, 40) <= WEDGE_WIDTH_LIMIT < algebraic_width(10, 11, 40)
+    assert representative_keep([tuple(range(10))], 40, 11) is None
+    assert representative_keep([tuple(range(10))], 40, 1) == [0]
+
+
+def test_keep_returns_input_indices_in_row_order():
+    # rows run (0, 1) #1, (0, 1) #2, (2, 3) #0; the duplicate is dropped
+    assert representative_keep([(3, 2), (0, 1), (1, 0)], 4, 1) == [1, 0]
+
+
+@pytest.mark.parametrize("backend", KEEPS)
 def test_unordered_singletons_both_kept(backend):
-    fam = LabeledSetFamily.from_sets(2, [{0}, {1}])
-    kept = unordered_representative(fam, 1, backend=backend)
-    assert sorted(kept.members) == [(0,), (1,)]
+    sets = [(0,), (1,)]
+    kept = KEEPS[backend](sets, 2, 1)
+    assert sorted(sets[i] for i in kept) == [(0,), (1,)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KEEPS)
 def test_unordered_pairs_all_needed(backend):
     # Each pair misses a different singleton obstruction.
-    fam = LabeledSetFamily.from_sets(3, [{0, 1}, {0, 2}, {1, 2}])
-    kept = unordered_representative(fam, 1, backend=backend)
+    kept = KEEPS[backend]([(0, 1), (0, 2), (1, 2)], 3, 1)
     assert len(kept) == 3
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KEEPS)
 def test_unordered_duplicates_collapse(backend):
-    fam = LabeledSetFamily(3, ((0, 1), (0, 1)), (0, 1))
-    kept = unordered_representative(fam, 1, backend=backend)
+    kept = KEEPS[backend]([(0, 1), (0, 1)], 3, 1)
     assert len(kept) == 1
+    assert len(KEEPS[backend]([(), ()], 3, 1)) == 1
 
 
 def test_unordered_prune_is_idempotent():
     rng = random.Random(7)
     universe = 8
     members = [tuple(sorted(rng.sample(range(universe), 3))) for _ in range(40)]
-    unique = tuple(dict.fromkeys(members))
-    fam = LabeledSetFamily(universe, unique, tuple(range(len(unique))))
-    once = unordered_representative(fam, 2)
-    twice = unordered_representative(once, 2)
-    assert sorted(once.members) == sorted(twice.members)
+    unique = list(dict.fromkeys(members))
+    once = [unique[i] for i in representative_keep(unique, universe, 2)]
+    twice = [once[i] for i in representative_keep(once, universe, 2)]
+    assert sorted(once) == sorted(twice)
 
 
 def test_partial_representative_budget_zero_keeps_one():
-    fam = LabeledSetFamily.from_sets(4, [{0, 1}, {2, 3}, {0, 2}])
-    kept = unordered_representative(fam, 0)
+    kept = representative_keep([(0, 1), (2, 3), (0, 2)], 4, 0)
     assert len(kept) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KEEPS)
 def test_unordered_random_families_pass_definition(backend):
     rng = random.Random(13)
+    families = []
     for trial in range(30):
         universe = rng.randint(3, 9)
         p = rng.randint(1, min(3, universe))
         q = rng.randint(0, 3)
         pool = list(combinations(range(universe), p))
-        members = tuple(sorted(rng.sample(pool, min(len(pool), rng.randint(1, 25)))))
-        fam = LabeledSetFamily(universe, members, tuple(range(len(members))))
-        kept = unordered_representative(fam, q, backend=backend)
+        families.append((sorted(rng.sample(pool, min(len(pool), rng.randint(1, 25)))), universe, p, q))
+    # families sharing a core, the shape of path and walk cells; duplicates included
+    core_rng = random.Random(14)
+    for trial in range(30):
+        universe = core_rng.randint(4, 9)
+        p = core_rng.randint(2, 4)
+        core = core_rng.randint(1, p - 1)
+        fam = core_sets(core_rng, universe, p, core, core_rng.randint(2, 25))
+        families.append((fam, universe, p, core_rng.randint(0, 3)))
+    for fam, universe, p, q in families:
+        kept = [fam[i] for i in KEEPS[backend](fam, universe, q)]
         assert len(kept) <= unordered_bound(p, q)
-        assert is_unordered_representative(kept, fam, q)
+        assert is_set_representative(kept, fam, universe, q)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", WINDOW_KEEPS)
 def test_ordered_transposed_pair_both_kept(backend):
-    fam = SeqFamily(2, ((1, 2), (2, 1)), (0, 1))
-    kept = ordered_representative(fam, backend=backend)
-    assert sorted(kept.sequences) == [(1, 2), (2, 1)]
+    windows = [(1, 2), (2, 1)]
+    kept = WINDOW_KEEPS[backend](windows, 2)
+    assert sorted(windows[i] for i in kept) == [(1, 2), (2, 1)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", WINDOW_KEEPS)
 def test_ordered_regression_needs_non_rainbow_obstructions(backend):
     # (2, 2, 0) separates these two members at r = 3, so neither may be
     # dropped even though every rainbow continuation treats them alike.
-    fam = SeqFamily(3, ((0, 1), (1, 0)), (0, 1))
-    kept = ordered_representative(fam, backend=backend)
-    assert sorted(kept.sequences) == [(0, 1), (1, 0)]
-    assert is_ordered_representative(kept, fam, 3)
+    windows = [(0, 1), (1, 0)]
+    kept = [windows[i] for i in WINDOW_KEEPS[backend](windows, 3)]
+    assert sorted(kept) == [(0, 1), (1, 0)]
+    assert is_window_representative(kept, windows, 3)
 
 
-def test_ordered_r_zero_single_member():
-    fam = SeqFamily(0, ((), ()), (0, 1))
-    kept = ordered_representative(fam)
-    assert len(kept.sequences) == 1
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", WINDOW_KEEPS)
 def test_ordered_random_families_pass_definition(backend):
     rng = random.Random(99)
+    families = []
     for trial in range(25):
         r = rng.randint(1, 3)
         num_colors = rng.randint(max(1, r), 4)
@@ -137,15 +144,23 @@ def test_ordered_random_families_pass_definition(backend):
         for _ in range(40):
             seq = tuple(rng.sample(range(num_colors), min(length, num_colors)))
             pool.add(seq)
-        seqs = tuple(sorted(pool))
-        fam = SeqFamily(r, seqs, tuple(range(len(seqs))))
-        kept = ordered_representative(fam, backend=backend)
-        assert len(kept.sequences) <= ordered_bound(r)
-        assert is_ordered_representative(kept, fam, r)
+        families.append((sorted(pool), r))
+    # windows sharing their last c colors, as every window of a walk cell ends in its vertex's color
+    core_rng = random.Random(100)
+    for trial in range(25):
+        r = core_rng.randint(1, 3)
+        length = core_rng.randint(1, r)
+        core = core_rng.randint(1, length)
+        fam = core_windows(core_rng, length, core, core_rng.randint(length + 1, 5), 20)
+        families.append((fam, r))
+    for fam, r in families:
+        kept = [fam[i] for i in WINDOW_KEEPS[backend](fam, r)]
+        assert len(kept) <= ordered_bound(r)
+        assert is_window_representative(kept, fam, r)
 
 
 def test_ordered_tags_follow_members():
-    fam = SeqFamily(2, ((1, 2), (2, 1)), ("a", "b"))
-    kept = ordered_representative(fam)
-    for seq, tag in zip(kept.sequences, kept.tags):
-        assert tag == dict(zip(fam.sequences, fam.tags))[seq]
+    windows = [(2, 1), (1, 2)]
+    tags = ["b", "a"]
+    kept = {windows[i]: tags[i] for i in window_keep(windows, 2)}
+    assert kept == {(1, 2): "a", (2, 1): "b"}
