@@ -12,6 +12,7 @@ from rainbowpaths import (
     is_window_representative,
     ordered_bound,
     representative_keep,
+    slot_set,
     unordered_bound,
 )
 from rainbowpaths.oracle import _exhaustive_keep, _ordered_exhaustive_keep
@@ -30,7 +31,7 @@ def test_bounds():
     assert ordered_bound(2) == 29
 
 
-def test_keep_validates_sets():
+def test_family_validation():
     with pytest.raises(ValueError):
         representative_keep([(0, 1)], 3, -1)
     with pytest.raises(ValueError):
@@ -130,6 +131,13 @@ def test_ordered_regression_needs_non_rainbow_obstructions(backend):
     kept = [windows[i] for i in WINDOW_KEEPS[backend](windows, 3)]
     assert sorted(kept) == [(0, 1), (1, 0)]
     assert is_window_representative(kept, windows, 3)
+
+
+def test_ordered_r_zero_single_member():
+    # at r = 0 every window blocks nothing, so one member represents the family
+    windows = [(), ()]
+    assert representative_keep([slot_set(w, 0) for w in windows], 0, 0) == [0]
+    assert _ordered_exhaustive_keep(windows, 0) == [0]
 
 
 @pytest.mark.parametrize("backend", WINDOW_KEEPS)
