@@ -2,8 +2,10 @@
 
 The representative-family pruner spends its time in two places, batched
 minor determinants of a Vandermonde matrix and a greedy row basis over a
-prime field. This script times both raw kernels and an end-to-end
-pruning workload, best of N repeats.
+prime field. This script times both raw kernels and two end-to-end
+pruning workloads, best of N repeats: a family with no shared element,
+and radius-2 walk cells, whose windows all end in the cell's color, so
+the prune strips those shared slots first.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -21,7 +23,7 @@ import numpy as np
 # run from a bare checkout: the package source sits beside this directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rainbowpaths import representative_keep
+from rainbowpaths import representative_keep, slot_set
 from rainbowpaths._kernels import MODULUS, batch_minors, greedy_row_basis
 
 
@@ -51,6 +53,13 @@ def make_family(seed: int, universe: int, p: int, count: int) -> list[tuple[int,
     return sorted(rng.sample(pool, min(count, len(pool))))
 
 
+def walk_cells(num_colors: int) -> list[list[tuple[int, ...]]]:
+    """For each color c, the slot sets of every radius-2 window (a, c) over num_colors colors."""
+    return [
+        [slot_set((a, c), 2) for a in range(num_colors) if a != c] for c in range(num_colors)
+    ]
+
+
 def timed(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -70,10 +79,12 @@ def main() -> None:
     minors = batch_minors(vander, set_cols, coords)
     universe = 14
     fam = make_family(11, universe, p=4, count=900)
+    cells = walk_cells(40)
     rows = [
         ("batch minors 4000x70", lambda: batch_minors(vander, set_cols, coords)),
         ("greedy row basis 4000x70", lambda: greedy_row_basis(minors)),
         ("prune 900 sets, q=4", lambda: representative_keep(fam, universe, 4)),
+        ("prune 40 walk cells, r=2", lambda: [representative_keep(cell, 80, 2) for cell in cells]),
     ]
     for label, fn in rows:
         print(f"{label:<28}{timed(fn, args.repeats) * 1000:>10.2f}ms")

@@ -89,10 +89,11 @@ def greedy_row_basis(mat: np.ndarray) -> np.ndarray:
         nz = np.nonzero(cur)[0]
         if nz.size:
             keep[ri] = 1
-            if nred < cap:
-                lead = int(nz[0])
-                red[nred] = cur
-                pivcol[nred] = lead
-                pivinv[nred] = pow(int(cur[lead]), int(MODULUS) - 2, int(MODULUS))
-                nred += 1
+            lead = int(nz[0])
+            red[nred] = cur
+            pivcol[nred] = lead
+            pivinv[nred] = pow(int(cur[lead]), int(MODULUS) - 2, int(MODULUS))
+            nred += 1
+            if nred == width:
+                break  # the kept rows span every coordinate, so the rest are dependent
     return keep

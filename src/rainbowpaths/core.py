@@ -195,7 +195,11 @@ def slot_set(window: Sequence[int], r: int, offset: int = 0) -> tuple[int, ...]:
     """
     if r == 0:
         return ()
-    return tuple(sorted(offset + encoded_slot_index(c, i, r) for c, i in blocked_slots(window, r)))
+    if not window:
+        raise ValueError("window must be nonempty")
+    # window[k] blocks positions 1..r - (len - 1 - k); a repeated color blocks the most at its last k
+    reach = {c: r - (len(window) - 1 - k) for k, c in enumerate(window)}
+    return tuple(offset + c * r + i for c in sorted(reach) for i in range(reach[c]))
 
 
 def claimed_slots(prefix: Sequence[int], r: int) -> frozenset[tuple[int, int]]:

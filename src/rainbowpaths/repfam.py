@@ -4,8 +4,12 @@ A q-representative of a family of p-element sets preserves, for every
 obstruction set Y with |Y| <= q, the existence of a member disjoint from Y.
 The walk DP's ordered variant (preserve a compatible window for every
 continuation) reduces to it through ``core.slot_set``. One routine,
-``representative_keep``, computes it algebraically: wedge coordinates of a
-Vandermonde matrix over a prime field, then a greedy row basis. The
+``representative_keep``, computes it algebraically. It first strips the
+elements every member shares, which leaves the answer unchanged but
+shrinks p, and with it the binom(p + q, p) wedge coordinates of the
+Vandermonde matrix over a prime field; a greedy row basis of those
+coordinates then picks the kept members. In a walk cell every window ends
+in the vertex's color, so at r = 2 the strip takes p from 3 to 1. The
 exhaustive references and the definitional checks live in ``oracle``.
 """
 
@@ -45,13 +49,19 @@ def representative_keep(
 ) -> list[int] | None:
     """Indices of a q-representative subfamily of ``sets``, or None if too wide to compute.
 
-    The sets must be equally sized subsets of [0, universe). Rows are
-    taken in order of (sorted set, input index), and a row is kept iff its
-    wedge vector is independent of the rows kept before it; a duplicate
-    set gives an equal row, so only its first copy is kept. The kept
-    indices come back in that row order, at most unordered_bound(p, q) of
-    them. None means the prune would materialize more than
-    ``WEDGE_WIDTH_LIMIT`` wedge coordinates and was not run.
+    The sets must be equally sized subsets of [0, universe). The prune runs
+    on a stripped family: the core C of elements every set contains is
+    dropped, and so is every element no set contains. This is exact: an
+    obstruction meeting C blocks every member, a member avoids one that
+    misses C exactly when its stripped part does, and elements outside the
+    union decide nothing. Rows are taken in order of
+    (sorted set, input index), which stripping leaves unchanged, and a row
+    is kept iff its wedge vector is independent of the rows kept before
+    it; a duplicate set gives an equal row, so only its first copy is
+    kept. The kept indices come back in that row order, at most
+    unordered_bound(p - |C|, q) of them. None means the stripped family
+    would materialize more than ``WEDGE_WIDTH_LIMIT`` wedge coordinates
+    and the prune was not run.
 
     Raises:
         ValueError: if q < 0, or the sets differ in size, repeat an
@@ -72,6 +82,11 @@ def representative_keep(
         raise ValueError(f"set elements must lie in [0, {universe})")
     if np.any(rows[:, 1:] == rows[:, :-1]):
         raise ValueError("a set repeats an element")
+    # strip the core every row shares, then relabel the rest of the union densely
+    counts = np.bincount(rows.ravel(), minlength=universe)
+    rest = (counts > 0) & (counts < len(rows))
+    rows = (np.cumsum(rest) - 1)[rows[rest[rows]].reshape(len(rows), -1)]
+    universe = int(np.count_nonzero(rest))
     p = rows.shape[1]
     if algebraic_width(p, q, universe) > WEDGE_WIDTH_LIMIT:
         return None

@@ -6,7 +6,7 @@ import io
 import random
 import sys
 
-from rainbowpaths import ColoredDigraph, representative_keep, slot_set
+from rainbowpaths import ColoredDigraph, is_window_representative, representative_keep, slot_set
 from rainbowpaths.cli import main as cli_main
 
 
@@ -80,3 +80,29 @@ def core_windows(rng: random.Random, length: int, core: int, num_colors: int, co
     suffix = tuple(rng.sample(range(num_colors), core))
     rest = [c for c in range(num_colors) if c not in suffix]
     return sorted({tuple(rng.sample(rest, length - core)) + suffix for _ in range(count)})
+
+
+class PruneChecker:
+    """Stands in for ``module.prune_window_cell`` and checks what the prunes it passes on keep.
+
+    Each prune that runs is checked against the definition of an ordered
+    representative, up to ``per_trial`` of them between calls to
+    ``next_trial``, since the exhaustive check costs far more than the prune.
+    """
+
+    def __init__(self, monkeypatch, module, per_trial: int):
+        self.prune = module.prune_window_cell
+        self.per_trial = self.left = per_trial
+        self.checked = 0
+        monkeypatch.setattr(module, "prune_window_cell", self)
+
+    def __call__(self, windows, r, stats=None):
+        kept = self.prune(windows, r, stats)
+        if kept is not windows and self.left:
+            self.left -= 1
+            self.checked += 1
+            assert is_window_representative(list(kept), list(windows), r), (len(kept), len(windows))
+        return kept
+
+    def next_trial(self) -> None:
+        self.left = self.per_trial

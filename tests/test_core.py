@@ -1,6 +1,8 @@
 """Window predicates, slot encodings, and graph plumbing."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from rainbowpaths import (
     encoded_slot_index,
     is_locally_rainbow,
     r_compatible,
+    slot_set,
     verify_witness,
 )
 
@@ -114,6 +117,20 @@ def test_encoded_slot_index_is_injective():
             idx = encoded_slot_index(color, pos, r)
             assert idx not in seen
             seen.add(idx)
+
+
+def test_slot_set_encodes_blocked_slots():
+    rng = random.Random(17)
+    for _ in range(500):
+        r = rng.randint(0, 4)
+        # windows up to r + 2 long, often repeating a color
+        window = tuple(rng.randrange(rng.randint(1, 6)) for _ in range(rng.randint(1, r + 2)))
+        offset = rng.choice((0, rng.randint(1, 30)))
+        want = tuple(sorted(offset + encoded_slot_index(c, i, r) for c, i in blocked_slots(window, r)))
+        assert slot_set(window, r, offset) == want, (window, r, offset)
+    assert slot_set((2, 0), 2) == (0, 1, 4)
+    with pytest.raises(ValueError):
+        slot_set((), 2)
 
 
 def test_slot_disjointness_decides_compatibility():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+from helpers import PruneChecker
 from rainbowpaths import (
     ColoredDigraph,
     Query,
@@ -225,11 +226,17 @@ def fan_graph(rng: random.Random, blocked: bool) -> ColoredDigraph:
     return ColoredDigraph(n, tuple(dense[c] for c in colors), tuple(sorted(arcs | extra)), 0, 1)
 
 
-def test_detour_cells_prune_inside_solves():
-    """Fan graphs make the detour DP prune its window cells, and answers still match the oracle."""
+def test_detour_cells_prune_inside_solves(monkeypatch):
+    """Fan graphs make the detour DP prune its window cells, and answers still match the oracle.
+
+    The first prunes of each trial are checked to keep an ordered
+    representative of their cell.
+    """
     rng = random.Random(151)
     rep_calls = yes = no = 0
+    checker = PruneChecker(monkeypatch, detour, per_trial=3)
     for trial in range(12):
+        checker.next_trial()
         g = fan_graph(rng, blocked=trial % 3 == 2)
         d = dist_to_target(g)[g.s]
         for k in (1, 2):
@@ -244,5 +251,6 @@ def test_detour_cells_prune_inside_solves():
                 yes += 1
                 assert verify_witness(g, q, mine.vertices, require_path=True) == []
             rep_calls += stats.get("rep_calls", 0)
-    print(f"detour fan graphs: {rep_calls} prunes, {yes} YES, {no} NO")
+    print(f"detour fan graphs: {rep_calls} prunes ({checker.checked} checked), {yes} YES, {no} NO")
     assert rep_calls >= 50 and yes >= 12 and no >= 6, (rep_calls, yes, no)
+    assert checker.checked >= 24, checker.checked

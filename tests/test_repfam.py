@@ -47,8 +47,16 @@ def test_family_validation():
 
 def test_keep_skips_families_too_wide_to_prune():
     assert algebraic_width(10, 10, 40) <= WEDGE_WIDTH_LIMIT < algebraic_width(10, 11, 40)
-    assert representative_keep([tuple(range(10))], 40, 11) is None
-    assert representative_keep([tuple(range(10))], 40, 1) == [0]
+    # four disjoint 10-sets share no element, so nothing is stripped
+    disjoint = [tuple(range(i, i + 10)) for i in range(0, 40, 10)]
+    assert representative_keep(disjoint, 40, 11) is None
+    assert len(representative_keep(disjoint, 40, 1)) >= 2
+    # a lone set is all core: stripped to the empty set, it is kept
+    assert representative_keep([tuple(range(10))], 40, 11) == [0]
+    # 10-sets sharing 8 elements strip to disjoint pairs over 16 elements: width C(13, 2)
+    shared = [tuple(range(8)) + (8 + 2 * i, 9 + 2 * i) for i in range(8)]
+    assert algebraic_width(2, 11, 16) == 78
+    assert representative_keep(shared, 40, 11) == list(range(8))
 
 
 def test_keep_returns_input_indices_in_row_order():
@@ -101,7 +109,7 @@ def test_unordered_random_families_pass_definition(backend):
         p = rng.randint(1, min(3, universe))
         q = rng.randint(0, 3)
         pool = list(combinations(range(universe), p))
-        families.append((sorted(rng.sample(pool, min(len(pool), rng.randint(1, 25)))), universe, p, q))
+        families.append((sorted(rng.sample(pool, min(len(pool), rng.randint(1, 25)))), universe, p, q, 0))
     # families sharing a core, the shape of path and walk cells; duplicates included
     core_rng = random.Random(14)
     for trial in range(30):
@@ -109,10 +117,11 @@ def test_unordered_random_families_pass_definition(backend):
         p = core_rng.randint(2, 4)
         core = core_rng.randint(1, p - 1)
         fam = core_sets(core_rng, universe, p, core, core_rng.randint(2, 25))
-        families.append((fam, universe, p, core_rng.randint(0, 3)))
-    for fam, universe, p, q in families:
+        families.append((fam, universe, p, core_rng.randint(0, 3), core))
+    for fam, universe, p, q, core in families:
         kept = [fam[i] for i in KEEPS[backend](fam, universe, q)]
-        assert len(kept) <= unordered_bound(p, q)
+        # a shared core leaves only p - core elements per set to represent
+        assert len(kept) <= unordered_bound(p - core, q)
         assert is_set_representative(kept, fam, universe, q)
 
 
@@ -165,6 +174,17 @@ def test_ordered_random_families_pass_definition(backend):
         kept = [fam[i] for i in WINDOW_KEEPS[backend](fam, r)]
         assert len(kept) <= ordered_bound(r)
         assert is_window_representative(kept, fam, r)
+
+
+@pytest.mark.parametrize("backend", WINDOW_KEEPS)
+def test_walk_cell_windows_keep_the_stripped_bound(backend):
+    # r = 2 windows of a walk cell end in one color, whose two slots every member blocks
+    rng = random.Random(21)
+    for trial in range(6):
+        fam = core_windows(rng, 2, 1, rng.randint(5, 12), 20)
+        kept = [fam[i] for i in WINDOW_KEEPS[backend](fam, 2)]
+        assert len(kept) <= unordered_bound(1, 2) == 3
+        assert is_window_representative(kept, fam, 2)
 
 
 def test_ordered_tags_follow_members():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import PruneChecker
 from rainbowpaths import (
     ColoredDigraph,
     Query,
@@ -19,6 +20,7 @@ from rainbowpaths import (
     solve_walk_any_length,
     verify_witness,
 )
+from rainbowpaths import walk
 from rainbowpaths.walk import prune_window_cell
 
 
@@ -147,17 +149,20 @@ def test_stats_are_recorded():
     assert stats
 
 
-def test_walk_cells_prune_inside_solves():
+def test_walk_cells_prune_inside_solves(monkeypatch):
     """Dense radius-2 instances make walk cells outgrow ordered_bound(2) mid-solve.
 
     With one color per vertex, a cell from level 2 on holds one window per
     predecessor color, so a vertex with 31 in-neighbours can collect more
     than ordered_bound(2) = 29 windows and must be pruned; answers and
-    witnesses still match the product-graph oracle.
+    witnesses still match the product-graph oracle, and the first prunes
+    of each trial keep an ordered representative of their cell.
     """
     n = 34
     rep_calls = 0
+    checker = PruneChecker(monkeypatch, walk, per_trial=3)
     for trial in range(12):
+        checker.next_trial()
         rng = random.Random(80_000 + trial)
         arcs = [
             (u, v)
@@ -176,3 +181,4 @@ def test_walk_cells_prune_inside_solves():
             assert stats["max_cell"] <= ordered_bound(2), (trial, q)
             rep_calls += stats.get("rep_calls", 0)
     assert rep_calls >= 50, rep_calls
+    assert checker.checked >= 24, checker.checked
