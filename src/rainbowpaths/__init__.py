@@ -26,7 +26,7 @@ from .core import (
     slot_set,
     verify_witness,
 )
-from .detour import Band, build_band, distance_separators, solve_detour
+from .detour import distance_separators, solve_detour
 from .dispatch import solve
 from .instances import (
     CnfInput,
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MODES",
-    "Band",
     "CnfInput",
     "ColorSeq",
     "ColoredDigraph",
@@ -66,7 +65,6 @@ __all__ = [
     "Witness",
     "any_length_cap",
     "blocked_slots",
-    "build_band",
     "claimed_slots",
     "decode_blocked_slots",
     "dist_from_source",

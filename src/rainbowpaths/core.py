@@ -278,6 +278,7 @@ def layered_dp(
     colors: Sequence[int],
     bits: Sequence[int],
     source: int,
+    window: ColorSeq,
     target: int,
     dist_t: Sequence[int | None],
     r: int,
@@ -294,7 +295,10 @@ def layered_dp(
     member)`` one level down, or to None at level 0, the format
     :func:`backtrack` reads. The mask ORs ``bits[x]`` over the visited
     vertices x: ``1 << x`` forbids revisits (paths), 0 allows them
-    (walks). The window holds the last min(r, len) colors. An arc into u
+    (walks). The window holds the last r colors walked. Level 0 holds
+    ``(bits[source], window)``: the start window is
+    ``(colors[source],)[:r]`` for a walk that starts at ``source``, and a
+    prefix's window for a detour segment that continues it. An arc into u
     extends a member when u's bit is not in its mask, u's color is not in
     its window, and ``dist_t[u] <= ell - p``. Every cell with more than
     one member is replaced by ``reduce(u, p, cell)``.
@@ -308,8 +312,7 @@ def layered_dp(
     ``stats`` receives ``levels``, ``max_cell``, and the member count
     summed over levels under ``total_key``.
     """
-    start: Member = (bits[source], (colors[source],) if r >= 1 else ())
-    levels: list[Level] = [{source: {start: None}}]
+    levels: list[Level] = [{source: {(bits[source], window): None}}]
     if dist_t[source] is None or dist_t[source] > ell:  # type: ignore[operator]
         return levels
     # slicing the extended window from ``cut`` keeps its last r colors;

@@ -9,13 +9,15 @@ forward-reachable part of their visited set (it keys each member on
 ``visited & near``, where ``near`` masks the vertices within the
 remaining budget), and representative-family pruning over a flattened
 universe mixing vertices with blocked color slots. The same engine runs
-on the auxiliary graphs used by the detour solver's segment queries, and
-a radius-2 shortcut handles symmetric instances at shortest-path length.
+the detour solver's segments: from a separator and its prefix's window,
+on the graph itself, with the gate admitting only the band of distance
+levels the segment may cross. A radius-2 shortcut handles symmetric
+instances at shortest-path length.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from .core import (
     Cell,
@@ -28,6 +30,7 @@ from .core import (
     backtrack,
     bfs_distances,
     dist_from_source,
+    dist_to_target,
     layered_dp,
     slot_set,
     witness_at,
@@ -94,21 +97,19 @@ def _prune_cell(
 
 
 def _path_levels(
-    n: int,
-    colors: Sequence[int],
     out_adj: Sequence[Sequence[int]],
+    colors: Sequence[int],
+    dist_t: Sequence[int | None],
     source: int,
+    window: ColorSeq,
     target: int,
     r: int,
     ell: int,
     mode: str,
     stats: dict | None = None,
 ) -> list[Level]:
-    """The path DP: members carry visited bits, and cells get the dedupe and the prune."""
-    in_adj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for u in out_adj[v]:
-            in_adj[u].append(v)
+    """The path DP gated on ``dist_t``: members carry visited bits; cells are deduped and pruned."""
+    n = len(out_adj)
     num_colors = max(colors, default=0) + 1
     # near masks of forward BFS rows, filled in when a vertex first needs a dedupe
     reach: list[list[int] | None] = [None] * n
@@ -121,8 +122,9 @@ def _path_levels(
         return _prune_cell(cell, n, num_colors, r, r + ell - p, stats)
 
     bits = [1 << x for x in range(n)]
-    dist_t = bfs_distances(in_adj, target)
-    return layered_dp(out_adj, colors, bits, source, target, dist_t, r, ell, mode, reduce, stats)
+    return layered_dp(
+        out_adj, colors, bits, source, window, target, dist_t, r, ell, mode, reduce, stats
+    )
 
 
 def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) -> Witness | None:
@@ -142,74 +144,63 @@ def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
         ell, mode = query.ell, "exact"
         if ell > g.n - 1:
             return None
-    levels = _path_levels(g.n, g.colors, g.out_neighbors, g.s, g.t, query.r, ell, mode, stats)
+    levels = _path_levels(
+        g.out_neighbors, g.colors, dist_to_target(g), g.s, (g.colors[g.s],)[:query.r], g.t,
+        query.r, ell, mode, stats,
+    )
     return witness_at(levels, g.t)
 
 
 def segment_window_family(
     g: ColoredDigraph,
+    d: Sequence[int | None],
     u: int,
-    v: int,
-    band: Any,
-    q: int,
-    tau: ColorSeq,
+    window: ColorSeq,
+    j: int,
     r: int,
-) -> list[tuple[ColorSeq, tuple[int, ...]]]:
-    """Windows of u-to-v path segments through a band, under a color context.
+    ell: int,
+) -> list[tuple[int, int, ColorSeq, tuple[int, ...]]]:
+    """Simple segments of at most ``ell`` arcs from u to distance level j, one per end window.
 
-    Builds an auxiliary graph consisting of u, v, the band's vertices, and
-    a fresh chain carrying the context colors ``tau`` (the colors walked
-    immediately before u), then runs the path DP for exact length
-    len(tau) + q. Every returned window is therefore valid as the
-    continuation of any prefix that ends with ``tau`` followed by u's
-    color.
+    Runs the path DP in exact mode on ``g.out_neighbors`` from the member
+    ``(1 << u, window)``, where ``window`` is the trailing color window of
+    a prefix that ends at u, so a segment's window at its end is the
+    window of the stitched prefix there. Interior vertices lie in the
+    band: the distance levels strictly between j and d[u], or every level
+    above j when u is g.s. Level-j vertices lose their out-arcs, so they
+    can only end a segment. The gate is ``d[w] - j`` on the band and
+    level j, and ``d[u] - j`` at u; an arc lowers the distance to g.t by
+    at most one, so it never exceeds the arcs from w to level j in the band.
 
     Args:
-        g: the original graph.
+        g: the graph.
+        d: distances to g.t.
         u: segment start vertex.
-        v: segment end vertex.
-        band: the allowed interior vertex set (an object with a
-            ``vertices`` attribute, or any iterable of vertex ids).
-        q: number of arcs in the segment, at least 1.
-        tau: colors immediately preceding u on the prefix, possibly empty.
+        window: trailing colors of the prefix ending at u.
+        j: distance level of the segment end vertices, below d[u].
         r: locality radius.
+        ell: the most arcs a segment may have.
 
     Returns:
-        Pairs (window, segment vertices u..v); windows are the trailing
-        min(q+1, r) colors of the full context walk, one pair per distinct
-        window.
+        Tuples (v, q, window at v, segment vertices u..v) of q arcs, one per
+        distinct (v, q, window), in order of q.
     """
-    if q < 1:
-        raise ValueError("a segment needs at least one arc")
-    interior = frozenset(getattr(band, "vertices", band)) - {u, v}
-    real = [u, v] + sorted(interior)
-    aux_id = {orig: i for i, orig in enumerate(real)}
-    n_aux = len(real) + len(tau)
-    colors = [g.colors[orig] for orig in real] + list(tau)
-    out_adj: list[list[int]] = [[] for _ in range(n_aux)]
-    allowed = interior | {v}
-    for orig in [u] + sorted(interior):
-        for w in g.out_neighbors[orig]:
-            if w in allowed:
-                out_adj[aux_id[orig]].append(aux_id[w])
-    chain_base = len(real)
-    for i in range(len(tau)):
-        nxt = chain_base + i + 1 if i + 1 < len(tau) else aux_id[u]
-        out_adj[chain_base + i].append(nxt)
-    source = chain_base if tau else aux_id[u]
-    length = len(tau) + q
-    levels = _path_levels(n_aux, colors, out_adj, source, aux_id[v], r, length, "exact")
-    results: list[tuple[ColorSeq, tuple[int, ...]]] = []
-    seen: set[ColorSeq] = set()
-    for member in levels[-1].get(aux_id[v], ()):
-        window = member[1][-min(q + 1, r):] if r >= 1 else ()
-        if window in seen:
-            continue
-        seen.add(window)
-        aux_path = backtrack(levels, length, aux_id[v], member)
-        segment = tuple(real[x] for x in aux_path[len(tau):])
-        results.append((window, segment))
-    return results
+    top = g.n if u == g.s else d[u]  # every distance is below n
+    gate: list[int | None] = [
+        dw - j if dw is not None and j <= dw < top else None for dw in d  # type: ignore[operator]
+    ]
+    gate[u] = d[u] - j  # type: ignore[operator]
+    out_adj = [() if dw == j else arcs for dw, arcs in zip(d, g.out_neighbors)]
+    # exact mode never stops at a target, so none is named
+    levels = _path_levels(out_adj, g.colors, gate, u, window, -1, r, ell, "exact")
+    # a level-j vertex reaches only itself, so the dedupe leaves one member per window in its cell
+    return [
+        (v, q, member[1], backtrack(levels, q, v, member))
+        for q in range(1, len(levels))
+        for v, cell in levels[q].items()
+        if d[v] == j
+        for member in cell
+    ]
 
 
 def solve_r2_symmetric(g: ColoredDigraph, ell: int, *, stats: dict | None = None) -> Witness | None:

@@ -43,13 +43,25 @@ def prune_window_cell(
     if r == 0 or len(windows) <= ordered_bound(r):
         return windows
     keys = sorted(windows)
-    universe = (max(max(w) for w in keys) + 1) * r
-    keep = representative_keep([slot_set(w, r) for w in keys], universe, r)
+    keep = window_keep(keys, r)
     if keep is None:
         return windows
     if stats is not None:
         stats["rep_calls"] = stats.get("rep_calls", 0) + 1
     return {keys[i]: windows[keys[i]] for i in sorted(keep)}
+
+
+def window_keep(windows: list[ColorSeq], r: int) -> list[int] | None:
+    """Indices of an ordered representative of nonempty windows, at r >= 1; None if too wide.
+
+    Position r of a continuation is blocked only by a window's last color.
+    When every window ends in the same color, as in a walk or detour cell,
+    those slots are a core the prune strips, so at most r - 1 elements of
+    an obstruction matter and the family is pruned at q = r - 1.
+    """
+    universe = (max(max(w) for w in windows) + 1) * r
+    q = r - 1 if len({w[-1] for w in windows}) == 1 else r
+    return representative_keep([slot_set(w, r) for w in windows], universe, q)
 
 
 def _walk_levels(
@@ -71,8 +83,8 @@ def _walk_levels(
 
     no_bits = [0] * g.n
     return layered_dp(
-        g.out_neighbors, g.colors, no_bits, g.s, g.t, dist_t, r, ell, mode, reduce, stats,
-        total_key="total_windows",
+        g.out_neighbors, g.colors, no_bits, g.s, (g.colors[g.s],)[:r], g.t, dist_t, r, ell,
+        mode, reduce, stats, total_key="total_windows",
     )
 
 

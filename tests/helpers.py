@@ -6,7 +6,7 @@ import io
 import random
 import sys
 
-from rainbowpaths import ColoredDigraph, is_window_representative, representative_keep, slot_set
+from rainbowpaths import ColoredDigraph, is_window_representative
 from rainbowpaths.cli import main as cli_main
 
 
@@ -60,12 +60,6 @@ def compliant_cnf(rng: random.Random, n: int) -> list[tuple[int, int, int]]:
         clauses = [tuple(deck[3 * j: 3 * j + 3]) for j in range(m)]
         if all(len({abs(l) for l in c}) == 3 for c in clauses):
             return clauses
-
-
-def window_keep(windows: list[tuple[int, ...]], r: int) -> list[int] | None:
-    """Kept indices of an ordered representative of ``windows``, as the walk prune computes it."""
-    universe = (max(max(w) for w in windows) + 1) * r
-    return representative_keep([slot_set(w, r) for w in windows], universe, r)
 
 
 def core_sets(rng: random.Random, universe: int, p: int, core: int, count: int) -> list[tuple[int, ...]]:

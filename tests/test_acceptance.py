@@ -45,6 +45,7 @@ from rainbowpaths import (
     write_instance,
 )
 from rainbowpaths.oracle import _exhaustive_keep, _ordered_exhaustive_keep
+from rainbowpaths.walk import window_keep
 
 CRITERION_1_BUDGET_SECONDS = 120.0
 
@@ -161,7 +162,7 @@ def test_criterion_04_representative_families_pass_definitional_checks():
     failures = []
     rng = random.Random(30_000)
     set_keeps = {"algebraic": representative_keep, "exhaustive": _exhaustive_keep}
-    window_keeps = {"algebraic": helpers.window_keep, "exhaustive": _ordered_exhaustive_keep}
+    window_keeps = {"algebraic": window_keep, "exhaustive": _ordered_exhaustive_keep}
 
     def check_sets(trial, fam, universe, p, q):
         for backend, keep in set_keeps.items():

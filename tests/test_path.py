@@ -22,7 +22,6 @@ from rainbowpaths import (
     verify_witness,
 )
 from rainbowpaths import path
-from rainbowpaths.detour import build_band
 from rainbowpaths.path import _path_levels
 
 
@@ -83,7 +82,9 @@ def test_cells_hold_one_member_per_forward_projection():
         g, _ = gen_random(n, 0.45, rng.randint(2, 5), 0, 0, seed=23000 + trial)
         ell = rng.randint(2, n - 1)
         r = rng.randint(1, 3)
-        levels = _path_levels(g.n, g.colors, g.out_neighbors, g.s, g.t, r, ell, "exact")
+        levels = _path_levels(
+            g.out_neighbors, g.colors, dist_to_target(g), g.s, (g.colors[g.s],), g.t, r, ell, "exact"
+        )
         for p, level in enumerate(levels[1:], start=1):
             for u, cell in level.items():
                 row = dist_from_source(g, u)
@@ -151,44 +152,46 @@ def test_pruned_path_cells_match_oracle(monkeypatch):
     assert sum(kept < rows for _, _, rows, kept in prunes) >= 5
 
 
+def two_route_graph() -> ColoredDigraph:
+    """Two parallel two-hop routes from 0 to 3 with distinct middle colors, then 3 -> 4 = t."""
+    return ColoredDigraph(5, (0, 1, 2, 3, 1), ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)), 0, 4)
+
+
 def test_segment_window_family_enumerates_windows():
-    # Two parallel two-hop routes from 0 to 3 with distinct middle colors.
-    g = ColoredDigraph(
-        5, (0, 1, 2, 3, 1), ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)), 0, 4
-    )
-    fam = segment_window_family(g, 0, 3, {1, 2}, 2, (), 2)
-    windows = sorted(w for w, _ in fam)
+    g = two_route_graph()
+    d = dist_to_target(g)
+    fam = segment_window_family(g, d, 0, (0,), d[3], 2, 2)
+    windows = sorted(w for v, q, w, _ in fam)
     assert windows == [(1, 3), (2, 3)]
-    for window, vertices in fam:
+    for v, q, window, vertices in fam:
+        assert (v, q) == (3, 2)
         assert vertices[0] == 0 and vertices[-1] == 3
         assert len(vertices) == 3
 
 
 def test_segment_window_family_respects_incoming_context():
-    g = ColoredDigraph(
-        5, (0, 1, 2, 3, 1), ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)), 0, 4
-    )
+    g = two_route_graph()
+    d = dist_to_target(g)
     # An incoming color 1 just before u rules out the route through the
     # color-1 middle vertex: its length-3 window would read (1, 0, 1).
-    fam = segment_window_family(g, 0, 3, {1, 2}, 2, (1,), 2)
-    assert sorted(w for w, _ in fam) == [(2, 3)]
+    fam = segment_window_family(g, d, 0, (1, 0), d[3], 2, 2)
+    assert sorted(w for v, q, w, _ in fam) == [(2, 3)]
 
 
-def test_segment_window_family_accepts_band_objects():
-    g = ColoredDigraph(
-        5, (0, 1, 2, 3, 1), ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)), 0, 4
-    )
+def test_segment_window_family_band_follows_distances():
+    g = two_route_graph()
     d = dist_to_target(g)
-    band = build_band(g, 0, 3, d)
-    fam = segment_window_family(g, 0, 3, band, 2, (), 2)
+    # from s the band is every level above 3's; its two routes both end at 3
+    fam = segment_window_family(g, d, 0, (0,), d[3], 2, 3)
     assert len(fam) == 2
+    # no level lies strictly between d[1] and d[3], so from 1 only the arc 1 -> 3 is a segment
+    assert [(v, q) for v, q, _, _ in segment_window_family(g, d, 1, (0, 1), d[3], 2, 3)] == [(3, 1)]
 
 
 def test_segment_windows_feed_compatibility_checks():
-    g = ColoredDigraph(
-        5, (0, 1, 2, 3, 1), ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)), 0, 4
-    )
-    fam = dict(segment_window_family(g, 0, 3, {1, 2}, 2, (), 2))
+    g = two_route_graph()
+    d = dist_to_target(g)
+    fam = {w: segment for v, q, w, segment in segment_window_family(g, d, 0, (0,), d[3], 2, 2)}
     # Continuing with color 1 works after the color-2 route only.
     assert r_compatible((2, 3), (1,), 2)
     assert not r_compatible((1, 3), (1,), 2)

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import core_sets, core_windows, window_keep
+from helpers import core_sets, core_windows
 from rainbowpaths import (
     is_set_representative,
     is_window_representative,
@@ -17,6 +17,7 @@ from rainbowpaths import (
 )
 from rainbowpaths.oracle import _exhaustive_keep, _ordered_exhaustive_keep
 from rainbowpaths.repfam import WEDGE_WIDTH_LIMIT, algebraic_width
+from rainbowpaths.walk import window_keep
 
 # each maps (sets, universe, q), or (windows, r), to kept input indices
 KEEPS = {"algebraic": representative_keep, "exhaustive": _exhaustive_keep}
@@ -178,12 +179,13 @@ def test_ordered_random_families_pass_definition(backend):
 
 @pytest.mark.parametrize("backend", WINDOW_KEEPS)
 def test_walk_cell_windows_keep_the_stripped_bound(backend):
-    # r = 2 windows of a walk cell end in one color, whose two slots every member blocks
+    # r = 2 windows of a walk cell end in one color, whose two slots every member blocks;
+    # position 2 is blocked by that color alone, so one slot of an obstruction matters
     rng = random.Random(21)
     for trial in range(6):
         fam = core_windows(rng, 2, 1, rng.randint(5, 12), 20)
         kept = [fam[i] for i in WINDOW_KEEPS[backend](fam, 2)]
-        assert len(kept) <= unordered_bound(1, 2) == 3
+        assert len(kept) <= unordered_bound(1, 1) == 2
         assert is_window_representative(kept, fam, 2)
 
 
