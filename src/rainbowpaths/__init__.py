@@ -3,10 +3,11 @@
 A walk is locally rainbow at radius r when every stretch of r+1
 consecutive vertices (or the whole walk, if shorter) shows pairwise
 distinct colors. The package bundles dynamic programs for bounded-length
-walks, simple paths, and small-detour paths, representative-family
-pruning that keeps their state spaces small, polynomial shortcuts for
-tiny radii, brute-force oracles, hardness-construction generators, and a
-file format with a CLI around it all.
+walks and simple paths (the path DP stays polynomial for a small detour
+over the s-t distance), representative-family pruning that keeps their
+state spaces small, polynomial shortcuts for tiny radii, brute-force
+oracles, hardness-construction generators, and a file format with a CLI
+around it all.
 """
 
 from .core import (
@@ -26,7 +27,6 @@ from .core import (
     slot_set,
     verify_witness,
 )
-from .detour import distance_separators, solve_detour
 from .dispatch import solve
 from .instances import (
     CnfInput,
@@ -42,6 +42,7 @@ from .instances import (
     write_instance,
 )
 from .oracle import (
+    distance_separators,
     is_set_representative,
     is_window_representative,
     oracle_3sat,
@@ -49,7 +50,7 @@ from .oracle import (
     oracle_phs,
     oracle_walk,
 )
-from .path import segment_window_family, solve_path, solve_r2_symmetric
+from .path import solve_path, solve_r2_symmetric
 from .repfam import ordered_bound, representative_keep, unordered_bound
 from .walk import any_length_cap, solve_r1, solve_walk, solve_walk_any_length
 
@@ -89,10 +90,8 @@ __all__ = [
     "read_phs_sets",
     "representative_keep",
     "sat_layout",
-    "segment_window_family",
     "slot_set",
     "solve",
-    "solve_detour",
     "solve_path",
     "solve_r1",
     "solve_r2_symmetric",

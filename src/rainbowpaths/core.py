@@ -5,7 +5,7 @@ min(r + 1, length) consecutive vertices all colors are pairwise distinct.
 This module provides the instance substrate (graph, query, witness), the
 window compatibility test used by every solver, the slot encoding that turns
 compatibility into set disjointness, small shared graph utilities, and the
-layered dynamic program that the walk, path and segment solvers run.
+layered dynamic program that the walk and path solvers run.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Container, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 ColorSeq = tuple[int, ...]
 Arc = tuple[int, int]
@@ -242,14 +242,8 @@ def encoded_slot_index(color: int, position: int, r: int) -> int:
     return color * r + (position - 1)
 
 
-def bfs_distances(
-    adj: Sequence[Sequence[int]], source: int, allowed: Container[int] | None = None
-) -> list[int | None]:
-    """Arc counts of shortest paths from ``source`` along ``adj``; None if unreached.
-
-    With ``allowed`` given, the search enters only vertices in it; the
-    source itself is always included.
-    """
+def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int | None]:
+    """Arc counts of shortest paths from ``source`` along ``adj``; None if unreached."""
     dist: list[int | None] = [None] * len(adj)
     dist[source] = 0
     queue = deque([source])
@@ -257,7 +251,7 @@ def bfs_distances(
         v = queue.popleft()
         step = dist[v] + 1  # type: ignore[operator]
         for u in adj[v]:
-            if dist[u] is None and (allowed is None or u in allowed):
+            if dist[u] is None:
                 dist[u] = step
                 queue.append(u)
     return dist
@@ -278,7 +272,6 @@ def layered_dp(
     colors: Sequence[int],
     bits: Sequence[int],
     source: int,
-    window: ColorSeq,
     target: int,
     dist_t: Sequence[int | None],
     r: int,
@@ -288,20 +281,18 @@ def layered_dp(
     stats: dict | None = None,
     total_key: str = "total_members",
 ) -> list[Level]:
-    """The layered DP shared by the walk, path and segment solvers.
+    """The layered DP shared by the walk and path solvers.
 
     ``levels[p][u]`` is the cell of walks of p arcs from ``source`` to u.
     It maps each member ``(mask, window)`` to its parent ``(vertex,
     member)`` one level down, or to None at level 0, the format
     :func:`backtrack` reads. The mask ORs ``bits[x]`` over the visited
     vertices x: ``1 << x`` forbids revisits (paths), 0 allows them
-    (walks). The window holds the last r colors walked. Level 0 holds
-    ``(bits[source], window)``: the start window is
-    ``(colors[source],)[:r]`` for a walk that starts at ``source``, and a
-    prefix's window for a detour segment that continues it. An arc into u
-    extends a member when u's bit is not in its mask, u's color is not in
-    its window, and ``dist_t[u] <= ell - p``. Every cell with more than
-    one member is replaced by ``reduce(u, p, cell)``.
+    (walks). The window holds the last r colors walked, so level 0 holds
+    ``(bits[source], (colors[source],)[:r])``. An arc into u extends a
+    member when u's bit is not in its mask, u's color is not in its
+    window, and ``dist_t[u] <= ell - p``. Every cell with more than one
+    member is replaced by ``reduce(u, p, cell)``.
 
     The DP stops after level ``ell``, after an empty level, or, in modes
     "atmost" and "any", after the first level holding ``target``. Mode
@@ -312,7 +303,7 @@ def layered_dp(
     ``stats`` receives ``levels``, ``max_cell``, and the member count
     summed over levels under ``total_key``.
     """
-    levels: list[Level] = [{source: {(bits[source], window): None}}]
+    levels: list[Level] = [{source: {(bits[source], (colors[source],)[:r]): None}}]
     if dist_t[source] is None or dist_t[source] > ell:  # type: ignore[operator]
         return levels
     # slicing the extended window from ``cut`` keeps its last r colors;

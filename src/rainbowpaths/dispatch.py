@@ -3,14 +3,14 @@
 ``solve(g, query)`` picks the cheapest sound solver for the path question:
 BFS shortcuts for r <= 1, the symmetric radius-2 product search when it
 applies, the walk DP when the budget equals the s-t distance (where walks
-and paths coincide), the detour solver for small slack, and the path DP
-otherwise. Any solver in ``SOLVERS`` can also be forced by name.
+and paths coincide), and the path DP for every larger budget, whose
+dedupe keeps cells polynomial at small slack. Any solver in ``SOLVERS``
+can also be forced by name.
 """
 
 from __future__ import annotations
 
 from .core import ColoredDigraph, Query, Witness, dist_from_source
-from .detour import solve_detour
 from .oracle import oracle_path, oracle_walk
 from .path import solve_path, solve_r2_symmetric
 from .walk import solve_r1, solve_walk, solve_walk_any_length
@@ -20,14 +20,11 @@ SOLVERS = (
     "walk",
     "any-walk",
     "path",
-    "detour",
     "r1",
     "r2-symmetric",
     "oracle",
     "oracle-path",
 )
-
-MAX_AUTO_DETOUR = 4
 
 
 def _solve_r0(g: ColoredDigraph, ell: int) -> Witness | None:
@@ -62,8 +59,6 @@ def _solve_auto(
         return solve_r2_symmetric(g, ell, stats=stats), "r2-edge-bfs"
     if ell == dist:
         return solve_walk(g, Query(r=r, ell=dist, mode="atmost"), stats=stats), "walk-dp"
-    if mode == "atmost" and dist < ell <= dist + MAX_AUTO_DETOUR:
-        return solve_detour(g, r, ell - dist, stats=stats), "detour-dp"
     return solve_path(g, query, stats=stats), "path-dp"
 
 
@@ -98,15 +93,6 @@ def solve(
         return solve_walk(g, query, stats=stats), "walk-dp"
     if solver == "path":
         return solve_path(g, query, stats=stats), "path-dp"
-    if solver == "detour":
-        if query.mode != "atmost":
-            raise ValueError(
-                "the detour solver answers at-most queries only; use --solver path"
-            )
-        dist = dist_from_source(g)[g.t]
-        if dist is None:
-            return None, "detour-dp"
-        return solve_detour(g, query.r, query.ell - dist, stats=stats), "detour-dp"
     if solver == "r1":
         if query.r != 1:
             raise ValueError("--solver r1 requires a radius-1 query")

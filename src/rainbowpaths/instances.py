@@ -315,6 +315,8 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
     if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
         raise fail(lineno, f"expected 'n m', got {size_line!r}")
     n, m = int(parts[0]), int(parts[1])
+    if n < 0 or m < 0:
+        raise fail(lineno, f"n and m must be non-negative, got {size_line!r}")
     expected = 3 + m + 1
     if len(entries) != expected:
         raise ValueError(

@@ -2,11 +2,12 @@
 
 Small-instance oracles used to validate the dynamic programs and the
 hardness constructions: a product-graph search for walks, an exhaustive
-DFS for simple paths, and direct enumeration for permutation hitting and
-3-SAT. Exhaustive references for representative families sit beside
-them: greedy-coverage prunes and the definitional checks, for families
-of sets and of color windows. All are deliberately simple; the solvers
-are guarded by size ceilings.
+DFS for simple paths, the distance separators of a path (a short detour
+has one every 2k + 1 steps), and direct enumeration for permutation
+hitting and 3-SAT. Exhaustive references for representative families
+sit beside them: greedy-coverage prunes and the definitional checks,
+for families of sets and of color windows. All are deliberately simple;
+the solvers are guarded by size ceilings.
 """
 
 from __future__ import annotations
@@ -156,6 +157,20 @@ def oracle_path(g: ColoredDigraph, query: Query) -> Witness | None:
 
     dfs(g.s, _start_window(g, query.r), {g.s}, [g.s])
     return Witness(found[0]) if found else None
+
+
+def distance_separators(path: tuple[int, ...], d: list[int | None]) -> list[int]:
+    """Indices of path vertices nearer to t than all before, farther than all after."""
+    separators = []
+    for i, v in enumerate(path):
+        dv = d[v]
+        if dv is None:
+            continue
+        before = all(d[w] is not None and d[w] > dv for w in path[:i])
+        after = all(d[w] is not None and d[w] < dv for w in path[i + 1 :])
+        if before and after:
+            separators.append(i)
+    return separators
 
 
 def oracle_phs(k: int, sets: list[set[tuple[int, int]]]) -> tuple[int, ...] | None:

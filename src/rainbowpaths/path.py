@@ -4,15 +4,17 @@ The path dynamic program is ``core.layered_dp`` with one bit per vertex,
 so it tracks, per level and endpoint, pairs of (visited vertex set,
 trailing color window); a visited set is stored as a vertex bitmask.
 Three devices keep cells small: the engine's distance gate toward the
-target, a projection dedupe that identifies members agreeing on the
-forward-reachable part of their visited set (it keys each member on
-``visited & near``, where ``near`` masks the vertices within the
-remaining budget), and representative-family pruning over a flattened
-universe mixing vertices with blocked color slots. The same engine runs
-the detour solver's segments: from a separator and its prefix's window,
-on the graph itself, with the gate admitting only the band of distance
-levels the segment may cross. A radius-2 shortcut handles symmetric
-instances at shortest-path length.
+target, a projection dedupe that identifies members agreeing on the part
+of their visited set a gated completion can still reach, and
+representative-family pruning over a flattened universe mixing vertices
+with blocked color slots. The dedupe keys a member of u's cell at level
+p on ``visited & near``, where ``near`` holds the x with
+``dist(u, x) + dist_t[x] <= ell - p``. At a budget of dist(s, t) + k,
+a vertex x other than u in that mask has dist_t[x] < dist(s, t) + k - p,
+so a path reaches it after step p - k: the key holds at most the last k
+vertices, and a cell at most Δ^(max(k, r) - 1) members, Δ the largest
+in-degree. That is polynomial for fixed k and r. A radius-2 shortcut
+handles symmetric instances at shortest-path length.
 """
 
 from __future__ import annotations
@@ -21,13 +23,11 @@ from typing import Sequence
 
 from .core import (
     Cell,
-    ColorSeq,
     ColoredDigraph,
     Level,
     Member,
     Query,
     Witness,
-    backtrack,
     bfs_distances,
     dist_from_source,
     dist_to_target,
@@ -40,21 +40,29 @@ from .repfam import representative_keep
 PRUNE_THRESHOLD = 4096
 
 
-def _near_masks(row: Sequence[int | None], horizon: int) -> list[int]:
-    """Cumulative masks of a BFS row: near[d] holds every x with row[x] <= d, for d <= horizon."""
+def _near_masks(
+    row: Sequence[int | None], dist_t: Sequence[int | None], horizon: int
+) -> list[int]:
+    """near[h] holds every x with row[x] + dist_t[x] <= h, for h <= horizon.
+
+    With ``row`` the BFS row from u, these are the vertices a completion
+    from u can visit under the distance gate with h arcs left: it reaches
+    x after at least row[x] arcs, and the gate then needs dist_t[x] arcs
+    more.
+    """
     near = [0] * (horizon + 1)
-    for x, d in enumerate(row):
-        if d is not None and d <= horizon:
-            near[d] |= 1 << x
-    for d in range(1, horizon + 1):
-        near[d] |= near[d - 1]
+    for x, (d, dt) in enumerate(zip(row, dist_t)):
+        if d is not None and dt is not None and d + dt <= horizon:
+            near[d + dt] |= 1 << x
+    for h in range(1, horizon + 1):
+        near[h] |= near[h - 1]
     return near
 
 
 def _dedupe_cell(cell: Cell, near_mask: int) -> Cell:
     """Keep one member per (forward-relevant visited set, window) projection.
 
-    ``near_mask`` holds the vertices reachable within the remaining budget.
+    ``near_mask`` holds the vertices a gated completion can still visit.
     Two members whose visited sets agree on those vertices admit exactly
     the same completions, so dropping one of them loses nothing; the
     first member of each projection, in cell order, is kept.
@@ -97,33 +105,24 @@ def _prune_cell(
 
 
 def _path_levels(
-    out_adj: Sequence[Sequence[int]],
-    colors: Sequence[int],
-    dist_t: Sequence[int | None],
-    source: int,
-    window: ColorSeq,
-    target: int,
-    r: int,
-    ell: int,
-    mode: str,
-    stats: dict | None = None,
+    g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None = None
 ) -> list[Level]:
-    """The path DP gated on ``dist_t``: members carry visited bits; cells are deduped and pruned."""
-    n = len(out_adj)
-    num_colors = max(colors, default=0) + 1
-    # near masks of forward BFS rows, filled in when a vertex first needs a dedupe
+    """The path DP from g.s, gated on distances to g.t, with deduped and pruned cells."""
+    n = g.n
+    dist_t = dist_to_target(g)
+    # near masks per vertex, filled in when a vertex first needs a dedupe
     reach: list[list[int] | None] = [None] * n
 
     def reduce(u: int, p: int, cell: Cell) -> Cell:
         near = reach[u]
         if near is None:
-            near = reach[u] = _near_masks(bfs_distances(out_adj, u), ell)
+            near = reach[u] = _near_masks(bfs_distances(g.out_neighbors, u), dist_t, ell)
         cell = _dedupe_cell(cell, near[ell - p])
-        return _prune_cell(cell, n, num_colors, r, r + ell - p, stats)
+        return _prune_cell(cell, n, g.num_colors, r, r + ell - p, stats)
 
     bits = [1 << x for x in range(n)]
     return layered_dp(
-        out_adj, colors, bits, source, window, target, dist_t, r, ell, mode, reduce, stats
+        g.out_neighbors, g.colors, bits, g.s, g.t, dist_t, r, ell, mode, reduce, stats
     )
 
 
@@ -144,63 +143,7 @@ def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
         ell, mode = query.ell, "exact"
         if ell > g.n - 1:
             return None
-    levels = _path_levels(
-        g.out_neighbors, g.colors, dist_to_target(g), g.s, (g.colors[g.s],)[:query.r], g.t,
-        query.r, ell, mode, stats,
-    )
-    return witness_at(levels, g.t)
-
-
-def segment_window_family(
-    g: ColoredDigraph,
-    d: Sequence[int | None],
-    u: int,
-    window: ColorSeq,
-    j: int,
-    r: int,
-    ell: int,
-) -> list[tuple[int, int, ColorSeq, tuple[int, ...]]]:
-    """Simple segments of at most ``ell`` arcs from u to distance level j, one per end window.
-
-    Runs the path DP in exact mode on ``g.out_neighbors`` from the member
-    ``(1 << u, window)``, where ``window`` is the trailing color window of
-    a prefix that ends at u, so a segment's window at its end is the
-    window of the stitched prefix there. Interior vertices lie in the
-    band: the distance levels strictly between j and d[u], or every level
-    above j when u is g.s. Level-j vertices lose their out-arcs, so they
-    can only end a segment. The gate is ``d[w] - j`` on the band and
-    level j, and ``d[u] - j`` at u; an arc lowers the distance to g.t by
-    at most one, so it never exceeds the arcs from w to level j in the band.
-
-    Args:
-        g: the graph.
-        d: distances to g.t.
-        u: segment start vertex.
-        window: trailing colors of the prefix ending at u.
-        j: distance level of the segment end vertices, below d[u].
-        r: locality radius.
-        ell: the most arcs a segment may have.
-
-    Returns:
-        Tuples (v, q, window at v, segment vertices u..v) of q arcs, one per
-        distinct (v, q, window), in order of q.
-    """
-    top = g.n if u == g.s else d[u]  # every distance is below n
-    gate: list[int | None] = [
-        dw - j if dw is not None and j <= dw < top else None for dw in d  # type: ignore[operator]
-    ]
-    gate[u] = d[u] - j  # type: ignore[operator]
-    out_adj = [() if dw == j else arcs for dw, arcs in zip(d, g.out_neighbors)]
-    # exact mode never stops at a target, so none is named
-    levels = _path_levels(out_adj, g.colors, gate, u, window, -1, r, ell, "exact")
-    # a level-j vertex reaches only itself, so the dedupe leaves one member per window in its cell
-    return [
-        (v, q, member[1], backtrack(levels, q, v, member))
-        for q in range(1, len(levels))
-        for v, cell in levels[q].items()
-        if d[v] == j
-        for member in cell
-    ]
+    return witness_at(_path_levels(g, query.r, ell, mode, stats), g.t)
 
 
 def solve_r2_symmetric(g: ColoredDigraph, ell: int, *, stats: dict | None = None) -> Witness | None:

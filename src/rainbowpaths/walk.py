@@ -37,8 +37,7 @@ def prune_window_cell(
     """Replace a window cell by an ordered representative when it grows too large.
 
     Values of the dict are carried along untouched, and kept windows come
-    back in sorted order; a cell too wide to prune stays as it is. Also
-    used by the detour solver, whose cells have the same shape.
+    back in sorted order; a cell too wide to prune stays as it is.
     """
     if r == 0 or len(windows) <= ordered_bound(r):
         return windows
@@ -55,7 +54,7 @@ def window_keep(windows: list[ColorSeq], r: int) -> list[int] | None:
     """Indices of an ordered representative of nonempty windows, at r >= 1; None if too wide.
 
     Position r of a continuation is blocked only by a window's last color.
-    When every window ends in the same color, as in a walk or detour cell,
+    When every window ends in the same color, as in a walk cell,
     those slots are a core the prune strips, so at most r - 1 elements of
     an obstruction matter and the family is pruned at q = r - 1.
     """
@@ -83,8 +82,8 @@ def _walk_levels(
 
     no_bits = [0] * g.n
     return layered_dp(
-        g.out_neighbors, g.colors, no_bits, g.s, (g.colors[g.s],)[:r], g.t, dist_t, r, ell,
-        mode, reduce, stats, total_key="total_windows",
+        g.out_neighbors, g.colors, no_bits, g.s, g.t, dist_t, r, ell, mode, reduce, stats,
+        total_key="total_windows",
     )
 
 

@@ -2,13 +2,17 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 Every comparison is exact (yes/no agreement or set equality); the only
-tolerance anywhere is the wall-clock budget of criterion 1.
+tolerance anywhere is the wall-clock budget of criterion 1. The solver
+runs whose witnesses criteria 10 and 11 replay are module-scoped
+fixtures, so any subset of the criteria runs alone, in any order.
 """
 from __future__ import annotations
 
 import random
 import time
 from itertools import combinations, product
+
+import pytest
 
 import helpers
 from rainbowpaths import (
@@ -34,7 +38,6 @@ from rainbowpaths import (
     phs_layout,
     r_compatible,
     representative_keep,
-    solve_detour,
     solve_path,
     solve_r1,
     solve_r2_symmetric,
@@ -49,25 +52,27 @@ from rainbowpaths.walk import window_keep
 
 CRITERION_1_BUDGET_SECONDS = 120.0
 
-# Yes witnesses registered by earlier criteria and replayed through the
-# CLI verifier in criterion 10, and detour witnesses for criterion 11.
-YES_WITNESSES: list[tuple[str, str, bool]] = []
-DETOUR_WITNESSES: list[tuple[ColoredDigraph, int, int, tuple[int, ...]]] = []
+# A YES witness as criterion 10 replays it: (instance text, witness line, require_path).
+YesWitness = tuple[str, str, bool]
+# A path-DP witness at ell = dist + k as criterion 11 checks it: (g, r, k, vertices).
+Detour = tuple[ColoredDigraph, int, int, tuple[int, ...]]
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE CRITERION {num}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def register_witness(g: ColoredDigraph, q: Query, vertices, require_path: bool) -> None:
+def witness_record(g: ColoredDigraph, q: Query, vertices, require_path: bool) -> YesWitness:
     line = f"YES {len(vertices) - 1} " + " ".join(str(v) for v in vertices)
-    YES_WITNESSES.append((write_instance(g, q), line, require_path))
+    return write_instance(g, q), line, require_path
 
 
-def test_criterion_01_walk_solver_matches_oracle():
-    """2000 seeded instances, at-most and exact modes, within 120 s."""
+@pytest.fixture(scope="module")
+def walk_runs() -> tuple[list, list[YesWitness], float]:
+    """Criterion 1's solves: failures, YES witnesses, and seconds taken."""
     start = time.monotonic()
-    failures = []
+    failures: list = []
+    witnesses: list[YesWitness] = []
     for trial in range(2000):
         rng = random.Random(trial)
         n = rng.randint(2, 10)
@@ -87,17 +92,24 @@ def test_criterion_01_walk_solver_matches_oracle():
                 if verify_witness(g, q, mine.vertices):
                     failures.append((trial, mode, "witness"))
                 else:
-                    register_witness(g, q, mine.vertices, False)
-    elapsed = time.monotonic() - start
+                    witnesses.append(witness_record(g, q, mine.vertices, False))
+    return failures, witnesses, time.monotonic() - start
+
+
+def test_criterion_01_walk_solver_matches_oracle(walk_runs):
+    """2000 seeded instances, at-most and exact modes, within 120 s."""
+    failures, _, elapsed = walk_runs
     ok = not failures and elapsed < CRITERION_1_BUDGET_SECONDS
     verdict(1, ok, f"4000 comparisons, {len(failures)} mismatches, {elapsed:.1f}s")
     assert not failures, failures[:5]
     assert elapsed < CRITERION_1_BUDGET_SECONDS
 
 
-def test_criterion_02_path_solver_matches_oracle():
-    """1000 seeded instances against the brute-force path search."""
-    failures = []
+@pytest.fixture(scope="module")
+def path_runs() -> tuple[list, list[YesWitness]]:
+    """Criterion 2's solves: failures and YES witnesses."""
+    failures: list = []
+    witnesses: list[YesWitness] = []
     for trial in range(1000):
         rng = random.Random(10_000 + trial)
         n = rng.randint(2, 9)
@@ -117,14 +129,23 @@ def test_criterion_02_path_solver_matches_oracle():
             if verify_witness(g, q, mine.vertices, require_path=True):
                 failures.append((trial, mode, "witness"))
             else:
-                register_witness(g, q, mine.vertices, True)
+                witnesses.append(witness_record(g, q, mine.vertices, True))
+    return failures, witnesses
+
+
+def test_criterion_02_path_solver_matches_oracle(path_runs):
+    """1000 seeded instances against the brute-force path search."""
+    failures, _ = path_runs
     verdict(2, not failures, f"1000 instances, {len(failures)} mismatches")
     assert not failures, failures[:5]
 
 
-def test_criterion_03_detour_equals_path_at_shifted_budget():
-    """solve_detour(r, k) agrees with solve_path at ell = dist + k."""
-    failures = []
+@pytest.fixture(scope="module")
+def detour_runs() -> tuple[list, list[YesWitness], list[Detour]]:
+    """Criterion 3's solves: failures, YES witnesses, and the same witnesses as detours."""
+    failures: list = []
+    witnesses: list[YesWitness] = []
+    detours: list[Detour] = []
     for trial in range(500):
         rng = random.Random(20_000 + trial)
         n = rng.randint(2, 9)
@@ -132,27 +153,29 @@ def test_criterion_03_detour_equals_path_at_shifted_budget():
         r = rng.randint(1, 3)
         dist = dist_to_target(g)[g.s]
         for k in (0, 1, 2, 3):
-            mine = solve_detour(g, r, k)
             if dist is None:
-                if mine is not None:
+                if solve_path(g, Query(r, k, "atmost")) is not None:
                     failures.append((trial, k, "unreachable"))
                 continue
             q = Query(r, dist + k, "atmost")
-            ref = solve_path(g, q)
+            mine = solve_path(g, q)
+            # at k = 0 every compliant walk is a path, so the walk DP answers too
+            ref = solve_walk(g, q) if k == 0 else oracle_path(g, q)
             if (mine is None) != (ref is None):
-                failures.append((trial, k))
+                failures.append((trial, k) if k else (trial, "k0-walk"))
                 continue
             if mine is not None:
                 if verify_witness(g, q, mine.vertices, require_path=True):
                     failures.append((trial, k, "witness"))
                 else:
-                    register_witness(g, q, mine.vertices, True)
-                    DETOUR_WITNESSES.append((g, r, k, mine.vertices))
-        if dist is not None:
-            walk_ref = solve_walk(g, Query(r, dist, "atmost"))
-            mine0 = solve_detour(g, r, 0)
-            if (mine0 is None) != (walk_ref is None):
-                failures.append((trial, "k0-walk"))
+                    witnesses.append(witness_record(g, q, mine.vertices, True))
+                    detours.append((g, r, k, mine.vertices))
+    return failures, witnesses, detours
+
+
+def test_criterion_03_detour_equals_path_at_shifted_budget(detour_runs):
+    """The path DP at ell = dist + k agrees with oracle_path for k in 1..3, solve_walk at k = 0."""
+    failures, _, _ = detour_runs
     verdict(3, not failures, f"500 instances x k in 0..3, {len(failures)} mismatches")
     assert not failures, failures[:5]
 
@@ -260,9 +283,11 @@ def decode_grid_permutations(witness, lay, k, m):
     return segments
 
 
-def test_criterion_06_permutation_hitting_reduction_round_trips():
-    """Construction answers match the permutation oracle, k in 1..3."""
-    failures = []
+@pytest.fixture(scope="module")
+def phs_runs() -> tuple[list, list[YesWitness]]:
+    """Criterion 6's round trips: failures and YES witnesses."""
+    failures: list = []
+    witnesses: list[YesWitness] = []
     rng = random.Random(40_000)
     for k in (1, 2, 3):
         for trial in range(100):
@@ -283,7 +308,7 @@ def test_criterion_06_permutation_hitting_reduction_round_trips():
             if verify_witness(g, q, got.vertices, require_path=True):
                 failures.append((k, trial, "witness"))
                 continue
-            register_witness(g, q, got.vertices, True)
+            witnesses.append(witness_record(g, q, got.vertices, True))
             lay = phs_layout(k, m)
             segments = decode_grid_permutations(got.vertices, lay, k, m)
             perms = set()
@@ -309,13 +334,21 @@ def test_criterion_06_permutation_hitting_reduction_round_trips():
     g, q = gen_phs_instance(PHSInput(3, worked))
     if solve_walk(g, q) is None:
         failures.append(("worked-example", "expected yes"))
+    return failures, witnesses
+
+
+def test_criterion_06_permutation_hitting_reduction_round_trips(phs_runs):
+    """Construction answers match the permutation oracle, k in 1..3."""
+    failures, _ = phs_runs
     verdict(6, not failures, f"300 round trips + worked example, {len(failures)} failures")
     assert not failures, failures[:5]
 
 
-def test_criterion_07_sat_reduction_round_trips():
-    """Ten balanced formulas agree with the satisfiability oracle."""
-    failures = []
+@pytest.fixture(scope="module")
+def sat_runs() -> tuple[list, list[YesWitness]]:
+    """Criterion 7's round trips: failures and YES witnesses."""
+    failures: list = []
+    witnesses: list[YesWitness] = []
     rng = random.Random(50_000)
     for trial in range(10):
         n = rng.choice((3, 6))
@@ -330,7 +363,13 @@ def test_criterion_07_sat_reduction_round_trips():
             if got.length != q.ell or verify_witness(g, q, got.vertices, require_path=True):
                 failures.append((trial, "witness"))
             else:
-                register_witness(g, q, got.vertices, True)
+                witnesses.append(witness_record(g, q, got.vertices, True))
+    return failures, witnesses
+
+
+def test_criterion_07_sat_reduction_round_trips(sat_runs):
+    """Ten balanced formulas agree with the satisfiability oracle."""
+    failures, _ = sat_runs
     verdict(7, not failures, f"10 formulas, {len(failures)} failures")
     assert not failures, failures
 
@@ -386,12 +425,17 @@ def test_criterion_09_any_length_backends_agree():
     assert not failures, failures[:5]
 
 
-def test_criterion_10_every_yes_witness_passes_cli_verify(tmp_path):
-    """Witness lines from earlier criteria replay through the verifier."""
-    assert YES_WITNESSES, "earlier criteria must register witnesses first"
+def test_criterion_10_every_yes_witness_passes_cli_verify(
+    tmp_path, walk_runs, path_runs, detour_runs, phs_runs, sat_runs
+):
+    """Witness lines from criteria 1, 2, 3, 6 and 7 replay through the verifier."""
+    yes_witnesses = [
+        w for runs in (walk_runs, path_runs, detour_runs, phs_runs, sat_runs) for w in runs[1]
+    ]
+    assert yes_witnesses, "criteria 1, 2, 3, 6 and 7 found no YES witness"
     failures = 0
     inst = tmp_path / "inst.rainbow"
-    for idx, (text, line, require_path) in enumerate(YES_WITNESSES):
+    for idx, (text, line, require_path) in enumerate(yes_witnesses):
         inst.write_text(text)
         argv = ["verify", str(inst), "--witness", line]
         if require_path:
@@ -399,15 +443,16 @@ def test_criterion_10_every_yes_witness_passes_cli_verify(tmp_path):
         code, out, _ = helpers.run_cli(argv)
         if code != 0 or not out.startswith("VALID"):
             failures += 1
-    verdict(10, failures == 0, f"{len(YES_WITNESSES)} witnesses replayed, {failures} rejected")
+    verdict(10, failures == 0, f"{len(yes_witnesses)} witnesses replayed, {failures} rejected")
     assert failures == 0
 
 
-def test_criterion_11_detour_witnesses_have_separator_structure():
-    """Per-position distance bound and separator density on witnesses."""
-    assert DETOUR_WITNESSES, "criterion 3 must run first"
+def test_criterion_11_detour_witnesses_have_separator_structure(detour_runs):
+    """Per-position distance bound and separator density on criterion 3's path-DP witnesses."""
+    detours = detour_runs[2]
+    assert detours, "criterion 3 found no YES witness"
     failures = 0
-    for g, r, k, vertices in DETOUR_WITNESSES:
+    for g, r, k, vertices in detours:
         d = dist_to_target(g)
         dist = d[g.s]
         length = len(vertices) - 1
@@ -433,5 +478,5 @@ def test_criterion_11_detour_witnesses_have_separator_structure():
             if not any(i in sep_set for i in range(j, end + 1)):
                 failures += 1
                 break
-    verdict(11, failures == 0, f"{len(DETOUR_WITNESSES)} witnesses, {failures} violations")
+    verdict(11, failures == 0, f"{len(detours)} witnesses, {failures} violations")
     assert failures == 0

@@ -17,7 +17,7 @@ from rainbowpaths import (
     verify_witness,
 )
 
-AUTO_NAMES = {"unreachable", "r0-bfs", "r1-bfs", "r2-edge-bfs", "walk-dp", "detour-dp", "path-dp"}
+AUTO_NAMES = {"unreachable", "r0-bfs", "r1-bfs", "r2-edge-bfs", "walk-dp", "path-dp"}
 
 
 def check_auto(g: ColoredDigraph, q: Query, names: Counter) -> None:
@@ -57,8 +57,6 @@ def test_auto_dispatch_matches_path_oracle():
 
 def test_forced_solver_refusals_raise_value_error():
     g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
-    with pytest.raises(ValueError, match="at-most"):
-        solve(g, Query(1, 2, "exact"), "detour")
     with pytest.raises(ValueError, match="radius-1"):
         solve(g, Query(2, 2, "atmost"), "r1")
     with pytest.raises(ValueError, match="at-most"):

@@ -253,6 +253,14 @@ def test_parse_errors_carry_line_numbers():
     assert "line" in str(exc.value)
 
 
+def test_parse_rejects_negative_sizes_at_their_line():
+    # a negative m used to read the color line as the query line
+    with pytest.raises(ValueError, match="line 2: n and m must be non-negative"):
+        parse_instance("rainbow 1\n2 -1\n0 1\n")
+    with pytest.raises(ValueError, match="line 3: n and m must be non-negative"):
+        parse_instance("rainbow 1\n# sizes\n-2 0\n0 1\n0 1 2 3 atmost\n")
+
+
 def test_parse_allows_comments():
     g, q = gen_random(4, 0.5, 2, 1, 3, seed=2)
     text = "# a comment\n" + write_instance(g, q)

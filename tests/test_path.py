@@ -1,4 +1,4 @@
-"""Path DP, segment window families, and the symmetric r=2 shortcut."""
+"""Path DP, its projection dedupe and prune, and the symmetric r=2 shortcut."""
 from __future__ import annotations
 
 import random
@@ -13,8 +13,6 @@ from rainbowpaths import (
     dist_to_target,
     gen_random,
     oracle_path,
-    r_compatible,
-    segment_window_family,
     solve_path,
     solve_r2_symmetric,
     solve_walk,
@@ -69,34 +67,32 @@ def test_path_matches_oracle_randomized():
 
 
 def test_cells_hold_one_member_per_forward_projection():
-    """After dedupe, no two members of a cell agree on what is still reachable.
+    """After dedupe, no two members of a cell agree on what a gated completion can reach.
 
     The projection of a member at level p in the cell of u keeps the visited
-    vertices within ell - p arcs of u, measured here by a fresh BFS from u.
-    Visited sets are vertex bitmasks, decoded here to the vertices they hold.
+    vertices x with dist(u, x) + dist(x, t) <= ell - p, measured here by a
+    fresh BFS from u and one to t. Visited sets are vertex bitmasks,
+    decoded here to the vertices they hold.
     """
     rng = random.Random(47)
     shared = 0
-    for trial in range(60):
+    for trial in range(90):
         n = rng.randint(4, 9)
         g, _ = gen_random(n, 0.45, rng.randint(2, 5), 0, 0, seed=23000 + trial)
         ell = rng.randint(2, n - 1)
         r = rng.randint(1, 3)
-        levels = _path_levels(
-            g.out_neighbors, g.colors, dist_to_target(g), g.s, (g.colors[g.s],), g.t, r, ell, "exact"
-        )
+        levels = _path_levels(g, r, ell, "exact")
+        dist_t = dist_to_target(g)
         for p, level in enumerate(levels[1:], start=1):
             for u, cell in level.items():
                 row = dist_from_source(g, u)
+                near = {
+                    x
+                    for x, (d, dt) in enumerate(zip(row, dist_t))
+                    if d is not None and dt is not None and d + dt <= ell - p
+                }
                 keys = {
-                    (
-                        tuple(
-                            x
-                            for x in range(g.n)
-                            if visited >> x & 1 and row[x] is not None and row[x] <= ell - p
-                        ),
-                        window,
-                    )
+                    (tuple(x for x in sorted(near) if visited >> x & 1), window)
                     for visited, window in cell
                 }
                 assert len(keys) == len(cell), (trial, p, u)
@@ -109,7 +105,10 @@ def test_pruned_path_cells_match_oracle(monkeypatch):
 
     Each prune keeps at most unordered_bound(set size, budget) members, and
     some prunes drop members. Lengths shrink with the radius to keep the
-    numpy minors affordable.
+    numpy minors affordable. The last 40 instances are dense radius-1
+    graphs at exact lengths 4 and 5, whose level-2 cells gather many
+    two-arc paths that differ in one vertex a completion can still reach;
+    the prunes that drop members come from them.
     """
     monkeypatch.setattr(path, "PRUNE_THRESHOLD", 2)
     prunes = []
@@ -125,19 +124,31 @@ def test_pruned_path_cells_match_oracle(monkeypatch):
     rng = random.Random(97)
     rep_calls = 0
     # at-most solves stop at the first level holding t, which most of them
-    # reach before any cell is pruned, so 100 prunes take 450 instances
-    for trial in range(450):
-        n = rng.randint(5, 9)
-        r = rng.randint(1, 3)
-        g, q = gen_random(
-            n,
-            rng.choice((0.4, 0.6)),
-            rng.randint(3, 6),
-            r,
-            rng.randint(2, 8 - 2 * r),
-            seed=31000 + trial,
-            mode=rng.choice(("atmost", "exact")),
-        )
+    # reach before any cell is pruned, and the dedupe leaves most cells with
+    # one member, so 100 prunes take 850 instances
+    for trial in range(890):
+        if trial < 850:
+            n = rng.randint(5, 9)
+            r = rng.randint(1, 3)
+            g, q = gen_random(
+                n,
+                rng.choice((0.4, 0.6)),
+                rng.randint(3, 6),
+                r,
+                rng.randint(2, 8 - 2 * r),
+                seed=31000 + trial,
+                mode=rng.choice(("atmost", "exact")),
+            )
+        else:
+            g, q = gen_random(
+                rng.randint(8, 10),
+                0.8,
+                rng.randint(5, 8),
+                1,
+                rng.choice((4, 5)),
+                seed=31000 + trial,
+                mode="exact",
+            )
         stats: dict = {}
         mine = solve_path(g, q, stats=stats)
         ref = oracle_path(g, q)
@@ -152,50 +163,42 @@ def test_pruned_path_cells_match_oracle(monkeypatch):
     assert sum(kept < rows for _, _, rows, kept in prunes) >= 5
 
 
-def two_route_graph() -> ColoredDigraph:
-    """Two parallel two-hop routes from 0 to 3 with distinct middle colors, then 3 -> 4 = t."""
-    return ColoredDigraph(5, (0, 1, 2, 3, 1), ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)), 0, 4)
+def symmetric_grid(rows: int, cols: int, num_colors: int, seed: int) -> ColoredDigraph:
+    """A rows x cols grid with arcs both ways and random colors; s and t at opposite corners."""
+    n = rows * cols
+    rng = random.Random(seed)
+    raw = [rng.randrange(num_colors) for _ in range(n)]
+    dense = {c: i for i, c in enumerate(sorted(set(raw)))}
+    arcs = []
+    for i in range(rows):
+        for j in range(cols):
+            if j + 1 < cols:
+                arcs += [(i * cols + j, i * cols + j + 1), (i * cols + j + 1, i * cols + j)]
+            if i + 1 < rows:
+                arcs += [(i * cols + j, (i + 1) * cols + j), ((i + 1) * cols + j, i * cols + j)]
+    return ColoredDigraph(n, tuple(dense[c] for c in raw), tuple(arcs), 0, n - 1)
 
 
-def test_segment_window_family_enumerates_windows():
-    g = two_route_graph()
-    d = dist_to_target(g)
-    fam = segment_window_family(g, d, 0, (0,), d[3], 2, 2)
-    windows = sorted(w for v, q, w, _ in fam)
-    assert windows == [(1, 3), (2, 3)]
-    for v, q, window, vertices in fam:
-        assert (v, q) == (3, 2)
-        assert vertices[0] == 0 and vertices[-1] == 3
-        assert len(vertices) == 3
+def test_grid_detours_keep_cells_polynomial():
+    """At a budget of dist + k, the dedupe leaves at most Δ^(max(k, r) - 1) members per cell.
 
-
-def test_segment_window_family_respects_incoming_context():
-    g = two_route_graph()
-    d = dist_to_target(g)
-    # An incoming color 1 just before u rules out the route through the
-    # color-1 middle vertex: its length-3 window would read (1, 0, 1).
-    fam = segment_window_family(g, d, 0, (1, 0), d[3], 2, 2)
-    assert sorted(w for v, q, w, _ in fam) == [(2, 3)]
-
-
-def test_segment_window_family_band_follows_distances():
-    g = two_route_graph()
-    d = dist_to_target(g)
-    # from s the band is every level above 3's; its two routes both end at 3
-    fam = segment_window_family(g, d, 0, (0,), d[3], 2, 3)
-    assert len(fam) == 2
-    # no level lies strictly between d[1] and d[3], so from 1 only the arc 1 -> 3 is a segment
-    assert [(v, q) for v, q, _, _ in segment_window_family(g, d, 1, (0, 1), d[3], 2, 3)] == [(3, 1)]
-
-
-def test_segment_windows_feed_compatibility_checks():
-    g = two_route_graph()
-    d = dist_to_target(g)
-    fam = {w: segment for v, q, w, segment in segment_window_family(g, d, 0, (0,), d[3], 2, 2)}
-    # Continuing with color 1 works after the color-2 route only.
-    assert r_compatible((2, 3), (1,), 2)
-    assert not r_compatible((1, 3), (1,), 2)
-    assert set(fam) == {(1, 3), (2, 3)}
+    Its key holds only vertices a completion can still reach under the
+    distance gate, so at most the last k vertices of a path; on a grid Δ
+    is 4. A key on every vertex within the remaining budget of u, ignoring
+    the gate, leaves cells of 32 to 1,202 members on these grids.
+    """
+    for cols in (12, 16):
+        for k in (3, 4):
+            for seed in range(3):
+                g = symmetric_grid(4, cols, 16, 1000 * cols + 10 * k + seed)
+                q = Query(2, dist_to_target(g)[g.s] + k, "atmost")
+                stats: dict = {}
+                mine = solve_path(g, q, stats=stats)
+                ref = oracle_path(g, q)
+                assert (mine is None) == (ref is None), (cols, k, seed)
+                if mine is not None:
+                    assert verify_witness(g, q, mine.vertices, require_path=True) == []
+                assert stats["max_cell"] <= 4 ** (max(k, q.r) - 1), (cols, k, seed, stats)
 
 
 def test_r2_symmetric_on_grid_like_graph():
