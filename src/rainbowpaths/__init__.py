@@ -4,10 +4,10 @@ A walk is locally rainbow at radius r when every stretch of r+1
 consecutive vertices (or the whole walk, if shorter) shows pairwise
 distinct colors. The package bundles dynamic programs for bounded-length
 walks and simple paths (the path DP stays polynomial for a small detour
-over the s-t distance), representative-family pruning that keeps their
-state spaces small, polynomial shortcuts for tiny radii, brute-force
-oracles, hardness-construction generators, and a file format with a CLI
-around it all.
+over the s-t distance), representative-family pruning that keeps the
+walk DP's window cells small, polynomial shortcuts for tiny radii,
+brute-force oracles, hardness-construction generators, and a file format
+with a CLI around it all.
 """
 
 from .core import (

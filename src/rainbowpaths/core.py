@@ -187,11 +187,11 @@ def blocked_slots(window: Sequence[int], r: int) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def slot_set(window: Sequence[int], r: int, offset: int = 0) -> tuple[int, ...]:
-    """The window's blocked slots as sorted integers ``offset + encoded_slot_index``; () at r = 0.
+def slot_set(window: Sequence[int], r: int) -> tuple[int, ...]:
+    """The window's blocked slots as sorted ``encoded_slot_index`` integers; () at r = 0.
 
-    For windows drawn from colors [0, c) the result lies in
-    [offset, offset + c * r), the set form a representative prune takes.
+    For windows drawn from colors [0, c) the result lies in [0, c * r),
+    the set form a representative prune takes.
     """
     if r == 0:
         return ()
@@ -199,7 +199,7 @@ def slot_set(window: Sequence[int], r: int, offset: int = 0) -> tuple[int, ...]:
         raise ValueError("window must be nonempty")
     # window[k] blocks positions 1..r - (len - 1 - k); a repeated color blocks the most at its last k
     reach = {c: r - (len(window) - 1 - k) for k, c in enumerate(window)}
-    return tuple(offset + c * r + i for c in sorted(reach) for i in range(reach[c]))
+    return tuple(c * r + i for c in sorted(reach) for i in range(reach[c]))
 
 
 def claimed_slots(prefix: Sequence[int], r: int) -> frozenset[tuple[int, int]]:

@@ -18,7 +18,6 @@ from .walk import solve_r1, solve_walk, solve_walk_any_length
 SOLVERS = (
     "auto",
     "walk",
-    "any-walk",
     "path",
     "r1",
     "r2-symmetric",
@@ -87,7 +86,7 @@ def solve(
     """
     if solver == "auto":
         return _solve_auto(g, query, stats)
-    if solver == "any-walk" or (solver == "walk" and query.mode == "any"):
+    if solver == "walk" and query.mode == "any":
         return solve_walk_any_length(g, query.r, stats=stats), "walk-any-cap"
     if solver == "walk":
         return solve_walk(g, query, stats=stats), "walk-dp"

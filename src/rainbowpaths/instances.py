@@ -330,13 +330,22 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
         palette = tuple(int(p) for p in color_parts)
     except ValueError:
         raise fail(lineno, "colors must be integers") from None
+    if any(c < 0 for c in palette):
+        raise fail(lineno, "colors must be non-negative")
+    used = set(palette)
+    if used != set(range(len(used))):
+        raise fail(lineno, "colors must form a dense range starting at 0")
     arcs: list[tuple[int, int]] = []
     seen_arcs: set[tuple[int, int]] = set()
     for lineno, arc_line in entries[3 : 3 + m]:
         parts = arc_line.split()
         if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
             raise fail(lineno, f"expected arc 'u v', got {arc_line!r}")
-        arc = (int(parts[0]), int(parts[1]))
+        u, v = arc = (int(parts[0]), int(parts[1]))
+        if u == v:
+            raise fail(lineno, f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise fail(lineno, f"arc ({u}, {v}) out of range")
         if arc in seen_arcs:
             logger.warning("line %d: duplicate arc %s collapsed", lineno, arc)
             continue

@@ -3,18 +3,17 @@
 The path dynamic program is ``core.layered_dp`` with one bit per vertex,
 so it tracks, per level and endpoint, pairs of (visited vertex set,
 trailing color window); a visited set is stored as a vertex bitmask.
-Three devices keep cells small: the engine's distance gate toward the
-target, a projection dedupe that identifies members agreeing on the part
-of their visited set a gated completion can still reach, and
-representative-family pruning over a flattened universe mixing vertices
-with blocked color slots. The dedupe keys a member of u's cell at level
-p on ``visited & near``, where ``near`` holds the x with
-``dist(u, x) + dist_t[x] <= ell - p``. At a budget of dist(s, t) + k,
-a vertex x other than u in that mask has dist_t[x] < dist(s, t) + k - p,
-so a path reaches it after step p - k: the key holds at most the last k
-vertices, and a cell at most Δ^(max(k, r) - 1) members, Δ the largest
-in-degree. That is polynomial for fixed k and r. A radius-2 shortcut
-handles symmetric instances at shortest-path length.
+Two devices keep cells small: the engine's distance gate toward the
+target, and a projection dedupe that identifies members agreeing on the
+part of their visited set a gated completion can still reach. The dedupe
+keys a member of u's cell at level p on ``visited & near``, where
+``near`` holds the x with ``dist(u, x) + dist_t[x] <= ell - p``. At a
+budget of dist(s, t) + k, a vertex x other than u in that mask has
+dist_t[x] < dist(s, t) + k - p, so a path reaches it after step p - k:
+the key holds at most the last k vertices, and a cell at most
+Δ^(max(k, r) - 1) members, Δ the largest in-degree. That is polynomial
+for fixed k and r. A radius-2 shortcut handles symmetric instances at
+shortest-path length.
 """
 
 from __future__ import annotations
@@ -32,12 +31,8 @@ from .core import (
     dist_from_source,
     dist_to_target,
     layered_dp,
-    slot_set,
     witness_at,
 )
-from .repfam import representative_keep
-
-PRUNE_THRESHOLD = 4096
 
 
 def _near_masks(
@@ -79,35 +74,10 @@ def _dedupe_cell(cell: Cell, near_mask: int) -> Cell:
     return kept
 
 
-def _prune_cell(
-    cell: Cell,
-    n: int,
-    num_colors: int,
-    r: int,
-    budget: int,
-    stats: dict | None,
-) -> Cell:
-    """Representative-family pruning over the vertex + blocked-slot universe."""
-    if len(cell) <= PRUNE_THRESHOLD:
-        return cell
-    assert budget >= 0
-    members = list(cell)
-    sets = [
-        tuple(x for x in range(n) if visited >> x & 1) + slot_set(window, r, n)
-        for visited, window in members
-    ]
-    keep = representative_keep(sets, n + num_colors * r, budget)
-    if keep is None:
-        return cell
-    if stats is not None:
-        stats["rep_calls"] = stats.get("rep_calls", 0) + 1
-    return {members[i]: cell[members[i]] for i in keep}
-
-
 def _path_levels(
     g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None = None
 ) -> list[Level]:
-    """The path DP from g.s, gated on distances to g.t, with deduped and pruned cells."""
+    """The path DP from g.s, gated on distances to g.t, with deduped cells."""
     n = g.n
     dist_t = dist_to_target(g)
     # near masks per vertex, filled in when a vertex first needs a dedupe
@@ -117,8 +87,7 @@ def _path_levels(
         near = reach[u]
         if near is None:
             near = reach[u] = _near_masks(bfs_distances(g.out_neighbors, u), dist_t, ell)
-        cell = _dedupe_cell(cell, near[ell - p])
-        return _prune_cell(cell, n, g.num_colors, r, r + ell - p, stats)
+        return _dedupe_cell(cell, near[ell - p])
 
     bits = [1 << x for x in range(n)]
     return layered_dp(

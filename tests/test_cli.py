@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import helpers
 from rainbowpaths import ColoredDigraph, Query, gen_random, write_instance
 from rainbowpaths.cli import EXIT_ERROR, EXIT_NO, EXIT_YES
@@ -107,6 +109,13 @@ def test_forced_solver_refusals(tmp_path):
     path = write_tmp(tmp_path, g, Query(1, 2, "exact"))
     code, _, _ = helpers.run_cli(["solve", path, "--solver", "r1"])
     assert code == EXIT_ERROR
+    # the capped any-length walk DP runs only as "walk" on an "any" query
+    g = ColoredDigraph(4, (0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)), 0, 3)
+    path = write_tmp(tmp_path, g, Query(2, 2, "atmost"))
+    for command in ("solve", "crosscheck"):
+        with pytest.raises(SystemExit) as exc:
+            helpers.run_cli([command, path, "--solver", "any-walk"])
+        assert exc.value.code == EXIT_ERROR
 
 
 def test_crosscheck_agreement(tmp_path):

@@ -125,9 +125,8 @@ def test_slot_set_encodes_blocked_slots():
         r = rng.randint(0, 4)
         # windows up to r + 2 long, often repeating a color
         window = tuple(rng.randrange(rng.randint(1, 6)) for _ in range(rng.randint(1, r + 2)))
-        offset = rng.choice((0, rng.randint(1, 30)))
-        want = tuple(sorted(offset + encoded_slot_index(c, i, r) for c, i in blocked_slots(window, r)))
-        assert slot_set(window, r, offset) == want, (window, r, offset)
+        want = tuple(sorted(encoded_slot_index(c, i, r) for c, i in blocked_slots(window, r)))
+        assert slot_set(window, r) == want, (window, r)
     assert slot_set((2, 0), 2) == (0, 1, 4)
     with pytest.raises(ValueError):
         slot_set((), 2)

@@ -261,6 +261,15 @@ def test_parse_rejects_negative_sizes_at_their_line():
         parse_instance("rainbow 1\n# sizes\n-2 0\n0 1\n0 1 2 3 atmost\n")
 
 
+def test_parse_reports_arc_and_color_faults_at_their_line():
+    with pytest.raises(ValueError, match=r"^line 5: self-loop at vertex 1$"):
+        parse_instance("rainbow 1\n3 2\n0 1 2\n0 1\n1 1\n0 2 2 2 atmost\n")
+    with pytest.raises(ValueError, match=r"^line 5: arc \(1, 7\) out of range$"):
+        parse_instance("rainbow 1\n3 2\n0 1 2\n0 1\n1 7\n0 2 2 2 atmost\n")
+    with pytest.raises(ValueError, match=r"^line 3: colors must form a dense range starting at 0$"):
+        parse_instance("rainbow 1\n3 2\n0 2 2\n0 1\n1 2\n0 2 2 2 atmost\n")
+
+
 def test_parse_allows_comments():
     g, q = gen_random(4, 0.5, 2, 1, 3, seed=2)
     text = "# a comment\n" + write_instance(g, q)

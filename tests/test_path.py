@@ -1,4 +1,4 @@
-"""Path DP, its projection dedupe and prune, and the symmetric r=2 shortcut."""
+"""Path DP, its projection dedupe, and the symmetric r=2 shortcut."""
 from __future__ import annotations
 
 import random
@@ -16,10 +16,8 @@ from rainbowpaths import (
     solve_path,
     solve_r2_symmetric,
     solve_walk,
-    unordered_bound,
     verify_witness,
 )
-from rainbowpaths import path
 from rainbowpaths.path import _path_levels
 
 
@@ -49,8 +47,8 @@ def test_atmost_budget_clamps_to_n_minus_one():
 
 def test_path_matches_oracle_randomized():
     rng = random.Random(61)
-    for trial in range(150):
-        g, q = gen_random(
+    instances = [
+        gen_random(
             rng.randint(2, 8),
             rng.choice((0.25, 0.45)),
             rng.randint(1, 4),
@@ -59,11 +57,41 @@ def test_path_matches_oracle_randomized():
             seed=11000 + trial,
             mode=rng.choice(("atmost", "exact")),
         )
+        for trial in range(150)
+    ]
+    # dense radius-1 graphs at exact lengths 4 and 5, whose level-2 cells
+    # gather many two-arc paths that differ in one vertex a completion can
+    # still reach
+    instances += [
+        gen_random(
+            rng.randint(8, 10),
+            0.8,
+            rng.randint(5, 8),
+            1,
+            rng.choice((4, 5)),
+            seed=31850 + trial,
+            mode="exact",
+        )
+        for trial in range(40)
+    ]
+    for trial, (g, q) in enumerate(instances):
         mine = solve_path(g, q)
         ref = oracle_path(g, q)
         assert (mine is None) == (ref is None), (trial, q)
         if mine is not None:
             assert verify_witness(g, q, mine.vertices, require_path=True) == []
+
+
+def test_large_cells_are_left_whole():
+    """The dedupe is the path DP's only cell reducer, however large a cell grows."""
+    g, q = gen_random(24, 0.3, 5, 2, 13, seed=0, mode="exact")
+    stats: dict = {}
+    mine = solve_path(g, q, stats=stats)
+    assert mine is not None
+    assert verify_witness(g, q, mine.vertices, require_path=True) == []
+    # 4096 was the old prune threshold
+    assert stats["max_cell"] > 4096, stats["max_cell"]
+    assert "rep_calls" not in stats
 
 
 def test_cells_hold_one_member_per_forward_projection():
@@ -98,69 +126,6 @@ def test_cells_hold_one_member_per_forward_projection():
                 assert len(keys) == len(cell), (trial, p, u)
                 shared += len(cell) > 1
     assert shared >= 40, shared
-
-
-def test_pruned_path_cells_match_oracle(monkeypatch):
-    """With the prune threshold at 2, path cells get pruned and answers hold.
-
-    Each prune keeps at most unordered_bound(set size, budget) members, and
-    some prunes drop members. Lengths shrink with the radius to keep the
-    numpy minors affordable. The last 40 instances are dense radius-1
-    graphs at exact lengths 4 and 5, whose level-2 cells gather many
-    two-arc paths that differ in one vertex a completion can still reach;
-    the prunes that drop members come from them.
-    """
-    monkeypatch.setattr(path, "PRUNE_THRESHOLD", 2)
-    prunes = []
-    representative = path.representative_keep
-
-    def recording(sets, universe, q):
-        kept = representative(sets, universe, q)
-        if kept is not None:
-            prunes.append((len(sets[0]), q, len(sets), len(kept)))
-        return kept
-
-    monkeypatch.setattr(path, "representative_keep", recording)
-    rng = random.Random(97)
-    rep_calls = 0
-    # at-most solves stop at the first level holding t, which most of them
-    # reach before any cell is pruned, and the dedupe leaves most cells with
-    # one member, so 100 prunes take 850 instances
-    for trial in range(890):
-        if trial < 850:
-            n = rng.randint(5, 9)
-            r = rng.randint(1, 3)
-            g, q = gen_random(
-                n,
-                rng.choice((0.4, 0.6)),
-                rng.randint(3, 6),
-                r,
-                rng.randint(2, 8 - 2 * r),
-                seed=31000 + trial,
-                mode=rng.choice(("atmost", "exact")),
-            )
-        else:
-            g, q = gen_random(
-                rng.randint(8, 10),
-                0.8,
-                rng.randint(5, 8),
-                1,
-                rng.choice((4, 5)),
-                seed=31000 + trial,
-                mode="exact",
-            )
-        stats: dict = {}
-        mine = solve_path(g, q, stats=stats)
-        ref = oracle_path(g, q)
-        assert (mine is None) == (ref is None), (trial, q)
-        if mine is not None:
-            assert verify_witness(g, q, mine.vertices, require_path=True) == []
-        rep_calls += stats.get("rep_calls", 0)
-    assert rep_calls == len(prunes) >= 100, rep_calls
-    for set_size, budget, rows, kept in prunes:
-        assert rows > 2
-        assert kept <= unordered_bound(set_size, budget), (set_size, budget, rows, kept)
-    assert sum(kept < rows for _, _, rows, kept in prunes) >= 5
 
 
 def symmetric_grid(rows: int, cols: int, num_colors: int, seed: int) -> ColoredDigraph:
