@@ -16,12 +16,8 @@ from .core import (
     ColorSeq,
     Query,
     Witness,
-    blocked_slots,
-    claimed_slots,
-    decode_blocked_slots,
     dist_from_source,
     dist_to_target,
-    encoded_slot_index,
     is_locally_rainbow,
     r_compatible,
     slot_set,
@@ -42,6 +38,7 @@ from .instances import (
     write_instance,
 )
 from .oracle import (
+    blocked_slots,
     distance_separators,
     is_set_representative,
     is_window_representative,
@@ -50,7 +47,7 @@ from .oracle import (
     oracle_phs,
     oracle_walk,
 )
-from .path import solve_path, solve_r2_symmetric
+from .path import solve_path
 from .repfam import ordered_bound, representative_keep, unordered_bound
 from .walk import any_length_cap, solve_r1, solve_walk, solve_walk_any_length
 
@@ -66,12 +63,9 @@ __all__ = [
     "Witness",
     "any_length_cap",
     "blocked_slots",
-    "claimed_slots",
-    "decode_blocked_slots",
     "dist_from_source",
     "dist_to_target",
     "distance_separators",
-    "encoded_slot_index",
     "gen_3sat_instance",
     "gen_phs_instance",
     "gen_random",
@@ -94,7 +88,6 @@ __all__ = [
     "solve",
     "solve_path",
     "solve_r1",
-    "solve_r2_symmetric",
     "solve_walk",
     "solve_walk_any_length",
     "unordered_bound",

@@ -198,7 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 after a usage error
+        return exc.code
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

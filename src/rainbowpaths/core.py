@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 ColorSeq = tuple[int, ...]
 Arc = tuple[int, int]
@@ -88,12 +88,6 @@ class ColoredDigraph:
     def arc_set(self) -> frozenset[Arc]:
         return frozenset(self.arcs)
 
-    def is_symmetric(self) -> bool:
-        return all((v, u) in self.arc_set for u, v in self.arcs)
-
-    def has_monochromatic_arc(self) -> bool:
-        return any(self.colors[u] == self.colors[v] for u, v in self.arcs)
-
 
 @dataclass(frozen=True)
 class Query:
@@ -128,9 +122,6 @@ class Witness:
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
-
-    def is_path(self) -> bool:
-        return len(set(self.vertices)) == len(self.vertices)
 
 
 def is_locally_rainbow(colors: Sequence[int], r: int) -> bool:
@@ -169,29 +160,15 @@ def r_compatible(first: Sequence[int], second: Sequence[int], r: int) -> bool:
     return True
 
 
-def blocked_slots(window: Sequence[int], r: int) -> frozenset[tuple[int, int]]:
-    """Encode a stored suffix window as the (color, position) slots it blocks.
-
-    Position i in [1, r] is blocked by color a_j for every j in
-    [p - (r - i), p] (1-based, clipped at 1), where p = len(window). A
-    continuation is compatible with the window exactly when its claimed
-    slots avoid all blocked ones.
-    """
-    p = len(window)
-    if p < 1:
-        raise ValueError("window must be nonempty")
-    out: set[tuple[int, int]] = set()
-    for i in range(1, r + 1):
-        for j in range(max(1, p - (r - i)), p + 1):
-            out.add((window[j - 1], i))
-    return frozenset(out)
-
-
 def slot_set(window: Sequence[int], r: int) -> tuple[int, ...]:
-    """The window's blocked slots as sorted ``encoded_slot_index`` integers; () at r = 0.
+    """The slots a window blocks, as sorted integers; () at r = 0.
 
-    For windows drawn from colors [0, c) the result lies in [0, c * r),
-    the set form a representative prune takes.
+    A continuation's entry at position i in [1, r] claims the slot
+    (color, i), encoded as ``color * r + i - 1``. The window blocks the
+    slots a continuation may not claim, so a continuation is compatible
+    with it exactly when the slots it claims avoid these. For windows
+    drawn from colors [0, c) the result lies in [0, c * r), the set form
+    a representative prune takes.
     """
     if r == 0:
         return ()
@@ -200,46 +177,6 @@ def slot_set(window: Sequence[int], r: int) -> tuple[int, ...]:
     # window[k] blocks positions 1..r - (len - 1 - k); a repeated color blocks the most at its last k
     reach = {c: r - (len(window) - 1 - k) for k, c in enumerate(window)}
     return tuple(c * r + i for c in sorted(reach) for i in range(reach[c]))
-
-
-def claimed_slots(prefix: Sequence[int], r: int) -> frozenset[tuple[int, int]]:
-    """Encode a continuation's first entries as the (color, position) slots it claims."""
-    return frozenset((prefix[i - 1], i) for i in range(1, min(r, len(prefix)) + 1))
-
-
-def decode_blocked_slots(slots: Iterable[tuple[int, int]], r: int) -> ColorSeq:
-    """Invert :func:`blocked_slots` for windows of length at most r.
-
-    Windows that short have pairwise distinct entries, which makes the
-    encoding injective: the color blocking position r is the last entry, the
-    colors blocking position r - 1 are the last two, and so on. Raises
-    ValueError if the slots are not a consistent image.
-    """
-    by_pos: dict[int, set[int]] = {}
-    for color, pos in slots:
-        by_pos.setdefault(pos, set()).add(color)
-    if not by_pos:
-        raise ValueError("empty slot set has no preimage")
-    p = len(by_pos.get(1, set()))
-    seq: list[int | None] = [None] * p
-    seen: set[int] = set()
-    for idx in range(p, 0, -1):
-        pos = r - (p - idx)
-        fresh = by_pos.get(pos, set()) - seen
-        if len(fresh) != 1:
-            raise ValueError("slot set is not the image of a short window")
-        color = fresh.pop()
-        seq[idx - 1] = color
-        seen.add(color)
-    out = tuple(seq)  # type: ignore[arg-type]
-    if blocked_slots(out, r) != frozenset(slots):
-        raise ValueError("slot set is not the image of a short window")
-    return out
-
-
-def encoded_slot_index(color: int, position: int, r: int) -> int:
-    """Flatten slot (color, position) with position in [1, r] to a single integer."""
-    return color * r + (position - 1)
 
 
 def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int | None]:
@@ -262,9 +199,9 @@ def dist_to_target(g: ColoredDigraph) -> list[int | None]:
     return bfs_distances(g.in_neighbors, g.t)
 
 
-def dist_from_source(g: ColoredDigraph, source: int | None = None) -> list[int | None]:
-    """Shortest directed distance from ``source`` (default g.s) to each vertex."""
-    return bfs_distances(g.out_neighbors, g.s if source is None else source)
+def dist_from_source(g: ColoredDigraph) -> list[int | None]:
+    """Shortest directed distance from g.s to each vertex."""
+    return bfs_distances(g.out_neighbors, g.s)
 
 
 def layered_dp(
@@ -408,15 +345,8 @@ def verify_witness(
         if (walk[i], walk[i + 1]) not in g.arc_set:
             problems.append(f"missing arc ({walk[i]}, {walk[i + 1]}) at step {i}")
             break
-    seq = tuple(g.colors[v] for v in walk)
-    w = min(query.r + 1, len(seq))
-    if w > 1:
-        for i in range(len(seq) - w + 1):
-            if len(set(seq[i : i + w])) != w:
-                problems.append(
-                    f"window at offset {i} repeats a color: {seq[i:i + w]}"
-                )
-                break
+    if not is_locally_rainbow([g.colors[v] for v in walk], query.r):
+        problems.append(f"colors repeat within {query.r + 1} consecutive vertices (radius {query.r})")
     length = len(walk) - 1
     if query.mode == "atmost" and length > query.ell:
         problems.append(f"length {length} exceeds budget {query.ell}")

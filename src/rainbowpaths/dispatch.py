@@ -1,35 +1,27 @@
 """Solver dispatch: one entry point that answers a query with a named solver.
 
 ``solve(g, query)`` picks the cheapest sound solver for the path question:
-BFS shortcuts for r <= 1, the symmetric radius-2 product search when it
-applies, the walk DP when the budget equals the s-t distance (where walks
-and paths coincide), and the path DP for every larger budget, whose
-dedupe keeps cells polynomial at small slack. Any solver in ``SOLVERS``
-can also be forced by name.
+a BFS shortcut for r <= 1, the walk DP when the budget equals the s-t
+distance (where walks and paths coincide), and the path DP for every
+larger budget, whose dedupe keeps cells polynomial at small slack. Any
+solver in ``SOLVERS`` can also be forced by name.
 """
 
 from __future__ import annotations
 
 from .core import ColoredDigraph, Query, Witness, dist_from_source
 from .oracle import oracle_path, oracle_walk
-from .path import solve_path, solve_r2_symmetric
-from .walk import solve_r1, solve_walk, solve_walk_any_length
+from .path import solve_path
+from .walk import bfs_walk, solve_r1, solve_walk, solve_walk_any_length
 
 SOLVERS = (
     "auto",
     "walk",
     "path",
     "r1",
-    "r2-symmetric",
     "oracle",
     "oracle-path",
 )
-
-
-def _solve_r0(g: ColoredDigraph, ell: int) -> Witness | None:
-    """Shortest-walk BFS with every arc allowed: the r=1 routine on distinct colors."""
-    recolored = ColoredDigraph(g.n, tuple(range(g.n)), g.arcs, g.s, g.t)
-    return solve_r1(recolored, ell)
 
 
 def _solve_auto(
@@ -39,24 +31,10 @@ def _solve_auto(
     if dist is None:
         return None, "unreachable"
     r, ell, mode = query.r, query.ell, query.mode
-    if mode == "any":
-        if r == 0:
-            return _solve_r0(g, g.n - 1), "r0-bfs"
-        if r == 1:
-            return solve_r1(g, g.n - 1), "r1-bfs"
-        return solve_path(g, query, stats=stats), "path-dp"
-    if r == 0 and mode == "atmost":
-        return _solve_r0(g, ell), "r0-bfs"
-    if r == 1 and mode == "atmost":
-        return solve_r1(g, ell), "r1-bfs"
-    if (
-        r == 2
-        and ell == dist
-        and g.is_symmetric()
-        and not g.has_monochromatic_arc()
-    ):
-        return solve_r2_symmetric(g, ell, stats=stats), "r2-edge-bfs"
-    if ell == dist:
+    if r <= 1 and mode != "exact":
+        ell = g.n - 1 if mode == "any" else ell
+        return bfs_walk(g, r, ell), "r0-bfs" if r == 0 else "r1-bfs"
+    if ell == dist and mode != "any":
         return solve_walk(g, Query(r=r, ell=dist, mode="atmost"), stats=stats), "walk-dp"
     return solve_path(g, query, stats=stats), "path-dp"
 
@@ -99,10 +77,6 @@ def solve(
             raise ValueError("the r1 shortcut answers at-most queries only; use --solver path")
         ell = g.n - 1 if query.mode == "any" else query.ell
         return solve_r1(g, ell), "r1-bfs"
-    if solver == "r2-symmetric":
-        if query.r != 2:
-            raise ValueError("--solver r2-symmetric requires a radius-2 query")
-        return solve_r2_symmetric(g, query.ell, stats=stats), "r2-edge-bfs"
     if solver == "oracle":
         return oracle_walk(g, query), "oracle-walk"
     if solver == "oracle-path":

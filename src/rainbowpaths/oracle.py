@@ -6,8 +6,9 @@ DFS for simple paths, the distance separators of a path (a short detour
 has one every 2k + 1 steps), and direct enumeration for permutation
 hitting and 3-SAT. Exhaustive references for representative families
 sit beside them: greedy-coverage prunes and the definitional checks,
-for families of sets and of color windows. All are deliberately simple;
-the solvers are guarded by size ceilings.
+for families of sets and of color windows, and the (color, position)
+slots a window blocks, which ``core.slot_set`` encodes. All are
+deliberately simple; the solvers are guarded by size ceilings.
 """
 
 from __future__ import annotations
@@ -200,6 +201,25 @@ def oracle_3sat(clauses: list[tuple[int, ...]]) -> dict[int, bool] | None:
         ):
             return assignment
     return None
+
+
+def blocked_slots(window: Sequence[int], r: int) -> frozenset[tuple[int, int]]:
+    """Encode a stored suffix window as the (color, position) slots it blocks.
+
+    Position i in [1, r] is blocked by color a_j for every j in
+    [p - (r - i), p] (1-based, clipped at 1), where p = len(window). A
+    continuation claims the slot (color, i) of each of its first r
+    entries, and is compatible with the window exactly when its claimed
+    slots avoid all blocked ones.
+    """
+    p = len(window)
+    if p < 1:
+        raise ValueError("window must be nonempty")
+    out: set[tuple[int, int]] = set()
+    for i in range(1, r + 1):
+        for j in range(max(1, p - (r - i)), p + 1):
+            out.add((window[j - 1], i))
+    return frozenset(out)
 
 
 def _exhaustive_keep(sets: Sequence[Sequence[int]], universe: int, q: int) -> list[int]:

@@ -12,8 +12,7 @@ budget of dist(s, t) + k, a vertex x other than u in that mask has
 dist_t[x] < dist(s, t) + k - p, so a path reaches it after step p - k:
 the key holds at most the last k vertices, and a cell at most
 Δ^(max(k, r) - 1) members, Δ the largest in-degree. That is polynomial
-for fixed k and r. A radius-2 shortcut handles symmetric instances at
-shortest-path length.
+for fixed k and r.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .core import (
     Query,
     Witness,
     bfs_distances,
-    dist_from_source,
     dist_to_target,
     layered_dp,
     witness_at,
@@ -114,50 +112,3 @@ def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
             return None
     return witness_at(_path_levels(g, query.r, ell, mode, stats), g.t)
 
-
-def solve_r2_symmetric(g: ColoredDigraph, ell: int, *, stats: dict | None = None) -> Witness | None:
-    """Radius-2 shortcut for symmetric graphs at shortest-path length.
-
-    Searches the product of vertices with the predecessor's color; a walk
-    of length exactly dist(s, t) is automatically simple, so the result
-    answers the path question.
-
-    Raises:
-        ValueError: if the graph is not symmetric, has a monochromatic
-            arc, or ell differs from the s-t distance.
-    """
-    if not g.is_symmetric():
-        raise ValueError("shortcut requires a symmetric graph")
-    if g.has_monochromatic_arc():
-        raise ValueError("shortcut requires no monochromatic arc")
-    if dist_from_source(g)[g.t] != ell:
-        raise ValueError("shortcut requires ell equal to the s-t distance")
-    # state: (vertex, color of the previous vertex); None before any step
-    start = (g.s, -1)
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-    frontier = [start]
-    steps = 0
-    while frontier and steps < ell:
-        steps += 1
-        nxt = []
-        for state in frontier:
-            v, prev_color = state
-            for u in g.out_neighbors[v]:
-                if g.colors[u] == prev_color or g.colors[u] == g.colors[v]:
-                    continue
-                new_state = (u, g.colors[v])
-                if new_state in parent:
-                    continue
-                parent[new_state] = state
-                if u == g.t and steps == ell:
-                    vertices = [u]
-                    cur = state
-                    while cur is not None:
-                        vertices.append(cur[0])
-                        cur = parent[cur]
-                    return Witness(tuple(reversed(vertices)))
-                nxt.append(new_state)
-        frontier = nxt
-        if stats is not None:
-            stats["levels"] = steps
-    return None

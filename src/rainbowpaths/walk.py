@@ -5,7 +5,7 @@ with no visited set, so its cells hold trailing color windows; they are
 pruned with ordered representative families so cell sizes stay bounded
 by a function of the locality radius alone. The any-length variant caps
 the searched length (the cap is linear in the vertex count for fixed
-radius). A radius-1 shortcut reduces to plain reachability.
+radius). Shortcuts for radius 0 and 1 reduce to plain reachability.
 """
 
 from __future__ import annotations
@@ -137,14 +137,23 @@ def solve_walk_any_length(
 
 
 def solve_r1(g: ColoredDigraph, ell: int) -> Witness | None:
-    """Radius-1 shortcut: drop monochromatic arcs, then plain BFS.
+    """Radius-1 shortcut: :func:`bfs_walk` at r = 1."""
+    return bfs_walk(g, 1, ell)
 
-    Returns a shortest walk witness of length at most ell, or None. At
-    radius 1 a shortest compliant walk is simple, so this also answers the
-    path question.
+
+def bfs_walk(g: ColoredDigraph, r: int, ell: int) -> Witness | None:
+    """Shortcut for r <= 1: a shortest s-t walk of length at most ell by plain BFS, or None.
+
+    At r = 0 every arc may be walked, and at r = 1 every arc between two
+    different colors; no other constraint applies at these radii. A
+    shortest such walk is simple, so this also answers the path question.
     """
     colors = g.colors
-    adj = [[u for u in g.out_neighbors[v] if colors[u] != colors[v]] for v in range(g.n)]
+
+    def allowed(u: int, v: int) -> bool:
+        return r == 0 or colors[u] != colors[v]
+
+    adj = [[v for v in g.out_neighbors[u] if allowed(u, v)] for u in range(g.n)]
     dist = bfs_distances(adj, g.s)
     d = dist[g.t]
     if d is None or d > ell:
@@ -153,7 +162,5 @@ def solve_r1(g: ColoredDigraph, ell: int) -> Witness | None:
     while d > 0:
         d -= 1
         v = vertices[-1]
-        vertices.append(
-            next(u for u in g.in_neighbors[v] if dist[u] == d and colors[u] != colors[v])
-        )
+        vertices.append(next(u for u in g.in_neighbors[v] if dist[u] == d and allowed(u, v)))
     return Witness(tuple(reversed(vertices)))

@@ -24,6 +24,11 @@ def run_cli(argv: list[str], stdin_text: str | None = None) -> tuple[int, str, s
     return code, out.getvalue(), err.getvalue()
 
 
+def claimed_slots(rho: tuple[int, ...], r: int) -> set[int]:
+    """The slots continuation ``rho`` claims, encoded as ``slot_set`` encodes blocked ones."""
+    return {rho[i] * r + i for i in range(min(r, len(rho)))}
+
+
 def symmetric_no_mono_graph(rng: random.Random, n: int, num_colors: int, edge_probability: float) -> ColoredDigraph | None:
     """Random symmetric digraph whose arcs never join same-colored vertices.
 

@@ -20,8 +20,6 @@ from rainbowpaths import (
     ColoredDigraph,
     PHSInput,
     Query,
-    blocked_slots,
-    claimed_slots,
     dist_to_target,
     distance_separators,
     gen_3sat_instance,
@@ -38,9 +36,10 @@ from rainbowpaths import (
     phs_layout,
     r_compatible,
     representative_keep,
+    slot_set,
+    solve,
     solve_path,
     solve_r1,
-    solve_r2_symmetric,
     solve_walk,
     solve_walk_any_length,
     unordered_bound,
@@ -239,7 +238,7 @@ def test_criterion_04_representative_families_pass_definitional_checks():
 
 
 def test_criterion_05_slot_encoding_bridge_is_exact():
-    """Slot disjointness decides window compatibility, exhaustively."""
+    """``slot_set`` disjointness decides window compatibility, exhaustively."""
     colors = (0, 1, 2)
     mismatches = 0
     checked = 0
@@ -254,10 +253,10 @@ def test_criterion_05_slot_encoding_bridge_is_exact():
             rho for length in range(4) for rho in product(colors, repeat=length)
         ]
         for sigma in windows:
-            blocked = blocked_slots(sigma, r)
+            blocked = set(slot_set(sigma, r))
             for rho in continuations:
                 checked += 1
-                via_slots = not (blocked & claimed_slots(rho, r))
+                via_slots = not (blocked & helpers.claimed_slots(rho, r))
                 if via_slots != r_compatible(sigma, rho, r):
                     mismatches += 1
     verdict(5, mismatches == 0, f"{checked} pairs, {mismatches} mismatches")
@@ -375,7 +374,7 @@ def test_criterion_07_sat_reduction_round_trips(sat_runs):
 
 
 def test_criterion_08_special_case_solvers_match_walk_dp():
-    """BFS shortcuts for r=1 and symmetric r=2 agree with the DP."""
+    """The r=1 BFS shortcut agrees with the walk DP; auto dispatch at r=2 on symmetric graphs with the path oracle."""
     failures = []
     rng = random.Random(60_000)
     for trial in range(500):
@@ -396,9 +395,12 @@ def test_criterion_08_special_case_solvers_match_walk_dp():
         if dist is None:
             continue
         checked += 1
-        mine = solve_r2_symmetric(g, dist)
-        ref = solve_walk(g, Query(2, dist, "atmost"))
-        if (mine is None) != (ref is None):
+        q = Query(2, dist, ("atmost", "exact")[trial % 2])
+        mine, _ = solve(g, q)
+        ref = oracle_path(g, q)
+        if (mine is None) != (ref is None) or (
+            mine is not None and verify_witness(g, q, mine.vertices, require_path=True)
+        ):
             failures.append((trial, "r2"))
     verdict(8, not failures, f"500 r=1 + 500 symmetric r=2, {len(failures)} mismatches")
     assert not failures, failures[:5]

@@ -1,13 +1,14 @@
 """Command line interface: exit codes, dispatch, and composition."""
 from __future__ import annotations
 
+import argparse
 import json
 
-import pytest
-
 import helpers
+import rainbowpaths
 from rainbowpaths import ColoredDigraph, Query, gen_random, write_instance
-from rainbowpaths.cli import EXIT_ERROR, EXIT_NO, EXIT_YES
+from rainbowpaths.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, build_parser
+from rainbowpaths.dispatch import SOLVERS
 
 
 def write_tmp(tmp_path, g, q, name="inst.rainbow"):
@@ -96,11 +97,12 @@ def test_auto_dispatch_names(tmp_path):
 
 
 def test_r2_shortcut_dispatch(tmp_path):
+    # a symmetric graph with no monochromatic arc at r = 2 and the distance: the walk DP answers it
     g = ColoredDigraph(4, (0, 1, 2, 0), ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)), 0, 3)
     path = write_tmp(tmp_path, g, Query(2, 3, "atmost"))
     _, out, _ = helpers.run_cli(["solve", path, "--json"])
     rep = json.loads(out)
-    assert rep["solver"] == "r2-edge-bfs"
+    assert rep["solver"] == "walk-dp"
     assert rep["answer"] is True
 
 
@@ -113,9 +115,21 @@ def test_forced_solver_refusals(tmp_path):
     g = ColoredDigraph(4, (0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)), 0, 3)
     path = write_tmp(tmp_path, g, Query(2, 2, "atmost"))
     for command in ("solve", "crosscheck"):
-        with pytest.raises(SystemExit) as exc:
-            helpers.run_cli([command, path, "--solver", "any-walk"])
-        assert exc.value.code == EXIT_ERROR
+        assert helpers.run_cli([command, path, "--solver", "any-walk"])[0] == EXIT_ERROR
+        assert helpers.run_cli([command, path, "--bogus"])[0] == EXIT_ERROR
+        assert helpers.run_cli([command, "--help"])[0] == EXIT_YES
+
+
+def test_exports_and_solver_choices_are_current():
+    for name in rainbowpaths.__all__:
+        assert hasattr(rainbowpaths, name), name
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def solver_choices(command):
+        return list(next(a for a in commands.choices[command]._actions if a.dest == "solver").choices)
+
+    assert solver_choices("solve") == list(SOLVERS)
+    assert solver_choices("crosscheck") == [n for n in SOLVERS if n not in ("oracle", "oracle-path")]
 
 
 def test_crosscheck_agreement(tmp_path):

@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
     blocked_slots,
-    claimed_slots,
-    decode_blocked_slots,
     dist_from_source,
     dist_to_target,
-    encoded_slot_index,
     is_locally_rainbow,
     r_compatible,
     slot_set,
     verify_witness,
 )
+from rainbowpaths.core import bfs_distances
 
 
 def test_locally_rainbow_windows_clamp_to_length():
@@ -96,36 +95,13 @@ def test_blocked_slots_size_for_full_rainbow_window():
             assert len(blocked_slots(window, r)) == r * (r + 1) // 2
 
 
-def test_claimed_slots_prefix():
-    assert claimed_slots((3, 1), 2) == frozenset({(3, 1), (1, 2)})
-    assert claimed_slots((), 3) == frozenset()
-    # Only the first r entries of a long prefix claim slots.
-    assert claimed_slots((5, 6, 7), 1) == frozenset({(5, 1)})
-
-
-def test_decode_round_trip():
-    for window in [(1, 2), (0,), (2, 0, 1)]:
-        r = 3
-        assert decode_blocked_slots(blocked_slots(window, r), r) == window
-
-
-def test_encoded_slot_index_is_injective():
-    r = 4
-    seen = set()
-    for color in range(5):
-        for pos in range(1, r + 1):
-            idx = encoded_slot_index(color, pos, r)
-            assert idx not in seen
-            seen.add(idx)
-
-
 def test_slot_set_encodes_blocked_slots():
     rng = random.Random(17)
     for _ in range(500):
         r = rng.randint(0, 4)
         # windows up to r + 2 long, often repeating a color
         window = tuple(rng.randrange(rng.randint(1, 6)) for _ in range(rng.randint(1, r + 2)))
-        want = tuple(sorted(encoded_slot_index(c, i, r) for c, i in blocked_slots(window, r)))
+        want = tuple(sorted(c * r + i - 1 for c, i in blocked_slots(window, r)))
         assert slot_set(window, r) == want, (window, r)
     assert slot_set((2, 0), 2) == (0, 1, 4)
     with pytest.raises(ValueError):
@@ -134,7 +110,7 @@ def test_slot_set_encodes_blocked_slots():
 
 def test_slot_disjointness_decides_compatibility():
     sigma, rho, r = (1, 2), (3, 1), 2
-    disjoint = not (blocked_slots(sigma, r) & claimed_slots(rho, r))
+    disjoint = not (set(slot_set(sigma, r)) & helpers.claimed_slots(rho, r))
     assert disjoint == r_compatible(sigma, rho, r)
 
 
@@ -157,11 +133,6 @@ def test_digraph_accessors():
     assert g.in_neighbors[0] == (2,)
     assert g.num_colors == 3
     assert (0, 3) in g.arc_set
-    assert not g.is_symmetric()
-    assert not g.has_monochromatic_arc()
-    sym = ColoredDigraph(2, (0, 0), ((0, 1), (1, 0)), 0, 1)
-    assert sym.is_symmetric()
-    assert sym.has_monochromatic_arc()
 
 
 def test_query_validation():
@@ -176,15 +147,13 @@ def test_query_validation():
 def test_witness_basics():
     w = Witness((0, 1, 2))
     assert w.length == 2
-    assert w.is_path()
-    assert not Witness((0, 1, 0)).is_path()
 
 
 def test_distances():
     g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
     assert dist_to_target(g) == [1, 3, 2, 0]
     assert dist_from_source(g) == [0, 1, 2, 1]
-    assert dist_from_source(g, source=2) == [1, 2, 0, 2]
+    assert bfs_distances(g.out_neighbors, 2) == [1, 2, 0, 2]
 
 
 def test_unreachable_distance_is_none():
@@ -231,5 +200,9 @@ def test_verify_witness_accepts_and_refuses():
     assert verify_witness(g, Query(2, 3, "atmost"), walk)
     assert verify_witness(g, Query(2, 4, "atmost"), walk) == []
     assert verify_witness(g, Query(2, 0, "any"), walk) == []
+    # colors 0 1 2 0 1: the first four vertices repeat a color
+    assert verify_witness(g, Query(3, 4, "exact"), walk) == [
+        "colors repeat within 4 consecutive vertices (radius 3)"
+    ]
     # wrong endpoints
     assert verify_witness(g, q, (1, 2, 0, 3))

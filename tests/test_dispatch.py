@@ -17,16 +17,17 @@ from rainbowpaths import (
     verify_witness,
 )
 
-AUTO_NAMES = {"unreachable", "r0-bfs", "r1-bfs", "r2-edge-bfs", "walk-dp", "path-dp"}
+AUTO_NAMES = {"unreachable", "r0-bfs", "r1-bfs", "walk-dp", "path-dp"}
 
 
-def check_auto(g: ColoredDigraph, q: Query, names: Counter) -> None:
+def check_auto(g: ColoredDigraph, q: Query, names: Counter) -> str:
     witness, name = solve(g, q)
     names[name] += 1
     reference = oracle_path(g, q)
     assert (witness is None) == (reference is None), (g, q, name)
     if witness is not None:
         assert verify_witness(g, q, witness.vertices, require_path=True) == [], (g, q, name)
+    return name
 
 
 def test_auto_dispatch_matches_path_oracle():
@@ -51,7 +52,8 @@ def test_auto_dispatch_matches_path_oracle():
         if dist is None:
             continue
         symmetric += 1
-        check_auto(g, Query(2, dist, rng.choice(("atmost", "exact"))), names)
+        # at the distance, r = 2 goes to the walk DP like every larger radius
+        assert check_auto(g, Query(2, dist, rng.choice(("atmost", "exact"))), names) == "walk-dp"
     assert set(names) == AUTO_NAMES, names
 
 
@@ -61,8 +63,6 @@ def test_forced_solver_refusals_raise_value_error():
         solve(g, Query(2, 2, "atmost"), "r1")
     with pytest.raises(ValueError, match="at-most"):
         solve(g, Query(1, 2, "exact"), "r1")
-    with pytest.raises(ValueError, match="radius-2"):
-        solve(g, Query(1, 2, "atmost"), "r2-symmetric")
     with pytest.raises(ValueError, match="unknown solver"):
         solve(g, Query(1, 2, "atmost"), "bogus")
     # the capped any-length walk DP answers only "any" queries, through "walk"

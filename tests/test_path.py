@@ -1,4 +1,4 @@
-"""Path DP, its projection dedupe, and the symmetric r=2 shortcut."""
+"""Path DP and its projection dedupe."""
 from __future__ import annotations
 
 import random
@@ -9,15 +9,14 @@ from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
-    dist_from_source,
     dist_to_target,
     gen_random,
     oracle_path,
     solve_path,
-    solve_r2_symmetric,
     solve_walk,
     verify_witness,
 )
+from rainbowpaths.core import bfs_distances
 from rainbowpaths.path import _path_levels
 
 
@@ -113,7 +112,7 @@ def test_cells_hold_one_member_per_forward_projection():
         dist_t = dist_to_target(g)
         for p, level in enumerate(levels[1:], start=1):
             for u, cell in level.items():
-                row = dist_from_source(g, u)
+                row = bfs_distances(g.out_neighbors, u)
                 near = {
                     x
                     for x, (d, dt) in enumerate(zip(row, dist_t))
@@ -165,37 +164,3 @@ def test_grid_detours_keep_cells_polynomial():
                     assert verify_witness(g, q, mine.vertices, require_path=True) == []
                 assert stats["max_cell"] <= 4 ** (max(k, q.r) - 1), (cols, k, seed, stats)
 
-
-def test_r2_symmetric_on_grid_like_graph():
-    rng = random.Random(71)
-    import helpers
-
-    checked = 0
-    for trial in range(200):
-        g = helpers.symmetric_no_mono_graph(rng, rng.randint(2, 8), rng.randint(2, 4), 0.4)
-        if g is None:
-            continue
-        d = dist_to_target(g)
-        dist = d[g.s]
-        if dist is None:
-            continue
-        checked += 1
-        mine = solve_r2_symmetric(g, dist)
-        ref = solve_walk(g, Query(2, dist, "atmost"))
-        assert (mine is None) == (ref is None), trial
-        if mine is not None:
-            assert mine.length == dist
-            assert verify_witness(g, Query(2, dist, "atmost"), mine.vertices, require_path=True) == []
-    assert checked >= 50
-
-
-def test_r2_symmetric_refusals():
-    asym = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
-    with pytest.raises(ValueError):
-        solve_r2_symmetric(asym, 2)
-    mono = ColoredDigraph(2, (0, 0), ((0, 1), (1, 0)), 0, 1)
-    with pytest.raises(ValueError):
-        solve_r2_symmetric(mono, 1)
-    sym = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 0), (1, 2), (2, 1)), 0, 2)
-    with pytest.raises(ValueError):
-        solve_r2_symmetric(sym, 3)
