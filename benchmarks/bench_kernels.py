@@ -4,8 +4,8 @@ The representative-family pruner spends its time in two places, batched
 minor determinants of a Vandermonde matrix and a greedy row basis over a
 prime field. This script times both raw kernels and two end-to-end
 pruning workloads, best of N repeats: a family with no shared element,
-and radius-2 walk cells, whose windows all end in the cell's color, so
-the prune strips those shared slots first.
+and the cell a radius-3 walk prunes at the hub of a fan, whose windows
+all end in the hub's color, so the prune strips those shared slots first.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -23,8 +23,9 @@ import numpy as np
 # run from a bare checkout: the package source sits beside this directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rainbowpaths import representative_keep, slot_set
+from rainbowpaths import representative_keep
 from rainbowpaths._kernels import MODULUS, batch_minors, greedy_row_basis
+from rainbowpaths.walk import window_keep
 
 
 def make_minor_workload(rng: np.random.Generator, rank: int, n_sets: int, p: int):
@@ -53,11 +54,15 @@ def make_family(seed: int, universe: int, p: int, count: int) -> list[tuple[int,
     return sorted(rng.sample(pool, min(count, len(pool))))
 
 
-def walk_cells(num_colors: int) -> list[list[tuple[int, ...]]]:
-    """For each color c, the slot sets of every radius-2 window (a, c) over num_colors colors."""
-    return [
-        [slot_set((a, c), 2) for a in range(num_colors) if a != c] for c in range(num_colors)
-    ]
+def fan_cell(width: int) -> list[tuple[int, ...]]:
+    """The radius-3 windows (x, m, hub) at a fan's hub: x in {0, 1}, m one of ``width`` colors.
+
+    Windows with one tail (m, hub) differ only in x, so the walk's tail
+    dedupe keeps them all, and 2 * width above ordered_bound(3) = 542 makes
+    the walk prune the cell.
+    """
+    hub = width + 2
+    return [(x, m, hub) for x in (0, 1) for m in range(2, width + 2)]
 
 
 def timed(fn, repeats: int) -> float:
@@ -79,12 +84,12 @@ def main() -> None:
     minors = batch_minors(vander, set_cols, coords)
     universe = 14
     fam = make_family(11, universe, p=4, count=900)
-    cells = walk_cells(40)
+    cell = fan_cell(276)
     rows = [
         ("batch minors 4000x70", lambda: batch_minors(vander, set_cols, coords)),
         ("greedy row basis 4000x70", lambda: greedy_row_basis(minors)),
         ("prune 900 sets, q=4", lambda: representative_keep(fam, universe, 4)),
-        ("prune 40 walk cells, r=2", lambda: [representative_keep(cell, 80, 2) for cell in cells]),
+        ("prune 552-window cell, r=3", lambda: window_keep(cell, 3)),
     ]
     for label, fn in rows:
         print(f"{label:<28}{timed(fn, args.repeats) * 1000:>10.2f}ms")

@@ -1,11 +1,17 @@
 """Locally rainbow walk solvers.
 
 The main solver runs the layered dynamic program of ``core.layered_dp``
-with no visited set, so its cells hold trailing color windows; they are
-pruned with ordered representative families so cell sizes stay bounded
-by a function of the locality radius alone. The any-length variant caps
-the searched length (the cap is linear in the vertex count for fixed
-radius). Shortcuts for radius 0 and 1 reduce to plain reachability.
+with no visited set, so its cells hold trailing color windows. A window
+of r colors blocks the next color with its first color and with its
+(r - 1)-color tail, and the successors it steps to depend on the tail
+alone; so each cell first keeps, per tail, the two windows with the
+smallest first colors. At r = 2 every window of a cell ends in the
+cell's color, so that leaves at most two windows. Cells that still
+outgrow ``ordered_bound(r)`` are pruned with ordered representative
+families, so cell sizes stay bounded by a function of the locality
+radius alone. The any-length variant caps the searched length (the cap
+is linear in the vertex count for fixed radius). Shortcuts for radius 0
+and 1 reduce to plain reachability.
 """
 
 from __future__ import annotations
@@ -29,6 +35,30 @@ from .core import (
 from .repfam import ordered_bound, representative_keep
 
 ANY_LENGTH_BUDGET = 10**7
+
+
+def dedupe_window_cell(windows: dict[ColorSeq, Any], r: int) -> dict[ColorSeq, Any]:
+    """Keep, of the full windows sharing a tail ``window[1:]``, the two with the smallest first colors.
+
+    A window of r colors admits a next color c when c is in none of them,
+    and steps to ``tail + (c,)``: its first color matters for that one step
+    only. So windows with one tail step to the same successors, and two of
+    them with distinct first colors admit every c that any of the class
+    admits. Shorter windows pass untouched, each kept window keeps its
+    value, and which windows are kept depends only on the cell's windows,
+    not on their order.
+    """
+    classes: dict[ColorSeq, list[ColorSeq]] = {}
+    for window in windows:
+        classes.setdefault(window[1:], []).append(window)
+    if max(map(len, classes.values())) <= 2:
+        return windows
+    # in a class of full windows, which share the tail, sorting orders by first color
+    return {
+        w: windows[w]
+        for tail, c in classes.items()
+        for w in (sorted(c)[:2] if len(c) > 2 and len(tail) == r - 1 else c)
+    }
 
 
 def prune_window_cell(
@@ -71,11 +101,18 @@ def _walk_levels(
     mode: str,
     stats: dict | None,
 ) -> list[Level]:
-    """The walk DP: members keep an empty visited mask, and cells get the window prune."""
+    """The walk DP: members keep an empty visited mask, and each cell is deduped, then pruned.
+
+    The tail dedupe leaves at most two windows per (r - 1)-color tail, so
+    at r = 2, where every window ends in the cell's color, at most two in
+    all; a cell still above ``ordered_bound(r)`` gets the ordered prune.
+    Both keep the same windows whatever order the cell was filled in, so
+    mode "any"'s repeated-state test in ``layered_dp`` stays sound.
+    """
 
     def reduce(u: int, p: int, cell: Cell) -> Cell:
         windows = {window: parent for (_, window), parent in cell.items()}
-        kept = prune_window_cell(windows, r, stats)
+        kept = prune_window_cell(dedupe_window_cell(windows, r), r, stats)
         if kept is windows:
             return cell
         return {(0, window): parent for window, parent in kept.items()}

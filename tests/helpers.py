@@ -87,6 +87,9 @@ class PruneChecker:
     Each prune that runs is checked against the definition of an ordered
     representative, up to ``per_trial`` of them between calls to
     ``next_trial``, since the exhaustive check costs far more than the prune.
+    The check draws continuations from the kept windows' colors and r
+    colors outside the cell: a color no kept window holds blocks no kept
+    window, so renaming it to an outside color keeps any counterexample one.
     """
 
     def __init__(self, monkeypatch, module, per_trial: int):
@@ -100,7 +103,9 @@ class PruneChecker:
         if kept is not windows and self.left:
             self.left -= 1
             self.checked += 1
-            assert is_window_representative(list(kept), list(windows), r), (len(kept), len(windows))
+            outside = max(c for w in windows for c in w) + 1
+            palette = sorted({c for w in kept for c in w}) + list(range(outside, outside + r))
+            assert is_window_representative(list(kept), list(windows), r, palette), (len(kept), len(windows))
         return kept
 
     def next_trial(self) -> None:

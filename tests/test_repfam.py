@@ -30,6 +30,7 @@ def test_bounds():
     assert ordered_bound(1) == 2
     assert ordered_bound(0) == 1
     assert ordered_bound(2) == 29
+    assert ordered_bound(3) == 542
 
 
 def test_family_validation():

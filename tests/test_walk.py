@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import PruneChecker
+from helpers import PruneChecker, core_windows
 from rainbowpaths import (
     ColoredDigraph,
     Query,
@@ -13,6 +14,7 @@ from rainbowpaths import (
     any_length_cap,
     gen_random,
     is_window_representative,
+    oracle_path,
     oracle_walk,
     ordered_bound,
     solve_r1,
@@ -21,7 +23,7 @@ from rainbowpaths import (
     verify_witness,
 )
 from rainbowpaths import walk
-from rainbowpaths.walk import prune_window_cell
+from rainbowpaths.walk import dedupe_window_cell, prune_window_cell
 
 
 def chain(colors):
@@ -149,20 +151,64 @@ def test_stats_are_recorded():
     assert stats
 
 
-def test_walk_cells_prune_inside_solves(monkeypatch):
-    """Dense radius-2 instances make walk cells outgrow ordered_bound(2) mid-solve.
+def fan(rng: random.Random, width: int, t_color: int) -> ColoredDigraph:
+    """s -> 2 vertices -> ``width`` vertices -> 3 hubs -> t, every vertex but t its own color.
 
-    With one color per vertex, a cell from level 2 on holds one window per
-    predecessor color, so a vertex with 31 in-neighbours can collect more
-    than ordered_bound(2) = 29 windows and must be pruned; answers and
-    witnesses still match the product-graph oracle, and the first prunes
-    of each trial keep an ordered representative of their cell.
+    Each arc between the two middle layers and into the hubs is present
+    with probability 0.96. t takes color 1 or 2, the color of one of the
+    vertices after s, so that only half of a hub's windows fit before t,
+    or the fresh color width + 6.
     """
-    n = 34
+    n = width + 7
+    hubs = range(width + 3, width + 6)
+    arcs = [(0, 1), (0, 2)]
+    for m in range(3, width + 3):
+        arcs += [(x, m) for x in (1, 2) if rng.random() < 0.96]
+        arcs += [(m, h) for h in hubs if rng.random() < 0.96]
+    arcs += [(h, n - 1) for h in hubs]
+    colors = tuple(range(n - 1)) + (t_color,)
+    return ColoredDigraph(n, colors, tuple(arcs), 0, n - 1)
+
+
+def test_walk_cells_prune_inside_solves(monkeypatch):
+    """Radius-3 fans make walk cells outgrow ordered_bound(3) mid-solve.
+
+    A hub's windows (x, m, hub) have one (r - 1)-color tail per middle
+    vertex m and one of two first colors x, so the tail dedupe keeps them
+    all: about 2 * 0.96^2 * 300 > ordered_bound(3) = 542 of them, which
+    the ordered prune must cut. The graphs are acyclic, so answers and
+    witnesses are checked against the path oracle, and the first prunes of
+    each trial keep an ordered representative of their cell.
+    """
+    width = 300
     rep_calls = 0
     checker = PruneChecker(monkeypatch, walk, per_trial=3)
-    for trial in range(12):
+    for trial in range(4):
         checker.next_trial()
+        g = fan(random.Random(90_000 + trial), width, (1, 2, width + 6)[trial % 3])
+        for mode in ("atmost", "exact"):
+            q = Query(3, 4, mode)
+            stats: dict = {}
+            mine = solve_walk(g, q, stats=stats)
+            ref = oracle_path(g, q)
+            assert (mine is None) == (ref is None), (trial, q)
+            if mine is not None:
+                assert verify_witness(g, q, mine.vertices) == []
+            assert stats["max_cell"] <= ordered_bound(3), (trial, q)
+            rep_calls += stats.get("rep_calls", 0)
+    assert rep_calls >= 22, rep_calls
+    assert checker.checked >= 12, checker.checked
+
+
+def test_radius2_walk_cells_hold_two_windows():
+    """On dense radius-2 graphs every window of a cell shares its tail, so the dedupe keeps two.
+
+    With one color per vertex, a cell from level 2 on would hold one
+    window per predecessor color; answers and witnesses still match the
+    product-graph oracle.
+    """
+    n = 34
+    for trial in range(12):
         rng = random.Random(80_000 + trial)
         arcs = [
             (u, v)
@@ -178,7 +224,25 @@ def test_walk_cells_prune_inside_solves(monkeypatch):
             assert (mine is None) == (ref is None), (trial, q)
             if mine is not None:
                 assert verify_witness(g, q, mine.vertices) == []
-            assert stats["max_cell"] <= ordered_bound(2), (trial, q)
-            rep_calls += stats.get("rep_calls", 0)
-    assert rep_calls >= 50, rep_calls
-    assert checker.checked >= 24, checker.checked
+            assert stats["max_cell"] <= 2, (trial, q)
+            assert "rep_calls" not in stats
+
+
+def test_dedupe_keeps_two_windows_per_tail_and_a_representative():
+    rng = random.Random(61)
+    for trial in range(300):
+        r = rng.randint(1, 3)
+        length = rng.choice((r, max(1, r - 1)))
+        # at r = 1 a walk cell holds one window; windows of distinct colors still share the tail ()
+        windows = core_windows(rng, length, min(1, length - 1), rng.randint(length + 1, 6), rng.randint(2, 30))
+        cell = {w: i for i, w in enumerate(windows)}
+        kept = dedupe_window_cell(cell, r)
+        if length < r:
+            assert kept == cell
+        else:
+            assert max(Counter(w[1:] for w in kept).values()) <= 2, (trial, r)
+        assert all(cell[w] == value for w, value in kept.items())
+        assert is_window_representative(list(kept), windows, r), (trial, r, windows)
+        shuffled = list(cell.items())
+        rng.shuffle(shuffled)
+        assert set(dedupe_window_cell(dict(shuffled), r)) == set(kept), trial
