@@ -1,11 +1,11 @@
-"""Benchmark the modular-arithmetic kernels.
+"""Benchmark the representative-family prune.
 
-The representative-family pruner spends its time in two places, batched
-minor determinants of a Vandermonde matrix and a greedy row basis over a
-prime field. This script times both raw kernels and two end-to-end
-pruning workloads, best of N repeats: a family with no shared element,
-and the cell a radius-3 walk prunes at the hub of a fan, whose windows
-all end in the hub's color, so the prune strips those shared slots first.
+The pruner spends its time on the wedge minors of each set's Vandermonde
+columns and on a greedy row basis of them over a prime field. This script
+times two pruning workloads, best of N repeats: a family with no shared
+element, and the cell a radius-3 walk prunes at the hub of a fan, whose
+windows all end in the hub's color, so the prune strips those shared
+slots first.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -18,34 +18,11 @@ import time
 from itertools import combinations
 from pathlib import Path
 
-import numpy as np
-
 # run from a bare checkout: the package source sits beside this directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rainbowpaths import representative_keep
-from rainbowpaths._kernels import MODULUS, batch_minors, greedy_row_basis
 from rainbowpaths.walk import window_keep
-
-
-def make_minor_workload(rng: np.random.Generator, rank: int, n_sets: int, p: int):
-    """Vandermonde rows, random p-sets of columns, and every p-subset of rows as a coordinate.
-
-    Using all C(rank, p) coordinates, as repfam does, gives the minor
-    matrix full column rank.
-    """
-    universe = 40
-    vander = np.empty((rank, universe), dtype=np.int64)
-    xs = np.arange(1, universe + 1, dtype=np.int64)
-    row = np.ones(universe, dtype=np.int64)
-    for i in range(rank):
-        vander[i] = row
-        row = row * xs % MODULUS
-    set_cols = np.stack(
-        [rng.choice(universe, size=p, replace=False) for _ in range(n_sets)]
-    ).astype(np.int64)
-    coords = np.array(list(combinations(range(rank), p)), dtype=np.int64)
-    return vander, np.sort(set_cols, axis=1), coords
 
 
 def make_family(seed: int, universe: int, p: int, count: int) -> list[tuple[int, ...]]:
@@ -79,15 +56,10 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(7)
-    vander, set_cols, coords = make_minor_workload(rng, rank=8, n_sets=4000, p=4)
-    minors = batch_minors(vander, set_cols, coords)
     universe = 14
     fam = make_family(11, universe, p=4, count=900)
     cell = fan_cell(276)
     rows = [
-        ("batch minors 4000x70", lambda: batch_minors(vander, set_cols, coords)),
-        ("greedy row basis 4000x70", lambda: greedy_row_basis(minors)),
         ("prune 900 sets, q=4", lambda: representative_keep(fam, universe, 4)),
         ("prune 552-window cell, r=3", lambda: window_keep(cell, 3)),
     ]

@@ -7,7 +7,7 @@ walks and simple paths (the path DP stays polynomial for a small detour
 over the s-t distance), representative-family pruning that keeps the
 walk DP's window cells small, polynomial shortcuts for tiny radii,
 brute-force oracles, hardness-construction generators, and a file format
-with a CLI around it all.
+with a CLI around it all, on the standard library alone.
 """
 
 from .core import (
@@ -49,7 +49,7 @@ from .oracle import (
 )
 from .path import solve_path
 from .repfam import ordered_bound, representative_keep, unordered_bound
-from .walk import any_length_cap, solve_r1, solve_walk, solve_walk_any_length
+from .walk import any_length_cap, bfs_walk, solve_walk, solve_walk_any_length
 
 __version__ = "0.1.0"
 
@@ -62,6 +62,7 @@ __all__ = [
     "Query",
     "Witness",
     "any_length_cap",
+    "bfs_walk",
     "blocked_slots",
     "dist_from_source",
     "dist_to_target",
@@ -87,7 +88,6 @@ __all__ = [
     "slot_set",
     "solve",
     "solve_path",
-    "solve_r1",
     "solve_walk",
     "solve_walk_any_length",
     "unordered_bound",

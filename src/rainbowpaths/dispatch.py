@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import ColoredDigraph, Query, Witness, dist_from_source
 from .oracle import oracle_path, oracle_walk
 from .path import solve_path
-from .walk import bfs_walk, solve_r1, solve_walk, solve_walk_any_length
+from .walk import bfs_walk, solve_walk, solve_walk_any_length
 
 SOLVERS = (
     "auto",
@@ -76,7 +76,7 @@ def solve(
         if query.mode == "exact":
             raise ValueError("the r1 shortcut answers at-most queries only; use --solver path")
         ell = g.n - 1 if query.mode == "any" else query.ell
-        return solve_r1(g, ell), "r1-bfs"
+        return bfs_walk(g, 1, ell), "r1-bfs"
     if solver == "oracle":
         return oracle_walk(g, query), "oracle-walk"
     if solver == "oracle-path":

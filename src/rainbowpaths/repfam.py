@@ -2,26 +2,22 @@
 
 A q-representative of a family of p-element sets preserves, for every
 obstruction set Y with |Y| <= q, the existence of a member disjoint from Y.
-The walk DP's ordered variant (preserve a compatible window for every
-continuation) reduces to it through ``core.slot_set``. One routine,
-``representative_keep``, computes it algebraically. It first strips the
-elements every member shares, which leaves the answer unchanged but
-shrinks p, and with it the binom(p + q, p) wedge coordinates of the
-Vandermonde matrix over a prime field; a greedy row basis of those
-coordinates then picks the kept members. In a walk cell every window ends
-in the vertex's color, so at r = 2 the strip takes p from 3 to 1. The
-exhaustive references and the definitional checks live in ``oracle``.
+The walk DP's ordered variant reduces to it through ``core.slot_set``.
+``representative_keep`` computes it in plain Python on the family stripped
+of the elements every member shares: ``minors`` gives a set's binom(p + q, p)
+Vandermonde minors over a prime field, and ``greedy_basis`` keeps the sets
+whose minors raise the rank. The exhaustive references and the
+definitional checks live in ``oracle``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import _kernels
+MODULUS = 2**31 - 1  # prime
 
 
 def unordered_bound(p: int, q: int) -> int:
@@ -40,28 +36,24 @@ WEDGE_WIDTH_LIMIT = 200_000
 
 def algebraic_width(p: int, q: int, universe_size: int) -> int:
     """Number of wedge coordinates a prune of p-sets at budget q materializes."""
-    q_eff = min(q, max(0, universe_size - p))
-    return math.comb(p + q_eff, p)
+    return math.comb(p + min(q, max(0, universe_size - p)), p)
 
 
-def representative_keep(
-    sets: Sequence[Sequence[int]], universe: int, q: int
-) -> list[int] | None:
+def representative_keep(sets: Sequence[Sequence[int]], universe: int, q: int) -> list[int] | None:
     """Indices of a q-representative subfamily of ``sets``, or None if too wide to compute.
 
     The sets must be equally sized subsets of [0, universe). The prune runs
-    on a stripped family: the core C of elements every set contains is
-    dropped, and so is every element no set contains. This is exact: an
-    obstruction meeting C blocks every member, a member avoids one that
-    misses C exactly when its stripped part does, and elements outside the
-    union decide nothing. Rows are taken in order of
-    (sorted set, input index), which stripping leaves unchanged, and a row
-    is kept iff its wedge vector is independent of the rows kept before
-    it; a duplicate set gives an equal row, so only its first copy is
-    kept. The kept indices come back in that row order, at most
-    unordered_bound(p - |C|, q) of them. None means the stripped family
-    would materialize more than ``WEDGE_WIDTH_LIMIT`` wedge coordinates
-    and the prune was not run.
+    on the family stripped of the core C of elements every set contains
+    and of the elements no set contains. This is exact: an obstruction
+    meeting C blocks every member, a member avoids one that misses C
+    exactly when its stripped part does, and elements outside the union
+    decide nothing. Rows are taken in order of (sorted set, input index),
+    which stripping leaves unchanged, and a row is kept iff its wedge
+    vector is independent of the rows kept before it, so of equal sets
+    only the first is kept. The kept indices come back in that row order,
+    at most unordered_bound(p - |C|, q) of them. None means the stripped
+    family would materialize more than ``WEDGE_WIDTH_LIMIT`` wedge
+    coordinates and the prune was not run.
 
     Raises:
         ValueError: if q < 0, or the sets differ in size, repeat an
@@ -71,34 +63,63 @@ def representative_keep(
         raise ValueError("obstruction budget q must be non-negative")
     if not sets:
         return []
-    try:
-        rows = np.array(sets, dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError("sets must all have the same size") from exc
-    if rows.ndim != 2:
+    rows = [sorted(s) for s in sets]
+    if len(set(map(len, rows))) > 1:
         raise ValueError("sets must all have the same size")
-    rows.sort(axis=1)
-    if rows.size and (rows[:, 0].min() < 0 or rows[:, -1].max() >= universe):
+    if rows[0] and (min(row[0] for row in rows) < 0 or max(row[-1] for row in rows) >= universe):
         raise ValueError(f"set elements must lie in [0, {universe})")
-    if np.any(rows[:, 1:] == rows[:, :-1]):
+    if any(a == b for row in rows for a, b in zip(row, row[1:])):
         raise ValueError("a set repeats an element")
     # strip the core every row shares, then relabel the rest of the union densely
-    counts = np.bincount(rows.ravel(), minlength=universe)
-    rest = (counts > 0) & (counts < len(rows))
-    rows = (np.cumsum(rest) - 1)[rows[rest[rows]].reshape(len(rows), -1)]
-    universe = int(np.count_nonzero(rest))
-    p = rows.shape[1]
-    if algebraic_width(p, q, universe) > WEDGE_WIDTH_LIMIT:
+    core = set(rows[0]).intersection(*rows[1:])
+    label = {x: i for i, x in enumerate(sorted({x for row in rows for x in row} - core))}
+    rows = [[label[x] for x in row if x in label] for row in rows]
+    universe, p = len(label), len(rows[0])
+    width = algebraic_width(p, q, universe)
+    if width > WEDGE_WIDTH_LIMIT:
         return None
-    rank = p + min(q, max(0, universe - p))
-    xs = np.arange(1, universe + 1, dtype=np.int64)
-    vander = np.empty((rank, xs.size), dtype=np.int64)
-    power = np.ones_like(xs)
-    for i in range(rank):
-        vander[i] = power
-        power = power * xs % _kernels.MODULUS
-    # lexsort is stable and reads its last key first, so equal sets keep input order
-    order = np.lexsort(rows.T[::-1]) if p else np.arange(len(rows))
-    coords = np.array(list(combinations(range(rank), p)), dtype=np.int64)
-    keep = _kernels.greedy_row_basis(_kernels.batch_minors(vander, rows[order], coords))
-    return order[keep.astype(bool)].tolist()
+    rank = p + min(q, universe - p)
+    vander = [[pow(x, i, MODULUS) for i in range(rank)] for x in range(1, universe + 1)]
+    order = sorted(range(len(rows)), key=rows.__getitem__)  # stable: equal sets keep input order
+    kept = greedy_basis((minors(vander, rows[i], rank) for i in order), width)
+    return [order[k] for k in kept]
+
+
+def greedy_basis(rows: Iterable[Sequence[int]], width: int) -> list[int]:
+    """Positions of the rows independent mod MODULUS of those kept before; stops once they span."""
+    basis: list[tuple[int, int, list[int]]] = []  # (position, lead, row from lead on, scaled to 1)
+    for i, row in enumerate(rows):
+        row = [x % MODULUS for x in row]
+        for _, lead, red in basis:
+            if f := row[lead]:
+                row[lead:] = [(a - f * b) % MODULUS for a, b in zip(row[lead:], red)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = pow(row[lead], MODULUS - 2, MODULUS)
+            basis.append((i, lead, [x * inv % MODULUS for x in row[lead:]]))
+            if len(basis) == width:
+                break
+    return [i for i, _, _ in basis]
+
+
+def minors(columns: Sequence[Sequence[int]], cols: Sequence[int], rank: int) -> list[int]:
+    """Minors mod MODULUS of the columns ``cols`` on each len(cols)-subset of rows, in order."""
+    out = [1]
+    for col, expansions in zip(cols, _laplace_plan(rank, len(cols))):
+        column = columns[col]
+        out = [sum(s * column[t] * out[sub] for s, t, sub in terms) % MODULUS for terms in expansions]
+    return out
+
+
+@lru_cache(maxsize=16)  # the few (rank, p) shapes a solve's prunes share
+def _laplace_plan(rank: int, p: int) -> list[list[list[tuple[int, int, int]]]]:
+    """Per k = 1..p and k-subset T of the rows: (sign, T[j], index of T minus T[j]) for each j."""
+    plan, index = [], {(): 0}
+    for k in range(1, p + 1):
+        subsets = list(combinations(range(rank), k))
+        plan.append([
+            [((-1) ** (k - 1 - j), t, index[T[:j] + T[j + 1 :]]) for j, t in enumerate(T)]
+            for T in subsets
+        ])
+        index = {T: i for i, T in enumerate(subsets)}
+    return plan

@@ -163,7 +163,8 @@ def solve_walk_any_length(
         ValueError: if the estimated DP work exceeds ``ANY_LENGTH_BUDGET``.
     """
     cap = any_length_cap(g.n, r)
-    per_cell = min(ordered_bound(r), max(1, g.num_colors) ** r)
+    # the tail dedupe keeps two windows per (r - 1)-color tail, which ends in the cell's color
+    per_cell = 1 if r <= 1 else min(ordered_bound(r), 2 * max(1, g.num_colors - 1) ** (r - 2))
     if cap * g.n * per_cell > ANY_LENGTH_BUDGET:
         raise ValueError(
             f"estimated any-length walk DP work {cap * g.n * per_cell} exceeds "
@@ -171,11 +172,6 @@ def solve_walk_any_length(
         )
     reaches_t = [None if d is None else 0 for d in dist_to_target(g)]
     return witness_at(_walk_levels(g, r, reaches_t, cap, "any", stats), g.t)
-
-
-def solve_r1(g: ColoredDigraph, ell: int) -> Witness | None:
-    """Radius-1 shortcut: :func:`bfs_walk` at r = 1."""
-    return bfs_walk(g, 1, ell)
 
 
 def bfs_walk(g: ColoredDigraph, r: int, ell: int) -> Witness | None:

@@ -20,6 +20,7 @@ from rainbowpaths import (
     ColoredDigraph,
     PHSInput,
     Query,
+    bfs_walk,
     dist_to_target,
     distance_separators,
     gen_3sat_instance,
@@ -39,7 +40,6 @@ from rainbowpaths import (
     slot_set,
     solve,
     solve_path,
-    solve_r1,
     solve_walk,
     solve_walk_any_length,
     unordered_bound,
@@ -380,7 +380,7 @@ def test_criterion_08_special_case_solvers_match_walk_dp():
     for trial in range(500):
         g, _ = gen_random(rng.randint(2, 9), 0.4, rng.randint(1, 4), 0, 0, seed=60_000 + trial)
         ell = rng.randint(0, 9)
-        mine = solve_r1(g, ell)
+        mine = bfs_walk(g, 1, ell)
         ref = solve_walk(g, Query(1, ell, "atmost"))
         if (mine is None) != (ref is None):
             failures.append((trial, "r1"))

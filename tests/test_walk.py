@@ -12,12 +12,12 @@ from rainbowpaths import (
     Query,
     Witness,
     any_length_cap,
+    bfs_walk,
     gen_random,
     is_window_representative,
     oracle_path,
     oracle_walk,
     ordered_bound,
-    solve_r1,
     solve_walk,
     solve_walk_any_length,
     verify_witness,
@@ -125,6 +125,16 @@ def test_any_length_no_instance_terminates_quickly():
     assert oracle_walk(g, Query(1, 0, "any")) is None
 
 
+def test_any_length_estimate_counts_deduped_cells():
+    # at r = 2 a deduped cell holds at most two windows, so this chain is within budget
+    n = 400
+    arcs = tuple((i, i + 1) for i in range(n - 1))
+    g = ColoredDigraph(n, tuple(i % 40 for i in range(n)), arcs, 0, n - 1)
+    w = solve_walk_any_length(g, 2)
+    assert w == Witness(tuple(range(n)))
+    assert verify_witness(g, Query(2, 0, "any"), w.vertices) == []
+
+
 def test_any_length_budget_refusal():
     n = 400
     arcs = tuple((i, i + 1) for i in range(n - 1))
@@ -138,7 +148,7 @@ def test_solve_r1_matches_walk():
     for trial in range(100):
         g, _ = gen_random(rng.randint(2, 8), 0.4, rng.randint(1, 4), 0, 0, seed=9000 + trial)
         ell = rng.randint(0, 8)
-        mine = solve_r1(g, ell)
+        mine = bfs_walk(g, 1, ell)
         ref = solve_walk(g, Query(1, ell, "atmost"))
         assert (mine is None) == (ref is None)
         if mine is not None:
