@@ -10,6 +10,7 @@ so the two commands compose through a pipe.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -54,7 +55,9 @@ def _load_instance(path: str) -> tuple[ColoredDigraph, Query]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     g, query = _load_instance(args.instance)
+    parse_ms = (time.perf_counter() - started) * 1000.0
     stats: dict = {}
     started = time.perf_counter()
     witness, name = solve(g, query, args.solver, stats=stats)
@@ -68,6 +71,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "witness": list(witness.vertices) if witness else None,
             "length": witness.length if witness else None,
             "solver": name,
+            "parse_ms": parse_ms,
             "elapsed_ms": elapsed_ms,
             "stats": stats,
         }
@@ -144,7 +148,13 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     return EXIT_NO
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Building it takes longer than most solves, and ``main`` may run many
+    times in one process. Importing this module builds nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="rainbowpaths",
         description="Solvers for locally rainbow walks and paths in vertex-colored digraphs.",

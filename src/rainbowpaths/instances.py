@@ -288,12 +288,25 @@ def gen_random(
     return g, Query(r=r, ell=ell, mode=mode)
 
 
+def _int(token: str) -> int:
+    """One integer token of the file format: an optional '-' then ASCII digits.
+
+    ``int`` alone would also take '+1', '1_0' and non-ASCII digits, which
+    ``write_instance`` never emits. Raises ValueError on any other token;
+    the caller names the line.
+    """
+    if token.isascii() and "+" not in token and "_" not in token:
+        return int(token)
+    raise ValueError(token)
+
+
 def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
     """Parse the line-oriented instance format.
 
     Layout: a header line "rainbow 1"; "n m"; n vertex colors; m arc
     lines "u v"; a final line "s t r ell mode". Text after '#' and blank
-    lines are ignored. Errors carry the 1-based line number.
+    lines are ignored. Every integer is an optional '-' then ASCII digits.
+    Errors carry the 1-based line number.
     """
     entries: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -311,10 +324,10 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
     if len(entries) < 2:
         raise ValueError("missing size line")
     lineno, size_line = entries[1]
-    parts = size_line.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-        raise fail(lineno, f"expected 'n m', got {size_line!r}")
-    n, m = int(parts[0]), int(parts[1])
+    try:
+        n, m = map(_int, size_line.split())
+    except ValueError:
+        raise fail(lineno, f"expected 'n m', got {size_line!r}") from None
     if n < 0 or m < 0:
         raise fail(lineno, f"n and m must be non-negative, got {size_line!r}")
     expected = 3 + m + 1
@@ -327,7 +340,7 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
     if len(color_parts) != n:
         raise fail(lineno, f"expected {n} colors, got {len(color_parts)}")
     try:
-        palette = tuple(int(p) for p in color_parts)
+        palette = tuple(map(_int, color_parts))
     except ValueError:
         raise fail(lineno, "colors must be integers") from None
     if any(c < 0 for c in palette):
@@ -338,10 +351,11 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
     arcs: list[tuple[int, int]] = []
     seen_arcs: set[tuple[int, int]] = set()
     for lineno, arc_line in entries[3 : 3 + m]:
-        parts = arc_line.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-            raise fail(lineno, f"expected arc 'u v', got {arc_line!r}")
-        u, v = arc = (int(parts[0]), int(parts[1]))
+        try:
+            a, b = arc_line.split()
+            u, v = arc = (_int(a), _int(b))
+        except ValueError:
+            raise fail(lineno, f"expected arc 'u v', got {arc_line!r}") from None
         if u == v:
             raise fail(lineno, f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -358,7 +372,7 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
     if parts[4] not in MODES:
         raise fail(lineno, f"mode must be one of {MODES}, got {parts[4]!r}")
     try:
-        s, t, r, ell = (int(p) for p in parts[:4])
+        s, t, r, ell = map(_int, parts[:4])
     except ValueError:
         raise fail(lineno, "s, t, r, ell must be integers") from None
     try:

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import helpers
 import rainbowpaths
@@ -79,6 +83,7 @@ def test_json_report_schema(tmp_path):
     assert rep["solver"] == "r1-bfs"
     assert rep["query"] == {"r": 1, "ell": 2, "mode": "atmost"}
     assert "elapsed_ms" in rep and "stats" in rep and "instance" in rep
+    assert isinstance(rep["parse_ms"], float) and rep["parse_ms"] >= 0.0
 
 
 def test_auto_dispatch_names(tmp_path):
@@ -195,3 +200,43 @@ def test_generate_phs_three_family_hit(tmp_path):
     code2, out2, _ = helpers.run_cli(["verify", str(out_file), "--path"], stdin_text=out)
     assert code2 == EXIT_YES
     assert out2.startswith("VALID path witness")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the interpreter with ``args`` in a new process that imports the package from this tree."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def without_times(out: str) -> str:
+    if not out.startswith("{"):
+        return out
+    rep = json.loads(out)
+    del rep["parse_ms"], rep["elapsed_ms"]
+    return json.dumps(rep, sort_keys=True)
+
+
+def test_main_is_reusable_in_one_process(tmp_path, monkeypatch):
+    """Repeated in-process calls print what a first call in a fresh interpreter prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    yes = write_tmp(tmp_path, ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2), Query(1, 2, "atmost"), "yes.rainbow")
+    no = write_tmp(tmp_path, ColoredDigraph(3, (0, 0, 1), ((0, 1), (1, 2)), 0, 2), Query(1, 2, "atmost"), "no.rainbow")
+    calls = [
+        (["solve", yes, "--solver", "nope"], EXIT_ERROR),
+        (["solve", "--help"], EXIT_YES),
+        (["solve", yes, "--json"], EXIT_YES),
+        (["solve", no, "--json"], EXIT_NO),
+        (["solve", yes, "--json"], EXIT_YES),
+    ]
+    for argv, want in calls:
+        code, out, err = helpers.run_cli(argv)
+        first = run_fresh(["-m", "rainbowpaths.cli", *argv])
+        assert code == first.returncode == want, argv
+        assert without_times(out) == without_times(first.stdout), argv
+        assert err == first.stderr, argv
+    assert build_parser() is build_parser()
+    probe = run_fresh(["-c", "import rainbowpaths.cli as cli; print(cli.build_parser.cache_info().currsize)"])
+    assert probe.stdout.strip() == "0", probe.stderr

@@ -1,7 +1,9 @@
 """Instance generators, reductions, and the file format."""
 from __future__ import annotations
 
+import logging
 import random
+import re
 
 import pytest
 
@@ -237,6 +239,25 @@ def test_write_parse_round_trip():
         g2, q2 = parse_instance(text)
         assert g2 == g and q2 == q
         assert write_instance(g2, q2) == text
+        lines = text.splitlines()
+        variants = {
+            "comments": "# leading\n" + "\n".join(f"{line}  # note {i}" for i, line in enumerate(lines)) + "\n",
+            "blank lines": "\n\n" + "\n\n".join(lines) + "\n\n",
+            "trailing whitespace": "".join(f"{line} \t \n" for line in lines),
+            "tabs": "\n".join([lines[0]] + ["\t" + line.replace(" ", "\t") for line in lines[1:]]) + "\n",
+            "crlf": "".join(f"{line}\r\n" for line in lines),
+            "no final newline": "\n".join(lines),
+        }
+        for name, variant in variants.items():
+            assert parse_instance(variant) == (g, q), (trial, name)
+
+
+def test_parse_collapses_duplicate_arcs_with_a_warning(caplog):
+    text = "rainbow 1\n3 3\n0 1 0\n0 1\n1 2\n0 1\n0 2 2 2 atmost\n"
+    with caplog.at_level(logging.WARNING, logger="rainbowpaths.instances"):
+        g, q = parse_instance(text)
+    assert g.arcs == ((0, 1), (1, 2))
+    assert [rec.getMessage() for rec in caplog.records] == ["line 6: duplicate arc (0, 1) collapsed"]
 
 
 def test_parse_rejects_bad_header():
@@ -248,9 +269,35 @@ def test_parse_errors_carry_line_numbers():
     g, q = gen_random(4, 0.5, 2, 1, 3, seed=1)
     lines = write_instance(g, q).splitlines()
     lines[2] = "not numbers"
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ValueError, match=r"^line 3: expected 4 colors, got 2$"):
         parse_instance("\n".join(lines) + "\n")
-    assert "line" in str(exc.value)
+    lines[2] = "0 1 x 0"
+    with pytest.raises(ValueError, match=r"^line 3: colors must be integers$"):
+        parse_instance("\n".join(lines) + "\n")
+
+
+# tokens that pass a lstrip("-").isdigit() check but not int(), and tokens
+# that int() takes but the format never holds
+MALFORMED_TOKENS = ("--1", "-", "\u00b2", "+1", "1_0", "\u0661", "\uff11", "1-")
+
+
+def test_parse_reports_malformed_integers_at_their_line():
+    for token in MALFORMED_TOKENS:
+        arc = f"rainbow 1\n3 2\n0 1 2\n0 1\n0 {token}\n0 2 2 2 atmost\n"
+        with pytest.raises(ValueError, match=rf"^line 5: expected arc 'u v', got '0 {re.escape(token)}'$"):
+            parse_instance(arc)
+        size = f"rainbow 1\n{token} 1\n0 1\n0 1\n0 1 1 1 atmost\n"
+        with pytest.raises(ValueError, match=rf"^line 2: expected 'n m', got '{re.escape(token)} 1'$"):
+            parse_instance(size)
+        color = f"rainbow 1\n2 1\n0 {token}\n0 1\n0 1 1 1 atmost\n"
+        with pytest.raises(ValueError, match=r"^line 3: colors must be integers$"):
+            parse_instance(color)
+        query = f"rainbow 1\n2 1\n0 1\n0 1\n0 1 {token} 1 atmost\n"
+        with pytest.raises(ValueError, match=r"^line 5: s, t, r, ell must be integers$"):
+            parse_instance(query)
+    # '-0' and leading zeros are an optional '-' then ASCII digits
+    g, q = parse_instance("rainbow 1\n2 1\n0 1\n-0 01\n0 1 1 001 atmost\n")
+    assert g.arcs == ((0, 1),) and q == Query(1, 1, "atmost")
 
 
 def test_parse_rejects_negative_sizes_at_their_line():
