@@ -49,7 +49,7 @@ from .oracle import (
 )
 from .path import solve_path
 from .repfam import ordered_bound, representative_keep, unordered_bound
-from .walk import any_length_cap, bfs_walk, solve_walk, solve_walk_any_length
+from .walk import bfs_walk, solve_walk
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "PHSInput",
     "Query",
     "Witness",
-    "any_length_cap",
     "bfs_walk",
     "blocked_slots",
     "dist_from_source",
@@ -89,7 +88,6 @@ __all__ = [
     "solve",
     "solve_path",
     "solve_walk",
-    "solve_walk_any_length",
     "unordered_bound",
     "verify_witness",
     "write_instance",

@@ -231,11 +231,9 @@ def layered_dp(
     window, and ``dist_t[u] <= ell - p``. Every cell with more than one
     member is replaced by ``reduce(u, p, cell)``.
 
-    The DP stops after level ``ell``, after an empty level, or, in modes
-    "atmost" and "any", after the first level holding ``target``. Mode
-    "any" also stops when a level's members repeat an earlier level's,
-    which proves the DP cycles only if the transition does not depend on
-    p: every entry of ``dist_t`` must then be 0 or None.
+    The DP stops after level ``ell``, after an empty level, or, in mode
+    "atmost", after the first level holding ``target``; ``mode`` is
+    "atmost" or "exact".
 
     ``stats`` receives ``levels``, ``max_cell``, and the member count
     summed over levels under ``total_key``.
@@ -246,7 +244,6 @@ def layered_dp(
     # slicing the extended window from ``cut`` keeps its last r colors;
     # at r = 0 windows stay empty, and an empty window admits every color
     cut = -r if r >= 1 else 1
-    seen: set[frozenset] = set()
     for p in range(1, ell + 1):
         prev = levels[-1]
         nxt: Level = {}
@@ -274,11 +271,6 @@ def layered_dp(
                 stats["max_cell"] = max(stats.get("max_cell", 0), max(len(c) for c in nxt.values()))
         if not nxt or (mode != "exact" and target in nxt):
             break
-        if mode == "any":
-            state = frozenset((u, member) for u, cell in nxt.items() for member in cell)
-            if state in seen:
-                break
-            seen.add(state)
     return levels
 
 

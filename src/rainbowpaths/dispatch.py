@@ -4,7 +4,8 @@
 a BFS shortcut for r <= 1, the walk DP when the budget equals the s-t
 distance (where walks and paths coincide), and the path DP for every
 larger budget, whose dedupe keeps cells polynomial at small slack. Any
-solver in ``SOLVERS`` can also be forced by name.
+solver in ``SOLVERS`` can also be forced by name; forced ``"walk"``
+answers a query in mode "any" with the product BFS ``bfs_walk``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from .core import ColoredDigraph, Query, Witness, dist_from_source
 from .oracle import oracle_path, oracle_walk
 from .path import solve_path
-from .walk import bfs_walk, solve_walk, solve_walk_any_length
+from .walk import bfs_walk, solve_walk
 
 SOLVERS = (
     "auto",
@@ -32,8 +33,8 @@ def _solve_auto(
         return None, "unreachable"
     r, ell, mode = query.r, query.ell, query.mode
     if r <= 1 and mode != "exact":
-        ell = g.n - 1 if mode == "any" else ell
-        return bfs_walk(g, r, ell), "r0-bfs" if r == 0 else "r1-bfs"
+        bound = None if mode == "any" else ell
+        return bfs_walk(g, r, bound, stats=stats), "r0-bfs" if r == 0 else "r1-bfs"
     if ell == dist and mode != "any":
         return solve_walk(g, Query(r=r, ell=dist, mode="atmost"), stats=stats), "walk-dp"
     return solve_path(g, query, stats=stats), "path-dp"
@@ -65,7 +66,7 @@ def solve(
     if solver == "auto":
         return _solve_auto(g, query, stats)
     if solver == "walk" and query.mode == "any":
-        return solve_walk_any_length(g, query.r, stats=stats), "walk-any-cap"
+        return bfs_walk(g, query.r, stats=stats), "walk-bfs"
     if solver == "walk":
         return solve_walk(g, query, stats=stats), "walk-dp"
     if solver == "path":
@@ -75,8 +76,8 @@ def solve(
             raise ValueError("--solver r1 requires a radius-1 query")
         if query.mode == "exact":
             raise ValueError("the r1 shortcut answers at-most queries only; use --solver path")
-        ell = g.n - 1 if query.mode == "any" else query.ell
-        return bfs_walk(g, 1, ell), "r1-bfs"
+        bound = None if query.mode == "any" else query.ell
+        return bfs_walk(g, 1, bound, stats=stats), "r1-bfs"
     if solver == "oracle":
         return oracle_walk(g, query), "oracle-walk"
     if solver == "oracle-path":

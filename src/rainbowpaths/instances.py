@@ -289,7 +289,7 @@ def gen_random(
 
 
 def _int(token: str) -> int:
-    """One integer token of the file format: an optional '-' then ASCII digits.
+    """One integer token of an input file: an optional '-' then ASCII digits.
 
     ``int`` alone would also take '+1', '1_0' and non-ASCII digits, which
     ``write_instance`` never emits. Raises ValueError on any other token;
@@ -396,15 +396,22 @@ def write_instance(g: ColoredDigraph, query: Query) -> str:
 
 
 def read_dimacs(text: str) -> CnfInput:
-    """Read a DIMACS CNF (subset: 'c' comments, 'p cnf' header, 0-terminated clauses)."""
+    """Read a DIMACS CNF (subset: 'c' comments, 'p cnf' header, 0-terminated clauses).
+
+    Literals are integers as ``parse_instance`` reads them; a malformed one
+    is reported with its 1-based line number.
+    """
     literals: list[int] = []
     clauses: list[tuple[int, int, int]] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("p"):
             continue
-        for token in line.split():
-            value = int(token)
+        try:
+            values = [_int(token) for token in line.split()]
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected integer literals, got {line!r}") from None
+        for value in values:
             if value == 0:
                 if literals:
                     clauses.append(tuple(literals))  # type: ignore[arg-type]
@@ -428,7 +435,7 @@ def read_phs_sets(text: str) -> PHSInput:
         if not line:
             continue
         try:
-            rows.append([int(tok) for tok in line.split()])
+            rows.append([_int(tok) for tok in line.split()])
         except ValueError:
             raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
     if not rows or len(rows[0]) != 1:

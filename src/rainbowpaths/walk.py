@@ -9,14 +9,13 @@ smallest first colors. At r = 2 every window of a cell ends in the
 cell's color, so that leaves at most two windows. Cells that still
 outgrow ``ordered_bound(r)`` are pruned with ordered representative
 families, so cell sizes stay bounded by a function of the locality
-radius alone. The any-length variant caps the searched length (the cap
-is linear in the vertex count for fixed radius). Shortcuts for radius 0
-and 1 reduce to plain reachability.
+radius alone. ``bfs_walk`` answers walks of any length, and at-most
+queries at radius 0 and 1, by a breadth-first search over (vertex,
+window) states that keeps at most two full windows per vertex and tail.
 """
 
 from __future__ import annotations
 
-from math import ceil, e
 from typing import Any
 
 from .core import (
@@ -26,15 +25,12 @@ from .core import (
     Level,
     Query,
     Witness,
-    bfs_distances,
     dist_to_target,
     layered_dp,
     slot_set,
     witness_at,
 )
 from .repfam import ordered_bound, representative_keep
-
-ANY_LENGTH_BUDGET = 10**7
 
 
 def dedupe_window_cell(windows: dict[ColorSeq, Any], r: int) -> dict[ColorSeq, Any]:
@@ -106,8 +102,6 @@ def _walk_levels(
     The tail dedupe leaves at most two windows per (r - 1)-color tail, so
     at r = 2, where every window ends in the cell's color, at most two in
     all; a cell still above ``ordered_bound(r)`` gets the ordered prune.
-    Both keep the same windows whatever order the cell was filled in, so
-    mode "any"'s repeated-state test in ``layered_dp`` stays sound.
     """
 
     def reduce(u: int, p: int, cell: Cell) -> Cell:
@@ -137,63 +131,62 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
         locally rainbow walk.
     """
     if query.mode not in ("atmost", "exact"):
-        raise ValueError("solve_walk handles modes 'atmost' and 'exact'; see solve_walk_any_length")
+        raise ValueError("solve_walk handles modes 'atmost' and 'exact'; bfs_walk answers mode 'any'")
     levels = _walk_levels(g, query.r, dist_to_target(g), query.ell, query.mode, stats)
     return witness_at(levels, g.t)
 
 
-def any_length_cap(n: int, r: int) -> int:
-    """Length bound beyond which an any-length search cannot gain anything."""
-    if r <= 1:
-        return n
-    return n * ceil(((r - 1) * e) ** (r - 1))
-
-
-def solve_walk_any_length(
-    g: ColoredDigraph, r: int, *, stats: dict | None = None
+def bfs_walk(
+    g: ColoredDigraph, r: int, ell: int | None = None, *, stats: dict | None = None
 ) -> Witness | None:
-    """Decide existence of a locally rainbow s-t walk of unrestricted length.
+    """A shortest locally rainbow s-t walk of at most ell arcs (any length if ell is None), or None.
 
-    Runs the walk DP up to a radius-dependent cap, stopping early if the
-    pruned level state repeats. Its distance gate admits every vertex that
-    can reach t at every level, so the transition does not depend on the
-    level, and a repeat proves divergence.
+    A breadth-first search over (vertex, last r colors) states. A full
+    window is skipped once its vertex holds two with its (r - 1)-color
+    tail: by ``dedupe_window_cell``'s argument one of the two admits every
+    next color it admits, and all three step to the same successors, so the
+    search stays exact and, as the two were found no later, shortest. At
+    r <= 1 a state is its vertex, so the witness is a path.
 
-    Raises:
-        ValueError: if the estimated DP work exceeds ``ANY_LENGTH_BUDGET``.
+    ``stats`` receives ``levels``, the depth searched, and
+    ``total_windows``, the states kept past the start.
     """
-    cap = any_length_cap(g.n, r)
-    # the tail dedupe keeps two windows per (r - 1)-color tail, which ends in the cell's color
-    per_cell = 1 if r <= 1 else min(ordered_bound(r), 2 * max(1, g.num_colors - 1) ** (r - 2))
-    if cap * g.n * per_cell > ANY_LENGTH_BUDGET:
-        raise ValueError(
-            f"estimated any-length walk DP work {cap * g.n * per_cell} exceeds "
-            f"{ANY_LENGTH_BUDGET}; use --solver oracle"
-        )
-    reaches_t = [None if d is None else 0 for d in dist_to_target(g)]
-    return witness_at(_walk_levels(g, r, reaches_t, cap, "any", stats), g.t)
-
-
-def bfs_walk(g: ColoredDigraph, r: int, ell: int) -> Witness | None:
-    """Shortcut for r <= 1: a shortest s-t walk of length at most ell by plain BFS, or None.
-
-    At r = 0 every arc may be walked, and at r = 1 every arc between two
-    different colors; no other constraint applies at these radii. A
-    shortest such walk is simple, so this also answers the path question.
-    """
-    colors = g.colors
-
-    def allowed(u: int, v: int) -> bool:
-        return r == 0 or colors[u] != colors[v]
-
-    adj = [[v for v in g.out_neighbors[u] if allowed(u, v)] for u in range(g.n)]
-    dist = bfs_distances(adj, g.s)
-    d = dist[g.t]
-    if d is None or d > ell:
-        return None
-    vertices = [g.t]
-    while d > 0:
-        d -= 1
-        v = vertices[-1]
-        vertices.append(next(u for u in g.in_neighbors[v] if dist[u] == d and allowed(u, v)))
-    return Witness(tuple(reversed(vertices)))
+    colors, out_adj = g.colors, g.out_neighbors
+    cut = -r if r >= 1 else 1  # as in ``layered_dp``: slicing from ``cut`` keeps the last r colors
+    start = (g.s, (colors[g.s],)[:r])
+    parent: dict[tuple[int, ColorSeq], tuple[int, ColorSeq] | None] = {start: None}
+    full_per_tail: dict[tuple[int, ColorSeq], int] = {}
+    frontier = [start]
+    depth = 0
+    found = None
+    while frontier and found is None and depth != ell:
+        depth += 1
+        nxt = []
+        for state in frontier:
+            window = state[1]
+            for u in out_adj[state[0]]:
+                c = colors[u]
+                if c in window:
+                    continue
+                child = (u, (window + (c,))[cut:])
+                if child in parent:
+                    continue
+                if len(child[1]) == r:
+                    key = (u, child[1][1:])
+                    kept = full_per_tail.get(key, 0)
+                    if kept == 2:
+                        continue
+                    full_per_tail[key] = kept + 1
+                parent[child] = state
+                nxt.append(child)
+                if u == g.t and found is None:
+                    found = child
+        frontier = nxt
+    if stats is not None:
+        stats["levels"] = depth
+        stats["total_windows"] = len(parent) - 1
+    vertices = []
+    while found is not None:
+        vertices.append(found[0])
+        found = parent[found]
+    return Witness(tuple(reversed(vertices))) if vertices else None

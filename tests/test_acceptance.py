@@ -41,7 +41,6 @@ from rainbowpaths import (
     solve,
     solve_path,
     solve_walk,
-    solve_walk_any_length,
     unordered_bound,
     verify_witness,
     write_instance,
@@ -407,23 +406,29 @@ def test_criterion_08_special_case_solvers_match_walk_dp():
 
 
 def test_criterion_09_any_length_backends_agree():
-    """Iterated-cap DP and product reachability give one answer."""
+    """The product BFS and product reachability give one answer and one witness length.
+
+    Every radius 0-5, in mode "any" and in mode "atmost"; at r <= 1 the
+    BFS witness must also be a path.
+    """
     failures = []
     for trial in range(1000):
         rng = random.Random(70_000 + trial)
         n = rng.randint(2, 8)
         g, _ = gen_random(n, rng.choice((0.3, 0.5)), rng.randint(1, 4), 0, 0, seed=70_000 + trial)
-        r = rng.randint(0, 3)
-        q = Query(r, 0, "any")
-        cap = solve_walk_any_length(g, r)
-        prod = oracle_walk(g, q)
-        if (cap is None) != (prod is None):
-            failures.append(trial)
-            continue
-        for w in (cap, prod):
-            if w is not None and verify_witness(g, q, w.vertices):
-                failures.append((trial, "witness"))
-    verdict(9, not failures, f"1000 instances, {len(failures)} mismatches")
+        r = rng.randint(0, 5)
+        for q in (Query(r, 0, "any"), Query(r, rng.randint(0, 2 * n), "atmost")):
+            mine = bfs_walk(g, r, None if q.mode == "any" else q.ell)
+            ref = oracle_walk(g, q)
+            if (mine is None) != (ref is None):
+                failures.append((trial, q))
+            elif mine is not None and (
+                mine.length != ref.length
+                or verify_witness(g, q, mine.vertices, require_path=r <= 1)
+                or verify_witness(g, q, ref.vertices)
+            ):
+                failures.append((trial, q, "witness"))
+    verdict(9, not failures, f"1000 instances in two modes, {len(failures)} mismatches")
     assert not failures, failures[:5]
 
 

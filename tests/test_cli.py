@@ -116,7 +116,7 @@ def test_forced_solver_refusals(tmp_path):
     path = write_tmp(tmp_path, g, Query(1, 2, "exact"))
     code, _, _ = helpers.run_cli(["solve", path, "--solver", "r1"])
     assert code == EXIT_ERROR
-    # the capped any-length walk DP runs only as "walk" on an "any" query
+    # the any-length walk BFS has no solver name of its own: it runs as "walk" on an "any" query
     g = ColoredDigraph(4, (0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)), 0, 3)
     path = write_tmp(tmp_path, g, Query(2, 2, "atmost"))
     for command in ("solve", "crosscheck"):
@@ -144,6 +144,22 @@ def test_crosscheck_agreement(tmp_path):
     assert "AGREE" in out
     code, out, _ = helpers.run_cli(["crosscheck", path, "--solver", "walk"])
     assert "AGREE" in out
+
+
+def test_walk_solver_on_any_query(tmp_path):
+    # the walk must loop 1 -> 2 -> 3 -> 1 before color 0 may follow at radius 2
+    g = ColoredDigraph(5, (0, 1, 2, 3, 0), ((0, 1), (1, 2), (2, 3), (3, 1), (1, 4)), 0, 4)
+    path = write_tmp(tmp_path, g, Query(2, 0, "any"))
+    code, out, _ = helpers.run_cli(["solve", path, "--solver", "walk", "--json"])
+    rep = json.loads(out)
+    assert code == EXIT_YES
+    assert rep["solver"] == "walk-bfs"
+    assert rep["witness"] == [0, 1, 2, 3, 1, 4]
+    assert {"levels", "total_windows"} <= set(rep["stats"])
+    code, out, _ = helpers.run_cli(["crosscheck", path, "--solver", "walk"])
+    assert code == EXIT_YES and "AGREE" in out
+    code, out, _ = helpers.run_cli(["solve", path, "--solver", "walk"])
+    assert helpers.run_cli(["verify", path, "--witness", out])[0] == EXIT_YES
 
 
 def test_generate_random_is_deterministic():
@@ -175,6 +191,10 @@ def test_generate_sat_rejects_imbalanced_cnf(tmp_path):
     code, _, err = helpers.run_cli(["generate", "sat", "--file", str(bad)])
     assert code == EXIT_ERROR
     assert "2+/2-" in err
+    bad.write_text("p cnf 3 4\n1 2 x 0\n")
+    code, _, err = helpers.run_cli(["generate", "sat", "--file", str(bad)])
+    assert code == EXIT_ERROR
+    assert err == "error: line 2: expected integer literals, got '1 2 x 0'\n"
 
 
 def test_generate_phs(tmp_path):

@@ -65,6 +65,6 @@ def test_forced_solver_refusals_raise_value_error():
         solve(g, Query(1, 2, "exact"), "r1")
     with pytest.raises(ValueError, match="unknown solver"):
         solve(g, Query(1, 2, "atmost"), "bogus")
-    # the capped any-length walk DP answers only "any" queries, through "walk"
+    # the any-length walk BFS has no solver name of its own: it answers "any" queries as "walk"
     with pytest.raises(ValueError, match="unknown solver"):
         solve(g, Query(2, 2, "atmost"), "any-walk")

@@ -329,6 +329,16 @@ def test_read_dimacs():
     assert cnf.clauses == ((1, 2, 3), (1, 2, 3), (-1, -2, -3), (-1, -2, -3))
 
 
+def test_readers_report_malformed_integers_at_their_line():
+    for token in MALFORMED_TOKENS + ("x",):
+        line = f"1 2 {token} 0"
+        with pytest.raises(ValueError, match=rf"^line 3: expected integer literals, got {re.escape(repr(line))}$"):
+            read_dimacs(f"c comment\np cnf 3 1\n{line}\n")
+        line = f"1 {token}"
+        with pytest.raises(ValueError, match=rf"^line 2: expected integers, got {re.escape(repr(line))}$"):
+            read_phs_sets(f"2\n{line}\n")
+
+
 def test_read_phs_sets():
     inp = read_phs_sets("2\n1 1 2 2\n2 1\n")
     assert inp.k == 2

@@ -1,4 +1,4 @@
-"""Layered walk DP, the any-length wrapper, and the r=1 shortcut."""
+"""Layered walk DP and the product BFS for any-length walks and radius 0 and 1."""
 from __future__ import annotations
 
 import random
@@ -11,7 +11,6 @@ from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
-    any_length_cap,
     bfs_walk,
     gen_random,
     is_window_representative,
@@ -19,7 +18,6 @@ from rainbowpaths import (
     oracle_walk,
     ordered_bound,
     solve_walk,
-    solve_walk_any_length,
     verify_witness,
 )
 from rainbowpaths import walk
@@ -88,24 +86,18 @@ def test_prune_cell_output_is_representative():
     assert is_window_representative(sorted(kept), sorted(cell), r)
 
 
-def test_any_length_cap_value():
-    assert any_length_cap(5, 0) == 5
-    assert any_length_cap(5, 1) == 5
-    assert any_length_cap(4, 2) == 4 * 3
-
-
 def test_any_length_backends_agree():
     rng = random.Random(31)
     for trial in range(120):
         g, _ = gen_random(rng.randint(2, 7), 0.35, rng.randint(1, 4), 0, 0, seed=7000 + trial)
         r = rng.randint(0, 3)
         q = Query(r, 0, "any")
-        cap = solve_walk_any_length(g, r)
+        mine = bfs_walk(g, r)
         product = oracle_walk(g, q)
-        assert (cap is None) == (product is None), trial
-        if cap is not None:
-            assert verify_witness(g, q, cap.vertices) == []
-            assert verify_witness(g, q, product.vertices) == []
+        assert (mine is None) == (product is None), trial
+        if mine is not None:
+            assert verify_witness(g, q, mine.vertices) == []
+            assert mine.length == product.length, trial
 
 
 def test_any_length_requires_lap_around_cycle():
@@ -114,33 +106,47 @@ def test_any_length_requires_lap_around_cycle():
     g = ColoredDigraph(
         5, (0, 1, 2, 3, 0), ((0, 1), (1, 2), (2, 3), (3, 1), (1, 4)), 0, 4
     )
-    w = solve_walk_any_length(g, 2)
+    w = bfs_walk(g, 2)
     assert w == Witness((0, 1, 2, 3, 1, 4))
     assert oracle_walk(g, Query(2, 0, "any")) is not None
 
 
 def test_any_length_no_instance_terminates_quickly():
     g = chain((0, 0, 1))
-    assert solve_walk_any_length(g, 1) is None
+    assert bfs_walk(g, 1) is None
     assert oracle_walk(g, Query(1, 0, "any")) is None
 
 
-def test_any_length_estimate_counts_deduped_cells():
-    # at r = 2 a deduped cell holds at most two windows, so this chain is within budget
+def test_any_length_radius2_chain():
     n = 400
-    arcs = tuple((i, i + 1) for i in range(n - 1))
-    g = ColoredDigraph(n, tuple(i % 40 for i in range(n)), arcs, 0, n - 1)
-    w = solve_walk_any_length(g, 2)
+    w = bfs_walk(chain(tuple(i % 40 for i in range(n))), 2)
     assert w == Witness(tuple(range(n)))
-    assert verify_witness(g, Query(2, 0, "any"), w.vertices) == []
 
 
-def test_any_length_budget_refusal():
+def test_any_length_radius4_chain_answers():
+    # every vertex of a chain is reached by one window, so the search keeps n - 1 states
     n = 400
-    arcs = tuple((i, i + 1) for i in range(n - 1))
-    g = ColoredDigraph(n, tuple(i % 5 for i in range(n)), arcs, 0, n - 1)
-    with pytest.raises(ValueError):
-        solve_walk_any_length(g, 4)
+    g = chain(tuple(i % 5 for i in range(n)))
+    stats: dict = {}
+    w = bfs_walk(g, 4, stats=stats)
+    assert w is not None and w.length == 399
+    assert verify_witness(g, Query(4, 0, "any"), w.vertices) == []
+    assert stats == {"levels": 399, "total_windows": 399}
+
+
+def test_any_length_keeps_two_windows_per_tail():
+    """Of two windows at v with one tail, only the one found second can go on to t.
+
+    s reaches v (color 3) through p1 (color 1) first and p2 (color 2)
+    second, so v holds windows (1, 3) and (2, 3); x has color 1, which
+    only (2, 3) admits. A search that kept one window per tail says NO.
+    """
+    g = ColoredDigraph(
+        6, (0, 1, 2, 3, 1, 4), ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)), 0, 5
+    )
+    for ell in (None, 4):
+        assert bfs_walk(g, 2, ell) == Witness((0, 2, 3, 4, 5))
+    assert bfs_walk(g, 2, 3) is None
 
 
 def test_solve_r1_matches_walk():
