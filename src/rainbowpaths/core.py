@@ -88,6 +88,16 @@ class ColoredDigraph:
     def arc_set(self) -> frozenset[Arc]:
         return frozenset(self.arcs)
 
+    @cached_property
+    def dist_from_s(self) -> tuple[int | None, ...]:
+        """Arc counts of shortest paths from s; None where unreached."""
+        return tuple(bfs_distances(self.out_neighbors, self.s))
+
+    @cached_property
+    def dist_to_t(self) -> tuple[int | None, ...]:
+        """Arc counts of shortest paths to t; None where t is unreachable."""
+        return tuple(bfs_distances(self.in_neighbors, self.t))
+
 
 @dataclass(frozen=True)
 class Query:
@@ -195,26 +205,29 @@ def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int | None]
 
 
 def dist_to_target(g: ColoredDigraph) -> list[int | None]:
-    """Shortest directed distance from each vertex to g.t; None if t is unreachable."""
-    return bfs_distances(g.in_neighbors, g.t)
+    """Shortest directed distance from each vertex to g.t; None if t is unreachable.
+
+    A copy of ``g.dist_to_t``, so the BFS runs once per graph.
+    """
+    return list(g.dist_to_t)
 
 
 def dist_from_source(g: ColoredDigraph) -> list[int | None]:
-    """Shortest directed distance from g.s to each vertex."""
-    return bfs_distances(g.out_neighbors, g.s)
+    """Shortest directed distance from g.s to each vertex; a copy of ``g.dist_from_s``."""
+    return list(g.dist_from_s)
 
 
 def layered_dp(
     out_adj: Sequence[Sequence[int]],
     colors: Sequence[int],
-    bits: Sequence[int],
+    keep: Callable[[int, Level], Sequence[int]],
     source: int,
     target: int,
     dist_t: Sequence[int | None],
     r: int,
     ell: int,
     mode: str,
-    reduce: Callable[[int, int, Cell], Cell],
+    reduce: Callable[[int, int, Cell], Cell] | None = None,
     stats: dict | None = None,
     total_key: str = "total_members",
 ) -> list[Level]:
@@ -223,13 +236,17 @@ def layered_dp(
     ``levels[p][u]`` is the cell of walks of p arcs from ``source`` to u.
     It maps each member ``(mask, window)`` to its parent ``(vertex,
     member)`` one level down, or to None at level 0, the format
-    :func:`backtrack` reads. The mask ORs ``bits[x]`` over the visited
-    vertices x: ``1 << x`` forbids revisits (paths), 0 allows them
-    (walks). The window holds the last r colors walked, so level 0 holds
-    ``(bits[source], (colors[source],)[:r])``. An arc into u extends a
-    member when u's bit is not in its mask, u's color is not in its
-    window, and ``dist_t[u] <= ell - p``. Every cell with more than one
-    member is replaced by ``reduce(u, p, cell)``.
+    :func:`backtrack` reads. The mask is the walk's visited set ANDed with
+    ``keep(p, prev)[u]``, the vertices u's members at level p must
+    remember, where ``prev`` is level p - 1 (empty at p = 0): a step into
+    u makes it ``(mask | 1 << u) & keep(p, prev)[u]``, and members that
+    agree on it meet as one key, of which the first inserted stays. keep
+    is called once per level, in level order. An all-zero keep allows
+    revisits (walks). The window holds the last r colors walked. An arc
+    into u extends a member when u's bit is not in its mask, u's color is
+    not in its window, and ``dist_t[u] <= ell - p``; ``keep(p, prev)[u]``
+    is read only for such u. When ``reduce`` is given, every cell with
+    more than one member is replaced by ``reduce(u, p, cell)``.
 
     The DP stops after level ``ell``, after an empty level, or, in mode
     "atmost", after the first level holding ``target``; ``mode`` is
@@ -238,31 +255,41 @@ def layered_dp(
     ``stats`` receives ``levels``, ``max_cell``, and the member count
     summed over levels under ``total_key``.
     """
-    levels: list[Level] = [{source: {(bits[source], (colors[source],)[:r]): None}}]
+    window = (colors[source],)[:r]
     if dist_t[source] is None or dist_t[source] > ell:  # type: ignore[operator]
-        return levels
-    # slicing the extended window from ``cut`` keeps its last r colors;
-    # at r = 0 windows stay empty, and an empty window admits every color
-    cut = -r if r >= 1 else 1
+        return [{source: {(0, window): None}}]
+    levels: list[Level] = [{source: {((1 << source) & keep(0, {})[source], window): None}}]
     for p in range(1, ell + 1):
         prev = levels[-1]
-        nxt: Level = {}
+        row = keep(p, prev)
+        # u -> (bit, color, the colors u adds to a window, keep mask, cell) for
+        # each u past the distance gate, built once per level; at r = 0
+        # windows stay empty, and an empty window admits every color
+        heads_at: dict[int, tuple[int, int, ColorSeq, int, Cell]] = {}
         for v in sorted(prev):
-            # the arcs out of v that pass the distance gate, with their target cells
-            heads = [
-                (bits[u], colors[u], nxt.setdefault(u, {}))
-                for u in out_adj[v]
-                if dist_t[u] is not None and dist_t[u] <= ell - p  # type: ignore[operator]
-            ]
+            heads = []
+            for u in out_adj[v]:
+                head = heads_at.get(u)
+                if head is None:
+                    if dist_t[u] is None or dist_t[u] > ell - p:  # type: ignore[operator]
+                        continue
+                    head = heads_at[u] = (1 << u, colors[u], (colors[u],)[:r], row[u], {})
+                heads.append(head)
             for member in prev[v]:
                 mask, window = member
-                for bit, c, cell in heads:
+                # a step keeps all of a short window, and a full one but its first color
+                stem = window[1:] if len(window) == r else window
+                for bit, c, added, near, cell in heads:
                     if mask & bit or c in window:
                         continue
-                    new_member = (mask | bit, (window + (c,))[cut:])
+                    new_member = ((mask | bit) & near, stem + added)
                     if new_member not in cell:
                         cell[new_member] = (v, member)
-        nxt = {u: reduce(u, p, cell) if len(cell) > 1 else cell for u, cell in nxt.items() if cell}
+        nxt: Level = {
+            u: reduce(u, p, cell) if reduce and len(cell) > 1 else cell
+            for u, (*_, cell) in heads_at.items()
+            if cell
+        }
         levels.append(nxt)
         if stats is not None:
             stats["levels"] = p

@@ -3,14 +3,14 @@
 ``solve(g, query)`` picks the cheapest sound solver for the path question:
 a BFS shortcut for r <= 1, the walk DP when the budget equals the s-t
 distance (where walks and paths coincide), and the path DP for every
-larger budget, whose dedupe keeps cells polynomial at small slack. Any
-solver in ``SOLVERS`` can also be forced by name; forced ``"walk"``
-answers a query in mode "any" with the product BFS ``bfs_walk``.
+larger budget, whose near-set projection keeps cells polynomial at small
+slack. Any solver in ``SOLVERS`` can also be forced by name; forced
+``"walk"`` answers a query in mode "any" with the product BFS ``bfs_walk``.
 """
 
 from __future__ import annotations
 
-from .core import ColoredDigraph, Query, Witness, dist_from_source
+from .core import ColoredDigraph, Query, Witness
 from .oracle import oracle_path, oracle_walk
 from .path import solve_path
 from .walk import bfs_walk, solve_walk
@@ -28,7 +28,7 @@ SOLVERS = (
 def _solve_auto(
     g: ColoredDigraph, query: Query, stats: dict | None
 ) -> tuple[Witness | None, str]:
-    dist = dist_from_source(g)[g.t]
+    dist = g.dist_from_s[g.t]
     if dist is None:
         return None, "unreachable"
     r, ell, mode = query.r, query.ell, query.mode

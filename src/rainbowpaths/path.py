@@ -1,95 +1,70 @@
 """Locally rainbow path solvers.
 
-The path dynamic program is ``core.layered_dp`` with one bit per vertex,
-so it tracks, per level and endpoint, pairs of (visited vertex set,
-trailing color window); a visited set is stored as a vertex bitmask.
-Two devices keep cells small: the engine's distance gate toward the
-target, and a projection dedupe that identifies members agreeing on the
-part of their visited set a gated completion can still reach. The dedupe
-keys a member of u's cell at level p on ``visited & near``, where
-``near`` holds the x with ``dist(u, x) + dist_t[x] <= ell - p``. At a
-budget of dist(s, t) + k, a vertex x other than u in that mask has
-dist_t[x] < dist(s, t) + k - p, so a path reaches it after step p - k:
-the key holds at most the last k vertices, and a cell at most
-Δ^(max(k, r) - 1) members, Δ the largest in-degree. That is polynomial
-for fixed k and r.
+The path dynamic program is ``core.layered_dp`` with a keep that makes
+each member remember only the near part of its visited set, as a vertex
+bitmask. A member of u's cell at level p stores ``visited & near``,
+where ``near`` holds the x with ``dist(u, x) + dist_t[x] <= ell - p``:
+the vertices a completion from u can still visit under the engine's
+distance gate toward the target. Members agreeing there admit the same
+completions, so they meet as one key when inserted, and the first one
+stays. At a budget of dist(s, t) + k, a vertex x other than u in a
+stored mask has dist_t[x] < dist(s, t) + k - p, so a path reaches it
+after step p - k: the mask holds at most the last k vertices, and a cell
+at most Δ^(max(k, r) - 1) members, Δ the largest in-degree. That is
+polynomial for fixed k and r.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .core import (
-    Cell,
-    ColoredDigraph,
-    Level,
-    Member,
-    Query,
-    Witness,
-    bfs_distances,
-    dist_to_target,
-    layered_dp,
-    witness_at,
-)
-
-
-def _near_masks(
-    row: Sequence[int | None], dist_t: Sequence[int | None], horizon: int
-) -> list[int]:
-    """near[h] holds every x with row[x] + dist_t[x] <= h, for h <= horizon.
-
-    With ``row`` the BFS row from u, these are the vertices a completion
-    from u can visit under the distance gate with h arcs left: it reaches
-    x after at least row[x] arcs, and the gate then needs dist_t[x] arcs
-    more.
-    """
-    near = [0] * (horizon + 1)
-    for x, (d, dt) in enumerate(zip(row, dist_t)):
-        if d is not None and dt is not None and d + dt <= horizon:
-            near[d + dt] |= 1 << x
-    for h in range(1, horizon + 1):
-        near[h] |= near[h - 1]
-    return near
-
-
-def _dedupe_cell(cell: Cell, near_mask: int) -> Cell:
-    """Keep one member per (forward-relevant visited set, window) projection.
-
-    ``near_mask`` holds the vertices a gated completion can still visit.
-    Two members whose visited sets agree on those vertices admit exactly
-    the same completions, so dropping one of them loses nothing; the
-    first member of each projection, in cell order, is kept.
-    """
-    kept: Cell = {}
-    seen: set[Member] = set()
-    for member, parent in cell.items():
-        visited, window = member
-        key = (visited & near_mask, window)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept[member] = parent
-    return kept
+from .core import ColoredDigraph, Level, Query, Witness, layered_dp, witness_at
 
 
 def _path_levels(
     g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None = None
 ) -> list[Level]:
-    """The path DP from g.s, gated on distances to g.t, with deduped cells."""
-    n = g.n
-    dist_t = dist_to_target(g)
-    # near masks per vertex, filled in when a vertex first needs a dedupe
-    reach: list[list[int] | None] = [None] * n
+    """The path DP from g.s, gated on distances to g.t, whose members keep their near vertices.
 
-    def reduce(u: int, p: int, cell: Cell) -> Cell:
-        near = reach[u]
-        if near is None:
-            near = reach[u] = _near_masks(bfs_distances(g.out_neighbors, u), dist_t, ell)
-        return _dedupe_cell(cell, near[ell - p])
+    A member at level p has visited only vertices the DP reached below p,
+    so u's keep needs near(u, ell - p) only on those. Once x is reached at
+    level p - 1, a BFS over in-arcs from x finds the ring of u with
+    dist(u, x) = d, and these u hold x through level ell - d - dist_t[x].
+    The BFS stops at d = ell - p - dist_t[x] and skips u with dist(s, u) +
+    d + dist_t[x] > ell, which the DP cannot meet in time; their
+    predecessors cannot either, so the distances it finds are exact. Only
+    vertices the DP reaches start a BFS, so a DP that stops early builds
+    little.
+    """
+    ds, dt, in_adj = g.dist_from_s, g.dist_to_t, g.in_neighbors
+    # held[u] is u's keep at the current level; a member always remembers u itself
+    held = [1 << u for u in range(g.n)]
+    started: set[int] = set()
+    # level -> (ring, bit) pairs whose vertex leaves the ring's keep at that level
+    drops: dict[int, list[tuple[list[int], int]]] = {}
 
-    bits = [1 << x for x in range(n)]
+    def keep(p: int, prev: Level) -> list[int]:
+        for ring, bit in drops.pop(p, ()):
+            for u in ring:
+                held[u] ^= bit
+        for x in prev.keys() - started:
+            started.add(x)
+            bit, ring, seen = 1 << x, [x], {x}
+            # the ring at distance d = 1, 2, ... holds x through level ``last``
+            for last in range(ell - 1 - dt[x], p - 1, -1):  # type: ignore[operator]
+                below, ring = ring, []
+                for w in below:
+                    for u in in_adj[w]:
+                        if u not in seen:
+                            seen.add(u)
+                            if ds[u] is not None and ds[u] <= last:  # type: ignore[operator]
+                                ring.append(u)
+                                held[u] |= bit
+                if not ring:
+                    break
+                drops.setdefault(last + 1, []).append((ring, bit))
+        return held
+
     return layered_dp(
-        g.out_neighbors, g.colors, bits, g.s, g.t, dist_t, r, ell, mode, reduce, stats
+        g.out_neighbors, g.colors, keep, g.s, g.t, dt, r, ell, mode, stats=stats
     )
 
 

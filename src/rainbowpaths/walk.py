@@ -25,7 +25,6 @@ from .core import (
     Level,
     Query,
     Witness,
-    dist_to_target,
     layered_dp,
     slot_set,
     witness_at,
@@ -92,12 +91,11 @@ def window_keep(windows: list[ColorSeq], r: int) -> list[int] | None:
 def _walk_levels(
     g: ColoredDigraph,
     r: int,
-    dist_t: list[int | None],
     ell: int,
     mode: str,
     stats: dict | None,
 ) -> list[Level]:
-    """The walk DP: members keep an empty visited mask, and each cell is deduped, then pruned.
+    """The walk DP: members keep no visited vertex, and each cell is deduped, then pruned.
 
     The tail dedupe leaves at most two windows per (r - 1)-color tail, so
     at r = 2, where every window ends in the cell's color, at most two in
@@ -111,10 +109,10 @@ def _walk_levels(
             return cell
         return {(0, window): parent for window, parent in kept.items()}
 
-    no_bits = [0] * g.n
+    nothing = [0] * g.n
     return layered_dp(
-        g.out_neighbors, g.colors, no_bits, g.s, g.t, dist_t, r, ell, mode, reduce, stats,
-        total_key="total_windows",
+        g.out_neighbors, g.colors, lambda p, prev: nothing, g.s, g.t, g.dist_to_t, r, ell, mode,
+        reduce, stats, total_key="total_windows",
     )
 
 
@@ -132,7 +130,7 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
     """
     if query.mode not in ("atmost", "exact"):
         raise ValueError("solve_walk handles modes 'atmost' and 'exact'; bfs_walk answers mode 'any'")
-    levels = _walk_levels(g, query.r, dist_to_target(g), query.ell, query.mode, stats)
+    levels = _walk_levels(g, query.r, query.ell, query.mode, stats)
     return witness_at(levels, g.t)
 
 
@@ -152,7 +150,7 @@ def bfs_walk(
     ``total_windows``, the states kept past the start.
     """
     colors, out_adj = g.colors, g.out_neighbors
-    cut = -r if r >= 1 else 1  # as in ``layered_dp``: slicing from ``cut`` keeps the last r colors
+    cut = -r if r >= 1 else 1  # slicing from ``cut`` keeps the last r colors; none at r = 0
     start = (g.s, (colors[g.s],)[:r])
     parent: dict[tuple[int, ColorSeq], tuple[int, ColorSeq] | None] = {start: None}
     full_per_tail: dict[tuple[int, ColorSeq], int] = {}

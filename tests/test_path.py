@@ -1,7 +1,8 @@
-"""Path DP and its projection dedupe."""
+"""Path DP and the near-set projection its members store."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from rainbowpaths import (
     solve_walk,
     verify_witness,
 )
-from rainbowpaths.core import bfs_distances
+from rainbowpaths.core import backtrack, bfs_distances
 from rainbowpaths.path import _path_levels
 
 
@@ -82,7 +83,7 @@ def test_path_matches_oracle_randomized():
 
 
 def test_large_cells_are_left_whole():
-    """The dedupe is the path DP's only cell reducer, however large a cell grows."""
+    """The near-set projection is the path DP's only cell reducer, however large a cell grows."""
     g, q = gen_random(24, 0.3, 5, 2, 13, seed=0, mode="exact")
     stats: dict = {}
     mine = solve_path(g, q, stats=stats)
@@ -94,12 +95,12 @@ def test_large_cells_are_left_whole():
 
 
 def test_cells_hold_one_member_per_forward_projection():
-    """After dedupe, no two members of a cell agree on what a gated completion can reach.
+    """Each member stores exactly the part of its path a gated completion can still reach.
 
-    The projection of a member at level p in the cell of u keeps the visited
-    vertices x with dist(u, x) + dist(x, t) <= ell - p, measured here by a
-    fresh BFS from u and one to t. Visited sets are vertex bitmasks,
-    decoded here to the vertices they hold.
+    The projection of a member at level p in the cell of u keeps the
+    vertices x of its backtracked prefix with dist(u, x) + dist(x, t) <=
+    ell - p, measured here by a fresh BFS from u and one to t. Members are
+    dict keys, so a cell holds one member per projection and window.
     """
     rng = random.Random(47)
     shared = 0
@@ -110,7 +111,7 @@ def test_cells_hold_one_member_per_forward_projection():
         r = rng.randint(1, 3)
         levels = _path_levels(g, r, ell, "exact")
         dist_t = dist_to_target(g)
-        for p, level in enumerate(levels[1:], start=1):
+        for p, level in enumerate(levels):
             for u, cell in level.items():
                 row = bfs_distances(g.out_neighbors, u)
                 near = {
@@ -118,13 +119,54 @@ def test_cells_hold_one_member_per_forward_projection():
                     for x, (d, dt) in enumerate(zip(row, dist_t))
                     if d is not None and dt is not None and d + dt <= ell - p
                 }
-                keys = {
-                    (tuple(x for x in sorted(near) if visited >> x & 1), window)
-                    for visited, window in cell
-                }
-                assert len(keys) == len(cell), (trial, p, u)
+                for member in cell:
+                    prefix = backtrack(levels, p, u, member)
+                    assert member[0] == sum(1 << x for x in set(prefix) & near), (trial, p, u)
                 shared += len(cell) > 1
     assert shared >= 40, shared
+
+
+def traced_peak(g: ColoredDigraph, q: Query) -> tuple[Witness | None, int]:
+    """solve_path's answer and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return solve_path(g, q), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_chain_keeps_memory_linear():
+    """Long graphs stay small in memory, whether the DP runs to the end or stops early.
+
+    In a 3,000-vertex chain every seventh vertex i gets a back arc from
+    i + 2, so the region of s-t routes spans the whole chain at a budget
+    of n - 1; a near set kept for every vertex at every height would hold
+    millions of bitmasks. In an 800-vertex line with arcs both ways, s ->
+    x_mid -> t hangs off the middle, so in mode "any" the region is the
+    whole line though the DP stops at level 2; near sets built for all of
+    it at every height would take tens of megabytes.
+    """
+    n = 3000
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(i + 2, i) for i in range(0, n - 2, 7)]
+    chain = ColoredDigraph(n, tuple(i % 5 for i in range(n)), tuple(arcs), 0, n - 1)
+    n, mid = 800, 400
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
+    arcs += [(n, mid), (mid, n + 1)]
+    line = ColoredDigraph(n + 2, tuple(i % 3 for i in range(n)) + (3, 4), tuple(arcs), n, n + 1)
+    cases = [
+        (chain, Query(2, 3000, "atmost"), tuple(range(3000))),
+        (chain, Query(2, 0, "any"), tuple(range(3000))),
+        (line, Query(2, 0, "any"), (n, mid, n + 1)),
+    ]
+    for g, q, want in cases:
+        tracemalloc.start()
+        try:
+            mine = solve_path(g, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mine == Witness(want), (g.n, q)
+        assert peak < 16 * 2**20, (g.n, q, peak)
 
 
 def symmetric_grid(rows: int, cols: int, num_colors: int, seed: int) -> ColoredDigraph:
@@ -144,11 +186,11 @@ def symmetric_grid(rows: int, cols: int, num_colors: int, seed: int) -> ColoredD
 
 
 def test_grid_detours_keep_cells_polynomial():
-    """At a budget of dist + k, the dedupe leaves at most Δ^(max(k, r) - 1) members per cell.
+    """At a budget of dist + k, a cell holds at most Δ^(max(k, r) - 1) members.
 
-    Its key holds only vertices a completion can still reach under the
+    A member's mask holds only vertices a completion can still reach under the
     distance gate, so at most the last k vertices of a path; on a grid Δ
-    is 4. A key on every vertex within the remaining budget of u, ignoring
+    is 4. A mask of every vertex within the remaining budget of u, ignoring
     the gate, leaves cells of 32 to 1,202 members on these grids.
     """
     for cols in (12, 16):
