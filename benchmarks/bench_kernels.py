@@ -35,8 +35,8 @@ def fan_cell(width: int) -> list[tuple[int, ...]]:
     """The radius-3 windows (x, m, hub) at a fan's hub: x in {0, 1}, m one of ``width`` colors.
 
     Windows with one tail (m, hub) differ only in x, so the walk's tail
-    dedupe keeps them all, and 2 * width above ordered_bound(3) = 542 makes
-    the walk prune the cell.
+    classes keep them all, two first colors each, and 2 * width above
+    ordered_bound(3) = 542 makes the walk prune the cell.
     """
     hub = width + 2
     return [(x, m, hub) for x in (0, 1) for m in range(2, width + 2)]

@@ -2,9 +2,10 @@
 
 Subcommands: solve (answer a query through ``dispatch.solve``), generate
 (emit instance files), verify (check a witness against an instance), and
-crosscheck (run a solver and a brute-force oracle side by side). The
-default solve output is a single witness line that verify can read back,
-so the two commands compose through a pipe.
+crosscheck (run a solver, replay its witness, and compare its answer with
+a brute-force oracle's). The default solve output is a single witness
+line that verify can read back, so the two commands compose through a
+pipe.
 """
 
 from __future__ import annotations
@@ -134,12 +135,18 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     witness, name = solve(g, query, args.solver)
     walk_semantics = name.startswith(("walk", "oracle-walk", "r1", "r0"))
     oracle_fn = oracle_walk if walk_semantics else oracle_path
+    print(f"solver {name}: {'YES' if witness else 'NO'}")
+    if witness is not None:
+        problems = verify_witness(g, query, witness.vertices, require_path=not walk_semantics)
+        for problem in problems:
+            print(f"INVALID: {problem}")
+        if problems:
+            return EXIT_NO
     try:
         reference = oracle_fn(g, query)
     except ValueError as exc:
         raise CliError(f"oracle refused: {exc}") from None
     oracle_name = "oracle-walk" if walk_semantics else "oracle-path"
-    print(f"solver {name}: {'YES' if witness else 'NO'}")
     print(f"oracle {oracle_name}: {'YES' if reference else 'NO'}")
     if (witness is None) == (reference is None):
         print("AGREE")

@@ -5,7 +5,8 @@ min(r + 1, length) consecutive vertices all colors are pairwise distinct.
 This module provides the instance substrate (graph, query, witness), the
 window compatibility test used by every solver, the slot encoding that turns
 compatibility into set disjointness, small shared graph utilities, and the
-layered dynamic program that the walk and path solvers run.
+layered dynamic program that the path solver runs. (The walk solver keeps no
+visited set, and runs a level loop of its own over tail classes.)
 """
 
 from __future__ import annotations
@@ -227,11 +228,9 @@ def layered_dp(
     r: int,
     ell: int,
     mode: str,
-    reduce: Callable[[int, int, Cell], Cell] | None = None,
     stats: dict | None = None,
-    total_key: str = "total_members",
 ) -> list[Level]:
-    """The layered DP shared by the walk and path solvers.
+    """The layered DP of the path solver.
 
     ``levels[p][u]`` is the cell of walks of p arcs from ``source`` to u.
     It maps each member ``(mask, window)`` to its parent ``(vertex,
@@ -241,19 +240,17 @@ def layered_dp(
     remember, where ``prev`` is level p - 1 (empty at p = 0): a step into
     u makes it ``(mask | 1 << u) & keep(p, prev)[u]``, and members that
     agree on it meet as one key, of which the first inserted stays. keep
-    is called once per level, in level order. An all-zero keep allows
-    revisits (walks). The window holds the last r colors walked. An arc
-    into u extends a member when u's bit is not in its mask, u's color is
-    not in its window, and ``dist_t[u] <= ell - p``; ``keep(p, prev)[u]``
-    is read only for such u. When ``reduce`` is given, every cell with
-    more than one member is replaced by ``reduce(u, p, cell)``.
+    is called once per level, in level order. The window holds the last r
+    colors walked. An arc into u extends a member when u's bit is not in
+    its mask, u's color is not in its window, and ``dist_t[u] <= ell - p``;
+    ``keep(p, prev)[u]`` is read only for such u.
 
     The DP stops after level ``ell``, after an empty level, or, in mode
     "atmost", after the first level holding ``target``; ``mode`` is
     "atmost" or "exact".
 
-    ``stats`` receives ``levels``, ``max_cell``, and the member count
-    summed over levels under ``total_key``.
+    ``stats`` receives ``levels``, ``max_cell``, and ``total_members``,
+    the member count summed over levels.
     """
     window = (colors[source],)[:r]
     if dist_t[source] is None or dist_t[source] > ell:  # type: ignore[operator]
@@ -285,15 +282,11 @@ def layered_dp(
                     new_member = ((mask | bit) & near, stem + added)
                     if new_member not in cell:
                         cell[new_member] = (v, member)
-        nxt: Level = {
-            u: reduce(u, p, cell) if reduce and len(cell) > 1 else cell
-            for u, (*_, cell) in heads_at.items()
-            if cell
-        }
+        nxt: Level = {u: cell for u, (*_, cell) in heads_at.items() if cell}
         levels.append(nxt)
         if stats is not None:
             stats["levels"] = p
-            stats[total_key] = stats.get(total_key, 0) + sum(len(c) for c in nxt.values())
+            stats["total_members"] = stats.get("total_members", 0) + sum(len(c) for c in nxt.values())
             if nxt:
                 stats["max_cell"] = max(stats.get("max_cell", 0), max(len(c) for c in nxt.values()))
         if not nxt or (mode != "exact" and target in nxt):

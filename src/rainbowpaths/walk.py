@@ -1,59 +1,35 @@
 """Locally rainbow walk solvers.
 
-The main solver runs the layered dynamic program of ``core.layered_dp``
-with no visited set, so its cells hold trailing color windows. A window
-of r colors blocks the next color with its first color and with its
-(r - 1)-color tail, and the successors it steps to depend on the tail
-alone; so each cell first keeps, per tail, the two windows with the
-smallest first colors. At r = 2 every window of a cell ends in the
-cell's color, so that leaves at most two windows. Cells that still
-outgrow ``ordered_bound(r)`` are pruned with ordered representative
-families, so cell sizes stay bounded by a function of the locality
-radius alone. ``bfs_walk`` answers walks of any length, and at-most
-queries at radius 0 and 1, by a breadth-first search over (vertex,
-window) states that keeps at most two full windows per vertex and tail.
+``solve_walk`` runs a layered dynamic program over trailing color
+windows, with no visited set. A window of r colors blocks the next color
+with its first color and with its (r - 1)-color tail, and the successors
+it steps to depend on the tail alone. So a cell maps each tail to at
+most two first colors: two distinct first colors admit every next color
+outside the tail, one admits all of those but itself, and a third adds
+nothing. Each tail class is expanded once, and a successor whose class
+already holds two first colors is dropped as it arrives. At r = 2 every
+window of a cell ends in the cell's color, so a cell holds at most two
+windows. Cells that still outgrow ``ordered_bound(r)`` are pruned with
+ordered representative families, so cell sizes stay bounded by a
+function of the locality radius alone. ``bfs_walk`` answers walks of any
+length, and at-most queries at radius 0 and 1, by a breadth-first search
+over (vertex, window) states that keeps at most two full windows per
+vertex and tail.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .core import (
-    Cell,
-    ColoredDigraph,
-    ColorSeq,
-    Level,
-    Query,
-    Witness,
-    layered_dp,
-    slot_set,
-    witness_at,
-)
+from .core import ColoredDigraph, ColorSeq, Query, Witness, slot_set
 from .repfam import ordered_bound, representative_keep
 
+# pads a window to r colors; it equals no color, so it blocks nothing
+_PAD = -1
 
-def dedupe_window_cell(windows: dict[ColorSeq, Any], r: int) -> dict[ColorSeq, Any]:
-    """Keep, of the full windows sharing a tail ``window[1:]``, the two with the smallest first colors.
-
-    A window of r colors admits a next color c when c is in none of them,
-    and steps to ``tail + (c,)``: its first color matters for that one step
-    only. So windows with one tail step to the same successors, and two of
-    them with distinct first colors admit every c that any of the class
-    admits. Shorter windows pass untouched, each kept window keeps its
-    value, and which windows are kept depends only on the cell's windows,
-    not on their order.
-    """
-    classes: dict[ColorSeq, list[ColorSeq]] = {}
-    for window in windows:
-        classes.setdefault(window[1:], []).append(window)
-    if max(map(len, classes.values())) <= 2:
-        return windows
-    # in a class of full windows, which share the tail, sorting orders by first color
-    return {
-        w: windows[w]
-        for tail, c in classes.items()
-        for w in (sorted(c)[:2] if len(c) > 2 and len(tail) == r - 1 else c)
-    }
+# tail -> first color -> link, where a link is (vertex, link) for the walk
+# before the window's vertex, or None at s
+WalkCell = dict[ColorSeq, dict[int, Any]]
 
 
 def prune_window_cell(
@@ -88,32 +64,99 @@ def window_keep(windows: list[ColorSeq], r: int) -> list[int] | None:
     return representative_keep([slot_set(w, r) for w in windows], universe, q)
 
 
-def _walk_levels(
-    g: ColoredDigraph,
-    r: int,
-    ell: int,
-    mode: str,
-    stats: dict | None,
-) -> list[Level]:
-    """The walk DP: members keep no visited vertex, and each cell is deduped, then pruned.
+def _prune_cell(cell: WalkCell, r: int, stats: dict | None) -> WalkCell:
+    """``prune_window_cell`` on the cell's windows, with the padding dropped."""
+    windows = {}
+    for tail, firsts in cell.items():
+        for first, link in firsts.items():
+            window = (first,) + tail
+            windows[window[window.count(_PAD):]] = (tail, first, link)
+    kept = prune_window_cell(windows, r, stats)
+    if kept is windows:
+        return cell
+    pruned: WalkCell = {}
+    for tail, first, link in kept.values():
+        pruned.setdefault(tail, {})[first] = link
+    return pruned
 
-    The tail dedupe leaves at most two windows per (r - 1)-color tail, so
-    at r = 2, where every window ends in the cell's color, at most two in
-    all; a cell still above ``ordered_bound(r)`` gets the ordered prune.
+
+def _last_level(
+    g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None
+) -> dict[int, WalkCell]:
+    """The walk DP's last level: each vertex u it reaches, with u's cell.
+
+    A window is padded on the left with ``_PAD`` to r colors and filed as
+    its first color under its tail. At r <= 1 no color drops out of a
+    step's window, so the tail is the whole window and the first color
+    is ``_PAD``. Level p holds the windows of walks of p arcs from s; an
+    arc into u extends a window when u's color is not in it and
+    ``dist_t[u] <= ell - p``. Each window links to the walk before it, so
+    the last level alone gives the witness.
+
+    The DP stops after level ``ell``, after an empty level, or, in mode
+    "atmost", after the first level holding t. ``stats`` receives
+    ``levels``, ``max_cell``, ``total_windows`` (first colors kept,
+    summed over levels) and, from the prune, ``rep_calls``.
     """
-
-    def reduce(u: int, p: int, cell: Cell) -> Cell:
-        windows = {window: parent for (_, window), parent in cell.items()}
-        kept = prune_window_cell(dedupe_window_cell(windows, r), r, stats)
-        if kept is windows:
-            return cell
-        return {(0, window): parent for window, parent in kept.items()}
-
-    nothing = [0] * g.n
-    return layered_dp(
-        g.out_neighbors, g.colors, lambda p, prev: nothing, g.s, g.t, g.dist_to_t, r, ell, mode,
-        reduce, stats, total_key="total_windows",
-    )
+    colors, out_adj, dist_t = g.colors, g.out_neighbors, g.dist_to_t
+    level: dict[int, WalkCell] = {g.s: {((_PAD,) * (r - 2) + (colors[g.s],))[:r]: {_PAD: None}}}
+    if dist_t[g.s] is None or dist_t[g.s] > ell:  # type: ignore[operator]
+        return level
+    bound = ordered_bound(r)
+    for p in range(1, ell + 1):
+        # u -> (color, the colors u adds to a tail, cell) for each u past
+        # the distance gate; at r = 0 tails stay empty
+        heads_at: dict[int, tuple[int, ColorSeq, WalkCell]] = {}
+        for v, cell in level.items():
+            heads = []
+            for u in out_adj[v]:
+                head = heads_at.get(u)
+                if head is None:
+                    if dist_t[u] is None or dist_t[u] > ell - p:  # type: ignore[operator]
+                        continue
+                    head = heads_at[u] = (colors[u], (colors[u],)[:r], {})
+                heads.append(head)
+            for tail, firsts in cell.items():
+                # a successor's first color is the tail's first, and its tail the rest plus u's color
+                lead = tail[0] if r > 1 else _PAD
+                stem = tail[1:]
+                if len(firsts) == 2:
+                    (a, link_a), (_, link_b) = firsts.items()
+                    blocked = tail
+                else:
+                    ((a, link_a),) = firsts.items()
+                    link_b = link_a
+                    blocked = tail + (a,)
+                via_a, via_b = (v, link_a), (v, link_b)
+                for c, added, successors in heads:
+                    if c in blocked:
+                        continue
+                    key = stem + added
+                    kept = successors.get(key)
+                    if kept is None:
+                        successors[key] = {lead: via_b if c == a else via_a}
+                    elif len(kept) == 1 and lead not in kept:
+                        kept[lead] = via_b if c == a else via_a
+        level = {}
+        total = biggest = 0
+        for u, (*_, cell) in heads_at.items():
+            if not cell:
+                continue
+            size = sum(map(len, cell.values()))
+            if size > bound:
+                cell = _prune_cell(cell, r, stats)
+                size = sum(map(len, cell.values()))
+            level[u] = cell
+            total += size
+            biggest = max(biggest, size)
+        if stats is not None:
+            stats["levels"] = p
+            stats["total_windows"] = stats.get("total_windows", 0) + total
+            if level:
+                stats["max_cell"] = max(stats.get("max_cell", 0), biggest)
+        if not level or (mode != "exact" and g.t in level):
+            break
+    return level
 
 
 def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) -> Witness | None:
@@ -130,8 +173,15 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
     """
     if query.mode not in ("atmost", "exact"):
         raise ValueError("solve_walk handles modes 'atmost' and 'exact'; bfs_walk answers mode 'any'")
-    levels = _walk_levels(g, query.r, query.ell, query.mode, stats)
-    return witness_at(levels, g.t)
+    cell = _last_level(g, query.r, query.ell, query.mode, stats).get(g.t)
+    if cell is None:
+        return None
+    vertices = [g.t]
+    link = next(iter(next(iter(cell.values())).values()))
+    while link is not None:
+        v, link = link
+        vertices.append(v)
+    return Witness(tuple(reversed(vertices)))
 
 
 def bfs_walk(
@@ -141,8 +191,8 @@ def bfs_walk(
 
     A breadth-first search over (vertex, last r colors) states. A full
     window is skipped once its vertex holds two with its (r - 1)-color
-    tail: by ``dedupe_window_cell``'s argument one of the two admits every
-    next color it admits, and all three step to the same successors, so the
+    tail: as in ``solve_walk``'s cells, one of the two admits every next
+    color it admits, and all three step to the same successors, so the
     search stays exact and, as the two were found no later, shortest. At
     r <= 1 a state is its vertex, so the witness is a path.
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import helpers
 import rainbowpaths
-from rainbowpaths import ColoredDigraph, Query, gen_random, write_instance
+from rainbowpaths import ColoredDigraph, Query, Witness, dispatch, gen_random, write_instance
 from rainbowpaths.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, build_parser
 from rainbowpaths.dispatch import SOLVERS
 
@@ -144,6 +144,21 @@ def test_crosscheck_agreement(tmp_path):
     assert "AGREE" in out
     code, out, _ = helpers.run_cli(["crosscheck", path, "--solver", "walk"])
     assert "AGREE" in out
+
+
+def test_crosscheck_replays_the_solver_witness(tmp_path, monkeypatch):
+    """A witness the solver gets wrong is INVALID, even when the oracle's answer agrees with it."""
+    # 0 -> 1 -> 2 -> 0 -> 3 is a locally rainbow walk, but not a path, and 0 -> 3 is a path
+    g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
+    path = write_tmp(tmp_path, g, Query(2, 4, "atmost"))
+    monkeypatch.setattr(dispatch, "solve_path", lambda g, q, stats=None: Witness((0, 1, 2, 0, 3)))
+    code, out, _ = helpers.run_cli(["crosscheck", path])
+    assert code == EXIT_NO
+    assert "solver path-dp: YES" in out and "INVALID: vertices repeat" in out and "AGREE" not in out
+    monkeypatch.setattr(dispatch, "solve_walk", lambda g, q, stats=None: Witness((0, 2, 0, 3)))
+    code, out, _ = helpers.run_cli(["crosscheck", path, "--solver", "walk"])
+    assert code == EXIT_NO
+    assert "INVALID: missing arc (0, 2)" in out and "AGREE" not in out
 
 
 def test_walk_solver_on_any_query(tmp_path):

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -21,7 +20,7 @@ from rainbowpaths import (
     verify_witness,
 )
 from rainbowpaths import walk
-from rainbowpaths.walk import dedupe_window_cell, prune_window_cell
+from rainbowpaths.walk import prune_window_cell
 
 
 def chain(colors):
@@ -245,20 +244,90 @@ def test_radius2_walk_cells_hold_two_windows():
 
 
 def test_dedupe_keeps_two_windows_per_tail_and_a_representative():
+    """t's cell keeps at most two first colors per tail, and its windows are an ordered representative.
+
+    Each window of a random family reaches t along a chain of its own from
+    s, whose color no window holds, and the chains leave s in random
+    order. So t's cell at level r is the family with each tail class cut
+    to two first colors, the first two to arrive; every kept window links
+    back to a walk whose last r colors it is.
+    """
     rng = random.Random(61)
     for trial in range(300):
-        r = rng.randint(1, 3)
-        length = rng.choice((r, max(1, r - 1)))
-        # at r = 1 a walk cell holds one window; windows of distinct colors still share the tail ()
-        windows = core_windows(rng, length, min(1, length - 1), rng.randint(length + 1, 6), rng.randint(2, 30))
-        cell = {w: i for i, w in enumerate(windows)}
-        kept = dedupe_window_cell(cell, r)
-        if length < r:
-            assert kept == cell
-        else:
-            assert max(Counter(w[1:] for w in kept).values()) <= 2, (trial, r)
-        assert all(cell[w] == value for w, value in kept.items())
-        assert is_window_representative(list(kept), windows, r), (trial, r, windows)
-        shuffled = list(cell.items())
-        rng.shuffle(shuffled)
-        assert set(dedupe_window_cell(dict(shuffled), r)) == set(kept), trial
+        r = rng.randint(2, 3)
+        windows = core_windows(rng, r, 1, rng.randint(r + 1, 6), rng.randint(2, 30))
+        dense = {c: i for i, c in enumerate(sorted({c for w in windows for c in w}))}
+        windows = [tuple(dense[c] for c in w) for w in windows]
+        colors, arcs = [len(dense), windows[0][-1]], []
+        for w in rng.sample(windows, len(windows)):
+            prev = 0
+            for c in w[:-1]:
+                arcs.append((prev, len(colors)))
+                prev = len(colors)
+                colors.append(c)
+            arcs.append((prev, 1))
+        g = ColoredDigraph(len(colors), tuple(colors), tuple(arcs), 0, 1)
+        cell = walk._last_level(g, r, r, "exact", None)[1]
+        kept = []
+        for tail, firsts in cell.items():
+            assert len(firsts) == min(2, sum(w[1:] == tail for w in windows)), (trial, r)
+            for first, link in firsts.items():
+                kept.append((first,) + tail)
+                vertices = [1]
+                while link is not None:
+                    v, link = link
+                    vertices.append(v)
+                assert tuple(colors[v] for v in reversed(vertices))[-r:] == kept[-1], trial
+        assert is_window_representative(kept, windows, r), (trial, r, windows)
+
+
+def test_exact_walk_keeps_the_second_window_of_a_tail_around_a_cycle():
+    """Of two windows at v with one tail, only the one found second can go on to t, after a lap.
+
+    s (color 0) reaches v (color 3) through p1 (color 1) first and p2
+    (color 2) second, so v holds windows (1, 3) and (2, 3); x has color 1,
+    which only (2, 3) admits. The cycle s -> a -> b -> s adds 3 to the
+    length, so exact budgets 4 and 7 say YES and 5 and 6 say NO. A cell
+    that kept one window per tail would answer NO throughout.
+    """
+    g = ColoredDigraph(
+        8,
+        (0, 5, 6, 1, 2, 3, 1, 4),
+        ((0, 1), (0, 3), (0, 4), (1, 2), (2, 0), (3, 5), (4, 5), (5, 6), (6, 7)),
+        0,
+        7,
+    )
+    for ell in range(4, 9):
+        q = Query(2, ell, "exact")
+        mine = solve_walk(g, q)
+        ref = oracle_walk(g, q)
+        assert (mine is None) == (ref is None) == (ell % 3 != 1), ell
+        if mine is not None:
+            assert verify_witness(g, q, mine.vertices) == []
+    assert solve_walk(g, Query(2, 7, "exact")) == Witness((0, 1, 2, 0, 4, 5, 6, 7))
+    assert solve_walk(g, Query(2, 7, "atmost")) == Witness((0, 4, 5, 6, 7))
+
+
+def test_walks_shorter_than_the_radius_match_oracle():
+    """Answers decided within r - 1 steps, where every window is shorter than r and padded.
+
+    On the chain, t's color clashes with s's at distance 3: allowed at
+    r = 2, refused at r = 3 and 4. The random sweep keeps ell below r.
+    """
+    g = chain((0, 1, 2, 0))
+    for r in (2, 3, 4):
+        for mode in ("atmost", "exact"):
+            expect = Witness((0, 1, 2, 3)) if r == 2 else None
+            assert solve_walk(g, Query(r, 3, mode)) == expect, (r, mode)
+    rng = random.Random(23)
+    for trial in range(200):
+        r = rng.randint(2, 4)
+        g, _ = gen_random(rng.randint(2, 7), 0.4, rng.randint(1, 5), 0, 0, seed=11_000 + trial)
+        q = Query(r, rng.randint(0, r - 1), rng.choice(("atmost", "exact")))
+        stats: dict = {}
+        mine = solve_walk(g, q, stats=stats)
+        ref = oracle_walk(g, q)
+        assert (mine is None) == (ref is None), (trial, q)
+        if mine is not None:
+            assert verify_witness(g, q, mine.vertices) == []
+            assert q.mode == "exact" or mine.length == ref.length, (trial, q)
