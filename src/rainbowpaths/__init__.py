@@ -2,12 +2,13 @@
 
 A walk is locally rainbow at radius r when every stretch of r+1
 consecutive vertices (or the whole walk, if shorter) shows pairwise
-distinct colors. The package bundles dynamic programs for bounded-length
-walks and simple paths (the path DP stays polynomial for a small detour
-over the s-t distance), representative-family pruning that keeps the
-walk DP's window cells small, polynomial shortcuts for tiny radii,
-brute-force oracles, hardness-construction generators, and a file format
-with a CLI around it all, on the standard library alone.
+distinct colors. The package bundles dynamic programs for walks and
+simple paths (the path DP stays polynomial for a small detour over the
+s-t distance, and the walk DP, a plain BFS at radius 0 and 1, also
+answers path queries there), representative-family pruning that keeps
+the walk DP's window cells small, brute-force oracles,
+hardness-construction generators, and a file format with a CLI around
+it all, on the standard library alone.
 """
 
 from .core import (
@@ -49,7 +50,7 @@ from .oracle import (
 )
 from .path import solve_path
 from .repfam import ordered_bound, representative_keep, unordered_bound
-from .walk import bfs_walk, solve_walk
+from .walk import solve_walk
 
 __version__ = "0.1.0"
 
@@ -61,7 +62,6 @@ __all__ = [
     "PHSInput",
     "Query",
     "Witness",
-    "bfs_walk",
     "blocked_slots",
     "dist_from_source",
     "dist_to_target",

@@ -133,7 +133,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     g, query = _load_instance(args.instance)
     witness, name = solve(g, query, args.solver)
-    walk_semantics = name.startswith(("walk", "oracle-walk", "r1", "r0"))
+    # forced "walk" asks the walk question; "auto" and "path" ask the path question
+    walk_semantics = args.solver == "walk"
     oracle_fn = oracle_walk if walk_semantics else oracle_path
     print(f"solver {name}: {'YES' if witness else 'NO'}")
     if witness is not None:

@@ -250,9 +250,13 @@ def layered_dp(
     "atmost" or "exact".
 
     ``stats`` receives ``levels``, ``max_cell``, and ``total_members``,
-    the member count summed over levels.
+    the member count summed over levels; a gate that refuses ``source``
+    leaves ``levels`` and ``total_members`` at 0.
     """
     window = (colors[source],)[:r]
+    if stats is not None:
+        stats.setdefault("levels", 0)
+        stats.setdefault("total_members", 0)
     if dist_t[source] is None or dist_t[source] > ell:  # type: ignore[operator]
         return [{source: {(0, window): None}}]
     levels: list[Level] = [{source: {((1 << source) & keep(0, {})[source], window): None}}]
@@ -286,7 +290,7 @@ def layered_dp(
         levels.append(nxt)
         if stats is not None:
             stats["levels"] = p
-            stats["total_members"] = stats.get("total_members", 0) + sum(len(c) for c in nxt.values())
+            stats["total_members"] += sum(len(c) for c in nxt.values())
             if nxt:
                 stats["max_cell"] = max(stats.get("max_cell", 0), max(len(c) for c in nxt.values()))
         if not nxt or (mode != "exact" and target in nxt):

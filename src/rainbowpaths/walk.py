@@ -1,24 +1,26 @@
-"""Locally rainbow walk solvers.
+"""Locally rainbow walk solver.
 
-``solve_walk`` runs a layered dynamic program over trailing color
-windows, with no visited set. A window of r colors blocks the next color
-with its first color and with its (r - 1)-color tail, and the successors
-it steps to depend on the tail alone. So a cell maps each tail to at
-most two first colors: two distinct first colors admit every next color
-outside the tail, one admits all of those but itself, and a third adds
-nothing. Each tail class is expanded once, and a successor whose class
-already holds two first colors is dropped as it arrives. At r = 2 every
-window of a cell ends in the cell's color, so a cell holds at most two
-windows. Cells that still outgrow ``ordered_bound(r)`` are pruned with
-ordered representative families, so cell sizes stay bounded by a
-function of the locality radius alone. ``bfs_walk`` answers walks of any
-length, and at-most queries at radius 0 and 1, by a breadth-first search
-over (vertex, window) states that keeps at most two full windows per
-vertex and tail.
+``solve_walk`` answers every walk query, in all three modes and at every
+radius, with one layered dynamic program over trailing color windows,
+with no visited set. A window of r colors blocks the next color with its
+first color and with its (r - 1)-color tail, and the successors it steps
+to depend on the tail alone. So a cell maps each tail to at most two
+first colors: two distinct first colors admit every next color outside
+the tail, one admits all of those but itself, and a third adds nothing.
+Each tail class is expanded once, and a successor whose class already
+holds two first colors is dropped as it arrives. In modes "atmost" and
+"any" a class also keeps its first colors across levels, so the DP is a
+breadth-first search over (vertex, window) states that finds a shortest
+walk, and at radius 0 and 1 a path. At r = 2 every window of a cell ends
+in the cell's color, so a cell holds at most two windows. Cells that
+still outgrow ``ordered_bound(r)`` are pruned with ordered
+representative families, so cell sizes stay bounded by a function of
+the locality radius alone.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .core import ColoredDigraph, ColorSeq, Query, Witness, slot_set
@@ -80,30 +82,67 @@ def _prune_cell(cell: WalkCell, r: int, stats: dict | None) -> WalkCell:
     return pruned
 
 
+def _new_entries(cell: WalkCell, old: WalkCell) -> WalkCell:
+    """The entries of a cell that its classes, holding ``old`` from earlier levels, take in.
+
+    A class takes new first colors in arrival order until it holds two;
+    they are recorded in ``old``. ``old`` shares its dicts with earlier
+    levels' cells, which are all expanded by the time it changes.
+    """
+    new: WalkCell = {}
+    for tail, firsts in cell.items():
+        kept = old.get(tail)
+        if kept is None:
+            old[tail] = new[tail] = firsts
+            continue
+        for first, link in firsts.items():
+            if len(kept) < 2 and first not in kept:
+                kept[first] = new.setdefault(tail, {})[first] = link
+    return new
+
+
 def _last_level(
-    g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None
+    g: ColoredDigraph, r: int, ell: int | None, mode: str, stats: dict | None
 ) -> dict[int, WalkCell]:
     """The walk DP's last level: each vertex u it reaches, with u's cell.
 
     A window is padded on the left with ``_PAD`` to r colors and filed as
     its first color under its tail. At r <= 1 no color drops out of a
     step's window, so the tail is the whole window and the first color
-    is ``_PAD``. Level p holds the windows of walks of p arcs from s; an
-    arc into u extends a window when u's color is not in it and
-    ``dist_t[u] <= ell - p``. Each window links to the walk before it, so
-    the last level alone gives the witness.
+    is ``_PAD``. An arc into u at level p extends a window when u's color
+    is not in it and ``dist_t[u] <= ell - p``; with ``ell`` None there is
+    no budget, and only vertices that cannot reach t are gated. Each
+    window links to the walk before it, so the last level alone gives the
+    witness.
 
-    The DP stops after level ``ell``, after an empty level, or, in mode
-    "atmost", after the first level holding t. ``stats`` receives
+    In mode "exact" level p holds the windows of walks of p arcs from s.
+    In modes "atmost" and "any" a (vertex, tail) class keeps the first
+    colors it collects across all levels, at most two, and a level holds
+    only the entries new at it. A first color dropped from a full class is
+    covered by one of the two that arrived no later, so the search stays
+    exact and its first level holding t is the shortest length; at r <= 1
+    a class is its vertex, so the witness is a path.
+
+    The DP stops after level ``ell``, after an empty level, or, outside
+    mode "exact", after the first level holding t. ``stats`` receives
     ``levels``, ``max_cell``, ``total_windows`` (first colors kept,
-    summed over levels) and, from the prune, ``rep_calls``.
+    summed over levels) and, from the prune, ``rep_calls``; a gate that
+    refuses s leaves ``levels`` and ``total_windows`` at 0.
     """
     colors, out_adj, dist_t = g.colors, g.out_neighbors, g.dist_to_t
     level: dict[int, WalkCell] = {g.s: {((_PAD,) * (r - 2) + (colors[g.s],))[:r]: {_PAD: None}}}
-    if dist_t[g.s] is None or dist_t[g.s] > ell:  # type: ignore[operator]
+    if stats is not None:
+        stats.setdefault("levels", 0)
+        stats.setdefault("total_windows", 0)
+    last = math.inf if ell is None else ell
+    if dist_t[g.s] is None or dist_t[g.s] > last:  # type: ignore[operator]
         return level
+    # u -> tail -> the first colors u's class took in at all levels; none in exact mode
+    seen: dict[int, WalkCell] | None = None if mode == "exact" else {g.s: level[g.s]}
     bound = ordered_bound(r)
-    for p in range(1, ell + 1):
+    p = 0
+    while p < last:
+        p += 1
         # u -> (color, the colors u adds to a tail, cell) for each u past
         # the distance gate; at r = 0 tails stay empty
         heads_at: dict[int, tuple[int, ColorSeq, WalkCell]] = {}
@@ -112,7 +151,7 @@ def _last_level(
             for u in out_adj[v]:
                 head = heads_at.get(u)
                 if head is None:
-                    if dist_t[u] is None or dist_t[u] > ell - p:  # type: ignore[operator]
+                    if dist_t[u] is None or dist_t[u] > last - p:  # type: ignore[operator]
                         continue
                     head = heads_at[u] = (colors[u], (colors[u],)[:r], {})
                 heads.append(head)
@@ -140,6 +179,10 @@ def _last_level(
         level = {}
         total = biggest = 0
         for u, (*_, cell) in heads_at.items():
+            if cell and seen is not None:
+                old = seen.setdefault(u, cell)
+                if old is not cell:
+                    cell = _new_entries(cell, old)
             if not cell:
                 continue
             size = sum(map(len, cell.values()))
@@ -151,10 +194,10 @@ def _last_level(
             biggest = max(biggest, size)
         if stats is not None:
             stats["levels"] = p
-            stats["total_windows"] = stats.get("total_windows", 0) + total
+            stats["total_windows"] += total
             if level:
                 stats["max_cell"] = max(stats.get("max_cell", 0), biggest)
-        if not level or (mode != "exact" and g.t in level):
+        if not level or (seen is not None and g.t in level):
             break
     return level
 
@@ -164,16 +207,15 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
 
     Args:
         g: the colored digraph.
-        query: radius, length bound, and mode ("atmost" or "exact").
+        query: radius, length bound, and mode; mode "any" ignores the bound.
         stats: optional dict populated with DP size counters.
 
     Returns:
-        A witness walk, or None. In "atmost" mode the witness is a shortest
-        locally rainbow walk.
+        A witness walk, or None. Outside mode "exact" the witness is a
+        shortest locally rainbow walk, and at r <= 1 it is a path.
     """
-    if query.mode not in ("atmost", "exact"):
-        raise ValueError("solve_walk handles modes 'atmost' and 'exact'; bfs_walk answers mode 'any'")
-    cell = _last_level(g, query.r, query.ell, query.mode, stats).get(g.t)
+    ell = None if query.mode == "any" else query.ell
+    cell = _last_level(g, query.r, ell, query.mode, stats).get(g.t)
     if cell is None:
         return None
     vertices = [g.t]
@@ -182,59 +224,3 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
         v, link = link
         vertices.append(v)
     return Witness(tuple(reversed(vertices)))
-
-
-def bfs_walk(
-    g: ColoredDigraph, r: int, ell: int | None = None, *, stats: dict | None = None
-) -> Witness | None:
-    """A shortest locally rainbow s-t walk of at most ell arcs (any length if ell is None), or None.
-
-    A breadth-first search over (vertex, last r colors) states. A full
-    window is skipped once its vertex holds two with its (r - 1)-color
-    tail: as in ``solve_walk``'s cells, one of the two admits every next
-    color it admits, and all three step to the same successors, so the
-    search stays exact and, as the two were found no later, shortest. At
-    r <= 1 a state is its vertex, so the witness is a path.
-
-    ``stats`` receives ``levels``, the depth searched, and
-    ``total_windows``, the states kept past the start.
-    """
-    colors, out_adj = g.colors, g.out_neighbors
-    cut = -r if r >= 1 else 1  # slicing from ``cut`` keeps the last r colors; none at r = 0
-    start = (g.s, (colors[g.s],)[:r])
-    parent: dict[tuple[int, ColorSeq], tuple[int, ColorSeq] | None] = {start: None}
-    full_per_tail: dict[tuple[int, ColorSeq], int] = {}
-    frontier = [start]
-    depth = 0
-    found = None
-    while frontier and found is None and depth != ell:
-        depth += 1
-        nxt = []
-        for state in frontier:
-            window = state[1]
-            for u in out_adj[state[0]]:
-                c = colors[u]
-                if c in window:
-                    continue
-                child = (u, (window + (c,))[cut:])
-                if child in parent:
-                    continue
-                if len(child[1]) == r:
-                    key = (u, child[1][1:])
-                    kept = full_per_tail.get(key, 0)
-                    if kept == 2:
-                        continue
-                    full_per_tail[key] = kept + 1
-                parent[child] = state
-                nxt.append(child)
-                if u == g.t and found is None:
-                    found = child
-        frontier = nxt
-    if stats is not None:
-        stats["levels"] = depth
-        stats["total_windows"] = len(parent) - 1
-    vertices = []
-    while found is not None:
-        vertices.append(found[0])
-        found = parent[found]
-    return Witness(tuple(reversed(vertices))) if vertices else None

@@ -20,7 +20,6 @@ from rainbowpaths import (
     ColoredDigraph,
     PHSInput,
     Query,
-    bfs_walk,
     dist_to_target,
     distance_separators,
     gen_3sat_instance,
@@ -373,15 +372,21 @@ def test_criterion_07_sat_reduction_round_trips(sat_runs):
 
 
 def test_criterion_08_special_case_solvers_match_walk_dp():
-    """The r=1 BFS shortcut agrees with the walk DP; auto dispatch at r=2 on symmetric graphs with the path oracle."""
+    """Auto dispatch agrees with the path oracle where it runs the walk DP for a path question.
+
+    At r = 1 in mode "atmost", and at r = 2 on symmetric graphs at the
+    s-t distance; every YES witness must be a path.
+    """
     failures = []
     rng = random.Random(60_000)
     for trial in range(500):
         g, _ = gen_random(rng.randint(2, 9), 0.4, rng.randint(1, 4), 0, 0, seed=60_000 + trial)
-        ell = rng.randint(0, 9)
-        mine = bfs_walk(g, 1, ell)
-        ref = solve_walk(g, Query(1, ell, "atmost"))
-        if (mine is None) != (ref is None):
+        q = Query(1, rng.randint(0, 9), "atmost")
+        mine, _ = solve(g, q)
+        ref = oracle_path(g, q)
+        if (mine is None) != (ref is None) or (
+            mine is not None and verify_witness(g, q, mine.vertices, require_path=True)
+        ):
             failures.append((trial, "r1"))
     checked = 0
     trial = 0
@@ -406,10 +411,10 @@ def test_criterion_08_special_case_solvers_match_walk_dp():
 
 
 def test_criterion_09_any_length_backends_agree():
-    """The product BFS and product reachability give one answer and one witness length.
+    """The walk DP and product reachability give one answer, and one witness length outside "exact".
 
-    Every radius 0-5, in mode "any" and in mode "atmost"; at r <= 1 the
-    BFS witness must also be a path.
+    Every radius 0-5, in modes "any", "atmost" and "exact"; at r <= 1
+    outside mode "exact" the DP's witness must also be a path.
     """
     failures = []
     for trial in range(1000):
@@ -417,18 +422,20 @@ def test_criterion_09_any_length_backends_agree():
         n = rng.randint(2, 8)
         g, _ = gen_random(n, rng.choice((0.3, 0.5)), rng.randint(1, 4), 0, 0, seed=70_000 + trial)
         r = rng.randint(0, 5)
-        for q in (Query(r, 0, "any"), Query(r, rng.randint(0, 2 * n), "atmost")):
-            mine = bfs_walk(g, r, None if q.mode == "any" else q.ell)
+        ell = rng.randint(0, 2 * n)
+        for q in (Query(r, 0, "any"), Query(r, ell, "atmost"), Query(r, ell, "exact")):
+            mine = solve_walk(g, q)
             ref = oracle_walk(g, q)
+            shortest = q.mode != "exact"
             if (mine is None) != (ref is None):
                 failures.append((trial, q))
             elif mine is not None and (
-                mine.length != ref.length
-                or verify_witness(g, q, mine.vertices, require_path=r <= 1)
+                (shortest and mine.length != ref.length)
+                or verify_witness(g, q, mine.vertices, require_path=shortest and r <= 1)
                 or verify_witness(g, q, ref.vertices)
             ):
                 failures.append((trial, q, "witness"))
-    verdict(9, not failures, f"1000 instances in two modes, {len(failures)} mismatches")
+    verdict(9, not failures, f"1000 instances in three modes, {len(failures)} mismatches")
     assert not failures, failures[:5]
 
 

@@ -80,7 +80,7 @@ def test_json_report_schema(tmp_path):
     assert rep["answer"] is True
     assert rep["witness"] == [0, 1, 2]
     assert rep["length"] == 2
-    assert rep["solver"] == "r1-bfs"
+    assert rep["solver"] == "walk-dp"
     assert rep["query"] == {"r": 1, "ell": 2, "mode": "atmost"}
     assert "elapsed_ms" in rep and "stats" in rep and "instance" in rep
     assert isinstance(rep["parse_ms"], float) and rep["parse_ms"] >= 0.0
@@ -89,8 +89,9 @@ def test_json_report_schema(tmp_path):
 def test_auto_dispatch_names(tmp_path):
     detour_g = ColoredDigraph(4, (0, 1, 2, 0), ((0, 1), (1, 3), (0, 2), (2, 1)), 0, 3)
     cases = [
-        (ColoredDigraph(3, (0, 0, 0), ((0, 1), (1, 2)), 0, 2), Query(0, 2, "atmost"), "r0-bfs"),
-        (ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2), Query(1, 2, "atmost"), "r1-bfs"),
+        (ColoredDigraph(3, (0, 0, 0), ((0, 1), (1, 2)), 0, 2), Query(0, 2, "atmost"), "walk-dp"),
+        (ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2), Query(1, 5, "any"), "walk-dp"),
+        (ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2), Query(1, 3, "exact"), "path-dp"),
         (ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2), Query(3, 2, "atmost"), "walk-dp"),
         (detour_g, Query(2, 3, "atmost"), "path-dp"),
         (detour_g, Query(2, 3, "exact"), "path-dp"),
@@ -101,7 +102,7 @@ def test_auto_dispatch_names(tmp_path):
         assert json.loads(out)["solver"] == expect, (idx, expect)
 
 
-def test_r2_shortcut_dispatch(tmp_path):
+def test_auto_sends_the_distance_budget_to_walk_dp(tmp_path):
     # a symmetric graph with no monochromatic arc at r = 2 and the distance: the walk DP answers it
     g = ColoredDigraph(4, (0, 1, 2, 0), ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)), 0, 3)
     path = write_tmp(tmp_path, g, Query(2, 3, "atmost"))
@@ -112,17 +113,24 @@ def test_r2_shortcut_dispatch(tmp_path):
 
 
 def test_forced_solver_refusals(tmp_path):
-    g = ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2)
-    path = write_tmp(tmp_path, g, Query(1, 2, "exact"))
-    code, _, _ = helpers.run_cli(["solve", path, "--solver", "r1"])
-    assert code == EXIT_ERROR
-    # the any-length walk BFS has no solver name of its own: it runs as "walk" on an "any" query
+    # radius-1 and any-length walks have no solver name of their own: they run as "walk"
     g = ColoredDigraph(4, (0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)), 0, 3)
     path = write_tmp(tmp_path, g, Query(2, 2, "atmost"))
     for command in ("solve", "crosscheck"):
-        assert helpers.run_cli([command, path, "--solver", "any-walk"])[0] == EXIT_ERROR
+        for name in ("r1", "any-walk"):
+            assert helpers.run_cli([command, path, "--solver", name])[0] == EXIT_ERROR
         assert helpers.run_cli([command, path, "--bogus"])[0] == EXIT_ERROR
         assert helpers.run_cli([command, "--help"])[0] == EXIT_YES
+
+
+def test_json_stats_when_the_distance_gate_refuses_s(tmp_path):
+    # t is 3 arcs from s, so a budget of 2 stops either DP before its first level
+    g = ColoredDigraph(4, (0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)), 0, 3)
+    path = write_tmp(tmp_path, g, Query(2, 2, "atmost"))
+    for solver, total in (("walk", "total_windows"), ("path", "total_members")):
+        code, out, _ = helpers.run_cli(["solve", path, "--solver", solver, "--json"])
+        assert code == EXIT_NO
+        assert json.loads(out)["stats"] == {"levels": 0, total: 0}, solver
 
 
 def test_exports_and_solver_choices_are_current():
@@ -159,6 +167,12 @@ def test_crosscheck_replays_the_solver_witness(tmp_path, monkeypatch):
     code, out, _ = helpers.run_cli(["crosscheck", path, "--solver", "walk"])
     assert code == EXIT_NO
     assert "INVALID: missing arc (0, 2)" in out and "AGREE" not in out
+    # auto asks the path question even where its walk DP answers: at r = 1 with slack
+    path = write_tmp(tmp_path, g, Query(1, 4, "atmost"), "r1.rainbow")
+    monkeypatch.setattr(dispatch, "solve_walk", lambda g, q, stats=None: Witness((0, 1, 2, 0, 3)))
+    code, out, _ = helpers.run_cli(["crosscheck", path])
+    assert code == EXIT_NO
+    assert "solver walk-dp: YES" in out and "INVALID: vertices repeat" in out and "AGREE" not in out
 
 
 def test_walk_solver_on_any_query(tmp_path):
@@ -168,7 +182,7 @@ def test_walk_solver_on_any_query(tmp_path):
     code, out, _ = helpers.run_cli(["solve", path, "--solver", "walk", "--json"])
     rep = json.loads(out)
     assert code == EXIT_YES
-    assert rep["solver"] == "walk-bfs"
+    assert rep["solver"] == "walk-dp"
     assert rep["witness"] == [0, 1, 2, 3, 1, 4]
     assert {"levels", "total_windows"} <= set(rep["stats"])
     code, out, _ = helpers.run_cli(["crosscheck", path, "--solver", "walk"])

@@ -1,21 +1,19 @@
-"""Layered walk DP and the product BFS for any-length walks and radius 0 and 1."""
+"""The layered walk DP in modes "atmost", "exact" and "any", at every radius."""
 from __future__ import annotations
 
 import random
-
-import pytest
 
 from helpers import PruneChecker, core_windows
 from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
-    bfs_walk,
     gen_random,
     is_window_representative,
     oracle_path,
     oracle_walk,
     ordered_bound,
+    solve,
     solve_walk,
     verify_witness,
 )
@@ -46,9 +44,11 @@ def test_r_zero_is_plain_reachability():
     assert solve_walk(g, Query(0, 2, "atmost")) == Witness((0, 1, 2))
 
 
-def test_any_mode_rejected():
-    with pytest.raises(ValueError):
-        solve_walk(chain((0, 1)), Query(1, 0, "any"))
+def test_any_mode_answers():
+    assert solve_walk(chain((0, 1)), Query(1, 0, "any")) == Witness((0, 1))
+    assert solve_walk(chain((0, 1, 0)), Query(2, 0, "any")) is None
+    # the budget is ignored: a bound of 0 arcs still finds the 2-arc walk
+    assert solve_walk(chain((0, 1, 2)), Query(2, 0, "any")) == Witness((0, 1, 2))
 
 
 def test_walk_matches_oracle_randomized():
@@ -91,7 +91,7 @@ def test_any_length_backends_agree():
         g, _ = gen_random(rng.randint(2, 7), 0.35, rng.randint(1, 4), 0, 0, seed=7000 + trial)
         r = rng.randint(0, 3)
         q = Query(r, 0, "any")
-        mine = bfs_walk(g, r)
+        mine = solve_walk(g, q)
         product = oracle_walk(g, q)
         assert (mine is None) == (product is None), trial
         if mine is not None:
@@ -105,20 +105,20 @@ def test_any_length_requires_lap_around_cycle():
     g = ColoredDigraph(
         5, (0, 1, 2, 3, 0), ((0, 1), (1, 2), (2, 3), (3, 1), (1, 4)), 0, 4
     )
-    w = bfs_walk(g, 2)
+    w = solve_walk(g, Query(2, 0, "any"))
     assert w == Witness((0, 1, 2, 3, 1, 4))
     assert oracle_walk(g, Query(2, 0, "any")) is not None
 
 
 def test_any_length_no_instance_terminates_quickly():
     g = chain((0, 0, 1))
-    assert bfs_walk(g, 1) is None
+    assert solve_walk(g, Query(1, 0, "any")) is None
     assert oracle_walk(g, Query(1, 0, "any")) is None
 
 
 def test_any_length_radius2_chain():
     n = 400
-    w = bfs_walk(chain(tuple(i % 40 for i in range(n))), 2)
+    w = solve_walk(chain(tuple(i % 40 for i in range(n))), Query(2, 0, "any"))
     assert w == Witness(tuple(range(n)))
 
 
@@ -127,10 +127,26 @@ def test_any_length_radius4_chain_answers():
     n = 400
     g = chain(tuple(i % 5 for i in range(n)))
     stats: dict = {}
-    w = bfs_walk(g, 4, stats=stats)
+    w = solve_walk(g, Query(4, 0, "any"), stats=stats)
     assert w is not None and w.length == 399
     assert verify_witness(g, Query(4, 0, "any"), w.vertices) == []
-    assert stats == {"levels": 399, "total_windows": 399}
+    assert stats == {"levels": 399, "max_cell": 1, "total_windows": 399}
+
+
+def test_any_length_search_skips_vertices_that_cannot_reach_t():
+    """Only the chain s -> 1 -> 2 -> t reaches t; s also steps into 2,000 vertices that cannot.
+
+    The distance gate holds in mode "any" too, so the search keeps the
+    chain's three windows and never enters the rest of the graph.
+    """
+    blob = range(4, 2004)
+    arcs = [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in blob]
+    arcs += [(v, 4 + (v - 3) % 2000) for v in blob]  # a cycle through the blob
+    g = ColoredDigraph(2004, tuple(v % 7 for v in range(2004)), tuple(arcs), 0, 3)
+    for r in range(4):
+        stats: dict = {}
+        assert solve_walk(g, Query(r, 0, "any"), stats=stats) == Witness((0, 1, 2, 3)), r
+        assert stats["total_windows"] == 3, (r, stats)
 
 
 def test_any_length_keeps_two_windows_per_tail():
@@ -143,21 +159,23 @@ def test_any_length_keeps_two_windows_per_tail():
     g = ColoredDigraph(
         6, (0, 1, 2, 3, 1, 4), ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)), 0, 5
     )
-    for ell in (None, 4):
-        assert bfs_walk(g, 2, ell) == Witness((0, 2, 3, 4, 5))
-    assert bfs_walk(g, 2, 3) is None
+    for q in (Query(2, 0, "any"), Query(2, 4, "atmost"), Query(2, 4, "exact")):
+        assert solve_walk(g, q) == Witness((0, 2, 3, 4, 5)), q
+    assert solve_walk(g, Query(2, 3, "atmost")) is None
 
 
-def test_solve_r1_matches_walk():
+def test_auto_r1_matches_path_oracle():
+    """At r = 1 auto answers the path question with the walk DP, whose shortest witness is a path."""
     rng = random.Random(41)
     for trial in range(100):
         g, _ = gen_random(rng.randint(2, 8), 0.4, rng.randint(1, 4), 0, 0, seed=9000 + trial)
-        ell = rng.randint(0, 8)
-        mine = bfs_walk(g, 1, ell)
-        ref = solve_walk(g, Query(1, ell, "atmost"))
-        assert (mine is None) == (ref is None)
+        q = Query(1, rng.randint(0, 8), rng.choice(("atmost", "any")))
+        mine, name = solve(g, q)
+        ref = oracle_path(g, q)
+        assert (mine is None) == (ref is None), (trial, q)
+        assert name in ("walk-dp", "unreachable"), name
         if mine is not None:
-            assert verify_witness(g, Query(1, ell, "atmost"), mine.vertices) == []
+            assert verify_witness(g, q, mine.vertices, require_path=True) == [], (trial, q)
 
 
 def test_stats_are_recorded():
