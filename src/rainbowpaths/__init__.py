@@ -3,8 +3,9 @@
 A walk is locally rainbow at radius r when every stretch of r+1
 consecutive vertices (or the whole walk, if shorter) shows pairwise
 distinct colors. The package bundles dynamic programs for walks and
-simple paths (the path DP stays polynomial for a small detour over the
-s-t distance, and the walk DP, a plain BFS at radius 0 and 1, also
+simple paths, which keep only their current level and link each entry
+back to its parent (the path DP stays polynomial for a small detour over
+the s-t distance, and the walk DP, a plain BFS at radius 0 and 1, also
 answers path queries there), representative-family pruning that keeps
 the walk DP's window cells small, brute-force oracles,
 hardness-construction generators, and a file format with a CLI around

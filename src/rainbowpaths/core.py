@@ -4,9 +4,9 @@ A walk is locally rainbow with locality ``r`` if within every window of
 min(r + 1, length) consecutive vertices all colors are pairwise distinct.
 This module provides the instance substrate (graph, query, witness), the
 window compatibility test used by every solver, the slot encoding that turns
-compatibility into set disjointness, small shared graph utilities, and the
-layered dynamic program that the path solver runs. (The walk solver keeps no
-visited set, and runs a level loop of its own over tail classes.)
+compatibility into set disjointness, small shared graph utilities, and
+``unwind``, which reads a witness back from the link chain that each entry
+of the walk and path DPs holds.
 """
 
 from __future__ import annotations
@@ -14,14 +14,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
 ColorSeq = tuple[int, ...]
 Arc = tuple[int, int]
-# a layered-DP member: (visited vertex bitmask, trailing color window)
-Member = tuple[int, ColorSeq]
-Cell = dict[Member, tuple[int, Member] | None]
-Level = dict[int, Cell]
 
 MODES = ("atmost", "exact", "any")
 
@@ -218,115 +214,17 @@ def dist_from_source(g: ColoredDigraph) -> list[int | None]:
     return list(g.dist_from_s)
 
 
-def layered_dp(
-    out_adj: Sequence[Sequence[int]],
-    colors: Sequence[int],
-    keep: Callable[[int, Level], Sequence[int]],
-    source: int,
-    target: int,
-    dist_t: Sequence[int | None],
-    r: int,
-    ell: int,
-    mode: str,
-    stats: dict | None = None,
-) -> list[Level]:
-    """The layered DP of the path solver.
+def unwind(v: int, link: Any) -> Witness:
+    """The walk a DP entry at ``v`` links back to.
 
-    ``levels[p][u]`` is the cell of walks of p arcs from ``source`` to u.
-    It maps each member ``(mask, window)`` to its parent ``(vertex,
-    member)`` one level down, or to None at level 0, the format
-    :func:`backtrack` reads. The mask is the walk's visited set ANDed with
-    ``keep(p, prev)[u]``, the vertices u's members at level p must
-    remember, where ``prev`` is level p - 1 (empty at p = 0): a step into
-    u makes it ``(mask | 1 << u) & keep(p, prev)[u]``, and members that
-    agree on it meet as one key, of which the first inserted stays. keep
-    is called once per level, in level order. The window holds the last r
-    colors walked. An arc into u extends a member when u's bit is not in
-    its mask, u's color is not in its window, and ``dist_t[u] <= ell - p``;
-    ``keep(p, prev)[u]`` is read only for such u.
-
-    The DP stops after level ``ell``, after an empty level, or, in mode
-    "atmost", after the first level holding ``target``; ``mode`` is
-    "atmost" or "exact".
-
-    ``stats`` receives ``levels``, ``max_cell``, and ``total_members``,
-    the member count summed over levels; a gate that refuses ``source``
-    leaves ``levels`` and ``total_members`` at 0.
-    """
-    window = (colors[source],)[:r]
-    if stats is not None:
-        stats.setdefault("levels", 0)
-        stats.setdefault("total_members", 0)
-    if dist_t[source] is None or dist_t[source] > ell:  # type: ignore[operator]
-        return [{source: {(0, window): None}}]
-    levels: list[Level] = [{source: {((1 << source) & keep(0, {})[source], window): None}}]
-    for p in range(1, ell + 1):
-        prev = levels[-1]
-        row = keep(p, prev)
-        # u -> (bit, color, the colors u adds to a window, keep mask, cell) for
-        # each u past the distance gate, built once per level; at r = 0
-        # windows stay empty, and an empty window admits every color
-        heads_at: dict[int, tuple[int, int, ColorSeq, int, Cell]] = {}
-        for v in sorted(prev):
-            heads = []
-            for u in out_adj[v]:
-                head = heads_at.get(u)
-                if head is None:
-                    if dist_t[u] is None or dist_t[u] > ell - p:  # type: ignore[operator]
-                        continue
-                    head = heads_at[u] = (1 << u, colors[u], (colors[u],)[:r], row[u], {})
-                heads.append(head)
-            for member in prev[v]:
-                mask, window = member
-                # a step keeps all of a short window, and a full one but its first color
-                stem = window[1:] if len(window) == r else window
-                for bit, c, added, near, cell in heads:
-                    if mask & bit or c in window:
-                        continue
-                    new_member = ((mask | bit) & near, stem + added)
-                    if new_member not in cell:
-                        cell[new_member] = (v, member)
-        nxt: Level = {u: cell for u, (*_, cell) in heads_at.items() if cell}
-        levels.append(nxt)
-        if stats is not None:
-            stats["levels"] = p
-            stats["total_members"] += sum(len(c) for c in nxt.values())
-            if nxt:
-                stats["max_cell"] = max(stats.get("max_cell", 0), max(len(c) for c in nxt.values()))
-        if not nxt or (mode != "exact" and target in nxt):
-            break
-    return levels
-
-
-def backtrack(
-    levels: Sequence[Mapping[int, Mapping[Any, tuple[int, Any] | None]]],
-    level: int,
-    v: int,
-    key: Any,
-) -> tuple[int, ...]:
-    """Vertices of the walk that reached member ``key`` of ``levels[level][v]``.
-
-    A layered DP level maps each vertex to a cell, and a cell maps each
-    member to its parent ``(vertex, member)`` one level down, or to None
-    at level 0. The vertices are returned first to last.
+    Both DPs give each entry a link ``(parent vertex, parent's link)``,
+    or None at the source, so the chain holds the walk last vertex first.
     """
     vertices = [v]
-    parent = levels[level][v][key]
-    while parent is not None:
-        level -= 1
-        v, key = parent
+    while link is not None:
+        v, link = link
         vertices.append(v)
-        parent = levels[level][v][key]
-    assert level == 0
-    return tuple(reversed(vertices))
-
-
-def witness_at(levels: Sequence[Level], target: int) -> Witness | None:
-    """The walk to the first member of ``target``'s cell in the last level, if it has one."""
-    cell = levels[-1].get(target)
-    if cell is None:
-        return None
-    return Witness(backtrack(levels, len(levels) - 1, target, next(iter(cell))))
+    return Witness(tuple(reversed(vertices)))
 
 
 def verify_witness(

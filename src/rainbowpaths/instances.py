@@ -60,6 +60,8 @@ class CnfInput:
     def __post_init__(self) -> None:
         canon = tuple(tuple(cl) for cl in self.clauses)
         object.__setattr__(self, "clauses", canon)
+        if not canon:
+            raise ValueError("at least one clause is required")
         pos: dict[int, int] = {}
         neg: dict[int, int] = {}
         for idx, clause in enumerate(canon, start=1):

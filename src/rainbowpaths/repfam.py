@@ -1,8 +1,9 @@
-"""Representative set families, the pruning engine behind the solvers.
+"""Representative set families, the pruning engine behind the walk DP.
 
 A q-representative of a family of p-element sets preserves, for every
 obstruction set Y with |Y| <= q, the existence of a member disjoint from Y.
-The walk DP's ordered variant reduces to it through ``core.slot_set``.
+The walk DP's ordered variant reduces to it through ``core.slot_set``;
+the path DP does not prune.
 ``representative_keep`` computes it in plain Python on the family stripped
 of the elements every member shares: ``minors`` gives a set's binom(p + q, p)
 Vandermonde minors over a prime field, and ``greedy_basis`` keeps the sets
@@ -13,6 +14,7 @@ definitional checks live in ``oracle``.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -26,8 +28,15 @@ def unordered_bound(p: int, q: int) -> int:
 
 
 def ordered_bound(r: int) -> int:
-    """Guaranteed size bound of an ordered representative at locality r."""
-    return max(1, math.floor((r * math.e) ** r))
+    """Guaranteed size bound of an ordered representative at locality r.
+
+    Past the float range, from r = 123 on, it saturates at the largest
+    float; no cell grows that large.
+    """
+    try:
+        return max(1, math.floor((r * math.e) ** r))
+    except OverflowError:
+        return math.floor(sys.float_info.max)
 
 
 # Largest algebraic_width a prune may materialize; wider families stay unpruned.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .core import ColoredDigraph, ColorSeq, Query, Witness, slot_set
+from .core import ColoredDigraph, ColorSeq, Query, Witness, slot_set, unwind
 from .repfam import ordered_bound, representative_keep
 
 # pads a window to r colors; it equals no color, so it blocks nothing
@@ -215,12 +215,10 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
         shortest locally rainbow walk, and at r <= 1 it is a path.
     """
     ell = None if query.mode == "any" else query.ell
-    cell = _last_level(g, query.r, ell, query.mode, stats).get(g.t)
+    # a radius past num_colors changes no answer: a walk of at most
+    # num_colors vertices must be rainbow at either, and a longer one would
+    # need num_colors + 1 distinct colors in one window
+    cell = _last_level(g, min(query.r, g.num_colors), ell, query.mode, stats).get(g.t)
     if cell is None:
         return None
-    vertices = [g.t]
-    link = next(iter(next(iter(cell.values())).values()))
-    while link is not None:
-        v, link = link
-        vertices.append(v)
-    return Witness(tuple(reversed(vertices)))
+    return unwind(g.t, next(iter(next(iter(cell.values())).values())))

@@ -131,6 +131,27 @@ def test_json_stats_when_the_distance_gate_refuses_s(tmp_path):
         code, out, _ = helpers.run_cli(["solve", path, "--solver", solver, "--json"])
         assert code == EXIT_NO
         assert json.loads(out)["stats"] == {"levels": 0, total: 0}, solver
+    # no path has more than n - 1 arcs, so an exact budget of 5 on 3 vertices stops the path DP too
+    g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
+    path = write_tmp(tmp_path, g, Query(2, 5, "exact"), name="long.rainbow")
+    code, out, _ = helpers.run_cli(["solve", path, "--json"])
+    assert code == EXIT_NO
+    report = json.loads(out)
+    assert (report["solver"], report["stats"]) == ("path-dp", {"levels": 0, "total_members": 0})
+
+
+def test_radii_past_the_float_range_get_an_answer(tmp_path):
+    """Radii from 123 on overflow ordered_bound's float, and 10**20 fits no list; both answer."""
+    yes = ColoredDigraph(2, (0, 1), ((0, 1),), 0, 1)
+    # the only s-t walk of up to 3 arcs repeats color 0 four vertices apart
+    no = ColoredDigraph(4, (0, 1, 2, 0), ((0, 1), (1, 2), (2, 3)), 0, 3)
+    for r in (123, 200, 10**20):
+        for g, ell, want in ((yes, 1, EXIT_YES), (no, 3, EXIT_NO)):
+            for mode in ("atmost", "exact", "any"):
+                path = write_tmp(tmp_path, g, Query(r, ell, mode))
+                for forced in ([], ["--solver", "walk"]):
+                    code, _, err = helpers.run_cli(["solve", path, *forced])
+                    assert (code, err) == (want, ""), (r, g.n, mode, forced)
 
 
 def test_exports_and_solver_choices_are_current():
@@ -224,6 +245,9 @@ def test_generate_sat_rejects_imbalanced_cnf(tmp_path):
     code, _, err = helpers.run_cli(["generate", "sat", "--file", str(bad)])
     assert code == EXIT_ERROR
     assert err == "error: line 2: expected integer literals, got '1 2 x 0'\n"
+    bad.write_text("p cnf 0 0\n")
+    code, _, err = helpers.run_cli(["generate", "sat", "--file", str(bad)])
+    assert (code, err) == (EXIT_ERROR, "error: at least one clause is required\n")
 
 
 def test_generate_phs(tmp_path):

@@ -165,6 +165,8 @@ def test_cnf_input_validation():
         CnfInput(((1, 2, 4), (1, 2, 4), (-1, -2, -4), (-1, -2, -4)))
     with pytest.raises(ValueError):
         CnfInput(((1, 2, 3), (1, 2, 3), (-1, -2, -3), (-1, -2, 3)))
+    with pytest.raises(ValueError, match="at least one clause is required"):
+        CnfInput(())
 
 
 def test_sat_instance_shape():

@@ -17,7 +17,7 @@ from rainbowpaths import (
     solve_walk,
     verify_witness,
 )
-from rainbowpaths.core import backtrack, bfs_distances
+from rainbowpaths.core import bfs_distances, unwind
 from rainbowpaths.path import _path_levels
 
 
@@ -95,12 +95,14 @@ def test_large_cells_are_left_whole():
 
 
 def test_cells_hold_one_member_per_forward_projection():
-    """Each member stores exactly the part of its path a gated completion can still reach.
+    """Each member links to its path and stores the part a gated completion can still reach.
 
-    The projection of a member at level p in the cell of u keeps the
-    vertices x of its backtracked prefix with dist(u, x) + dist(x, t) <=
-    ell - p, measured here by a fresh BFS from u and one to t. Members are
-    dict keys, so a cell holds one member per projection and window.
+    A member of u's cell at level p unwinds to a path of p arcs from s to
+    u, and its window holds that path's last min(r, p + 1) colors. Its
+    projection keeps the vertices x of the path with dist(u, x) + dist(x,
+    t) <= ell - p, measured here by a fresh BFS from u and one to t.
+    Members are dict keys, so a cell holds one member per projection and
+    window.
     """
     rng = random.Random(47)
     shared = 0
@@ -109,9 +111,8 @@ def test_cells_hold_one_member_per_forward_projection():
         g, _ = gen_random(n, 0.45, rng.randint(2, 5), 0, 0, seed=23000 + trial)
         ell = rng.randint(2, n - 1)
         r = rng.randint(1, 3)
-        levels = _path_levels(g, r, ell, "exact")
         dist_t = dist_to_target(g)
-        for p, level in enumerate(levels):
+        for p, level in enumerate(_path_levels(g, r, ell, "exact")):
             for u, cell in level.items():
                 row = bfs_distances(g.out_neighbors, u)
                 near = {
@@ -119,9 +120,14 @@ def test_cells_hold_one_member_per_forward_projection():
                     for x, (d, dt) in enumerate(zip(row, dist_t))
                     if d is not None and dt is not None and d + dt <= ell - p
                 }
-                for member in cell:
-                    prefix = backtrack(levels, p, u, member)
-                    assert member[0] == sum(1 << x for x in set(prefix) & near), (trial, p, u)
+                for (mask, window), link in cell.items():
+                    path = unwind(u, link).vertices
+                    assert len(set(path)) == len(path) == p + 1, (trial, p, u, path)
+                    assert path[0] == g.s and path[-1] == u, (trial, p, u, path)
+                    assert set(zip(path, path[1:])) <= g.arc_set, (trial, p, u, path)
+                    last = path[-min(r, p + 1) :]
+                    assert window == tuple(g.colors[x] for x in last), (trial, p, u)
+                    assert mask == sum(1 << x for x in set(path) & near), (trial, p, u)
                 shared += len(cell) > 1
     assert shared >= 40, shared
 

@@ -31,6 +31,8 @@ def test_bounds():
     assert ordered_bound(0) == 1
     assert ordered_bound(2) == 29
     assert ordered_bound(3) == 542
+    # (r * e) ** r leaves the float range at r = 123; the bound saturates there
+    assert ordered_bound(122) < ordered_bound(123) == ordered_bound(10**20)
 
 
 def test_family_validation():

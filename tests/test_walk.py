@@ -326,6 +326,26 @@ def test_exact_walk_keeps_the_second_window_of_a_tail_around_a_cycle():
     assert solve_walk(g, Query(2, 7, "atmost")) == Witness((0, 4, 5, 6, 7))
 
 
+def test_radii_from_the_color_count_up_match_oracle():
+    """The walk DP runs at min(r, num_colors), which is exact.
+
+    A walk of at most num_colors vertices must be rainbow at either
+    radius, and a longer one would need num_colors + 1 distinct colors in
+    one window.
+    """
+    rng = random.Random(31)
+    for trial in range(100):
+        g, _ = gen_random(rng.randint(2, 7), 0.45, rng.randint(1, 4), 0, 0, seed=12_000 + trial)
+        for r in range(g.num_colors, g.num_colors + 4):
+            q = Query(r, rng.randint(0, 8), rng.choice(("atmost", "exact", "any")))
+            mine = solve_walk(g, q)
+            ref = oracle_walk(g, q)
+            assert (mine is None) == (ref is None), (trial, q)
+            if mine is not None:
+                assert verify_witness(g, q, mine.vertices) == []
+                assert q.mode == "exact" or mine.length == ref.length, (trial, q)
+
+
 def test_walks_shorter_than_the_radius_match_oracle():
     """Answers decided within r - 1 steps, where every window is shorter than r and padded.
 
