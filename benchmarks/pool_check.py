@@ -1,0 +1,89 @@
+"""Solve every benchmark pool file in process and summarise the answers as JSON.
+
+Builds the walk, path and detour pools of ``solvebench/workloads.py`` at
+seed 0, solves each instance through ``dispatch.solve`` with the solver its
+pool file asks for (``--solver walk`` or auto), checks each witness with
+``verify_witness`` (as a path under auto, whose every solver answers the
+path question), and compares each answer with the oracle answer recorded in
+``solvebench/expected.json``. It prints one JSON line per pool: YES and NO
+counts, invalid witnesses, answers that differ from the record, the solver
+names that ran, the summed ``total_members`` and ``total_windows``, the
+largest ``max_cell``, an answer digest over (name, answer, solver) and the
+seconds spent in ``dispatch.solve``. Two checkouts agree on a pool when
+their lines match apart from ``solve_s``.
+
+Usage: python benchmarks/pool_check.py [walk] [path] [detour]
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+# run from a bare checkout: the package source and solvebench sit beside this directory
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solvebench")]
+
+import workloads  # noqa: E402
+
+from rainbowpaths import dispatch, verify_witness  # noqa: E402
+
+POOLS = ("walk", "path", "detour")
+SEED = 0
+
+
+def check_pool(workload: str) -> dict:
+    """The summary line of one pool."""
+    pool = workloads.build_pool(workload, SEED)
+    recorded = json.loads((ROOT / "solvebench" / "expected.json").read_text())
+    answers = recorded["workloads"][workload]["answers"]
+    names: Counter[str] = Counter()
+    digest = hashlib.sha256()
+    summary = {"pool": workload, "files": len(pool), "yes": 0, "no": 0, "invalid": 0, "wrong": 0}
+    members = windows = max_cell = 0
+    seconds = 0.0
+    for inst, want in zip(pool, answers, strict=True):
+        solver = "walk" if inst.semantics == "walk" else "auto"
+        stats: dict = {}
+        start = time.perf_counter()
+        witness, name = dispatch.solve(inst.graph, inst.query, solver, stats=stats)
+        seconds += time.perf_counter() - start
+        found = witness is not None
+        summary["yes" if found else "no"] += 1
+        summary["wrong"] += found != (want == "Y")
+        if found and verify_witness(
+            inst.graph, inst.query, witness.vertices, require_path=solver == "auto"
+        ):
+            summary["invalid"] += 1
+        names[name] += 1
+        members += stats.get("total_members", 0)
+        windows += stats.get("total_windows", 0)
+        max_cell = max(max_cell, stats.get("max_cell", 0))
+        digest.update(f"{inst.name} {found} {name}\n".encode())
+    summary.update(
+        solvers=dict(sorted(names.items())),
+        total_members=members,
+        total_windows=windows,
+        max_cell=max_cell,
+        answer_digest=digest.hexdigest()[:16],
+        solve_s=round(seconds, 3),
+    )
+    return summary
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("pools", nargs="*", help=f"any of {', '.join(POOLS)} (default: all)")
+    pools = parser.parse_args().pools or POOLS
+    for unknown in set(pools) - set(POOLS):
+        parser.error(f"unknown pool {unknown!r}")
+    for workload in pools:
+        print(json.dumps(check_pool(workload)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -89,14 +89,18 @@ def _parse_witness_tokens(tokens: list[str]) -> tuple[int, ...]:
         raise CliError("empty witness")
     if tokens[0].upper() == "NO":
         raise CliError("answer line says NO; nothing to verify")
+    length = None
     if tokens[0].upper() == "YES":
         if len(tokens) < 3:
             raise CliError("malformed witness line; want 'YES L v0 ... vL'")
-        tokens = tokens[2:]
+        length, tokens = tokens[1], tokens[2:]
     try:
-        return tuple(int(tok) for tok in tokens)
+        vertices = tuple(int(tok) for tok in tokens)
+        if length is not None and int(length) != len(vertices) - 1:
+            raise CliError(f"witness line says L = {length} but lists {len(vertices)} vertices")
     except ValueError:
-        raise CliError("witness vertices must be integers") from None
+        raise CliError("witness length and vertices must be integers") from None
+    return vertices
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -63,6 +63,20 @@ def test_verify_rejects_bad_witness(tmp_path):
     assert "INVALID" in out
 
 
+def test_verify_checks_the_stated_length(tmp_path):
+    g = ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2)
+    path = write_tmp(tmp_path, g, Query(1, 2, "atmost"))
+    assert helpers.run_cli(["verify", path, "--witness", "YES 2 0 1 2"])[0] == EXIT_YES
+    for line, message in (
+        ("YES 7 0 1 2", "says L = 7 but lists 3 vertices"),
+        ("YES 1 0 1 2", "says L = 1 but lists 3 vertices"),
+        ("YES x 0 1 2", "must be integers"),
+    ):
+        code, out, err = helpers.run_cli(["verify", path, "--witness", line])
+        assert code == EXIT_ERROR, line
+        assert out == "" and message in err, (line, err)
+
+
 def test_verify_path_flag(tmp_path):
     g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
     path = write_tmp(tmp_path, g, Query(2, 4, "atmost"))

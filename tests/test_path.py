@@ -17,7 +17,7 @@ from rainbowpaths import (
     solve_walk,
     verify_witness,
 )
-from rainbowpaths.core import bfs_distances, unwind
+from rainbowpaths.core import unwind
 from rainbowpaths.path import _path_levels
 
 
@@ -99,13 +99,13 @@ def test_cells_hold_one_member_per_forward_projection():
 
     A member of u's cell at level p unwinds to a path of p arcs from s to
     u, and its window holds that path's last min(r, p + 1) colors. Its
-    projection keeps the vertices x of the path with dist(u, x) + dist(x,
-    t) <= ell - p, measured here by a fresh BFS from u and one to t.
-    Members are dict keys, so a cell holds one member per projection and
-    window.
+    mask keeps the vertices x of the path with dist(x, t) < ell - p, and
+    with k = ell - dist(s, t) each of them sits at step p - k + 1 or
+    later, so a mask holds at most the last k vertices. Members are dict
+    keys, so a cell holds one member per mask and window.
     """
     rng = random.Random(47)
-    shared = 0
+    shared = tight = 0
     for trial in range(90):
         n = rng.randint(4, 9)
         g, _ = gen_random(n, 0.45, rng.randint(2, 5), 0, 0, seed=23000 + trial)
@@ -113,13 +113,8 @@ def test_cells_hold_one_member_per_forward_projection():
         r = rng.randint(1, 3)
         dist_t = dist_to_target(g)
         for p, level in enumerate(_path_levels(g, r, ell, "exact")):
+            k = ell - dist_t[g.s]
             for u, cell in level.items():
-                row = bfs_distances(g.out_neighbors, u)
-                near = {
-                    x
-                    for x, (d, dt) in enumerate(zip(row, dist_t))
-                    if d is not None and dt is not None and d + dt <= ell - p
-                }
                 for (mask, window), link in cell.items():
                     path = unwind(u, link).vertices
                     assert len(set(path)) == len(path) == p + 1, (trial, p, u, path)
@@ -127,9 +122,14 @@ def test_cells_hold_one_member_per_forward_projection():
                     assert set(zip(path, path[1:])) <= g.arc_set, (trial, p, u, path)
                     last = path[-min(r, p + 1) :]
                     assert window == tuple(g.colors[x] for x in last), (trial, p, u)
-                    assert mask == sum(1 << x for x in set(path) & near), (trial, p, u)
+                    kept = [i for i, x in enumerate(path) if dist_t[x] < ell - p]
+                    assert mask == sum(1 << path[i] for i in kept), (trial, p, u)
+                    assert all(i >= p - k + 1 for i in kept), (trial, p, u, path, k)
+                    # the bound is met with equality by a vertex other than u
+                    tight += p - k + 1 in kept and p - k + 1 < p
                 shared += len(cell) > 1
     assert shared >= 40, shared
+    assert tight >= 100, tight
 
 
 def traced_peak(g: ColoredDigraph, q: Query) -> tuple[Witness | None, int]:
@@ -194,10 +194,12 @@ def symmetric_grid(rows: int, cols: int, num_colors: int, seed: int) -> ColoredD
 def test_grid_detours_keep_cells_polynomial():
     """At a budget of dist + k, a cell holds at most Δ^(max(k, r) - 1) members.
 
-    A member's mask holds only vertices a completion can still reach under the
-    distance gate, so at most the last k vertices of a path; on a grid Δ
-    is 4. A mask of every vertex within the remaining budget of u, ignoring
-    the gate, leaves cells of 32 to 1,202 members on these grids.
+    A member at level p keeps only the visited x with dist(x, t) < ell - p,
+    which a completion can still reach under the distance gate. A vertex
+    at step i has dist(x, t) >= dist - i, so those are among the last k
+    vertices of a path; on a grid Δ is 4. A mask of every vertex within
+    the remaining budget of u, ignoring the gate, leaves cells of 32 to
+    1,202 members on these grids.
     """
     for cols in (12, 16):
         for k in (3, 4):
