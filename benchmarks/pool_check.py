@@ -1,16 +1,19 @@
 """Solve every benchmark pool file in process and summarise the answers as JSON.
 
 Builds the walk, path and detour pools of ``solvebench/workloads.py`` at
-seed 0, solves each instance through ``dispatch.solve`` with the solver its
-pool file asks for (``--solver walk`` or auto), checks each witness with
-``verify_witness`` (as a path under auto, whose every solver answers the
-path question), and compares each answer with the oracle answer recorded in
-``solvebench/expected.json``. It prints one JSON line per pool: YES and NO
-counts, invalid witnesses, answers that differ from the record, the solver
-names that ran, the summed ``total_members`` and ``total_windows``, the
-largest ``max_cell``, an answer digest over (name, answer, solver) and the
-seconds spent in ``dispatch.solve``. Two checkouts agree on a pool when
-their lines match apart from ``solve_s``.
+seed 0, reads each instance back from its file text with
+``parse_instance``, solves it through ``dispatch.solve`` with the solver
+its pool file asks for (``--solver walk`` or auto), checks each witness
+against the generated graph with ``verify_witness`` (as a path under auto,
+whose every solver answers the path question), and compares each answer
+with the oracle answer recorded in ``solvebench/expected.json``. It prints
+one JSON line per pool: YES and NO counts, invalid witnesses, answers that
+differ from the record, the solver names that ran, the summed
+``total_members`` and ``total_windows``, the largest ``max_cell``, an
+answer digest over (name, answer, solver), and the seconds spent in
+``parse_instance`` (``parse_s``) and in ``dispatch.solve`` (``solve_s``).
+Two checkouts agree on a pool when their lines match apart from ``parse_s``
+and ``solve_s``.
 
 Usage: python benchmarks/pool_check.py [walk] [path] [detour]
 """
@@ -30,7 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solvebench")]
 
 import workloads  # noqa: E402
 
-from rainbowpaths import dispatch, verify_witness  # noqa: E402
+from rainbowpaths import dispatch, parse_instance, verify_witness  # noqa: E402
 
 POOLS = ("walk", "path", "detour")
 SEED = 0
@@ -45,12 +48,16 @@ def check_pool(workload: str) -> dict:
     digest = hashlib.sha256()
     summary = {"pool": workload, "files": len(pool), "yes": 0, "no": 0, "invalid": 0, "wrong": 0}
     members = windows = max_cell = 0
-    seconds = 0.0
+    parse_seconds = seconds = 0.0
     for inst, want in zip(pool, answers, strict=True):
         solver = "walk" if inst.semantics == "walk" else "auto"
+        text = inst.text
+        start = time.perf_counter()
+        graph, query = parse_instance(text)
+        parse_seconds += time.perf_counter() - start
         stats: dict = {}
         start = time.perf_counter()
-        witness, name = dispatch.solve(inst.graph, inst.query, solver, stats=stats)
+        witness, name = dispatch.solve(graph, query, solver, stats=stats)
         seconds += time.perf_counter() - start
         found = witness is not None
         summary["yes" if found else "no"] += 1
@@ -70,6 +77,7 @@ def check_pool(workload: str) -> dict:
         total_windows=windows,
         max_cell=max_cell,
         answer_digest=digest.hexdigest()[:16],
+        parse_s=round(parse_seconds, 3),
         solve_s=round(seconds, 3),
     )
     return summary

@@ -20,6 +20,7 @@ from pathlib import Path
 from .core import ColoredDigraph, Query, verify_witness
 from .dispatch import SOLVERS, solve
 from .instances import (
+    _ints,
     gen_3sat_instance,
     gen_phs_instance,
     gen_random,
@@ -89,18 +90,20 @@ def _parse_witness_tokens(tokens: list[str]) -> tuple[int, ...]:
         raise CliError("empty witness")
     if tokens[0].upper() == "NO":
         raise CliError("answer line says NO; nothing to verify")
-    length = None
-    if tokens[0].upper() == "YES":
+    stated = tokens[0].upper() == "YES"
+    if stated:
         if len(tokens) < 3:
             raise CliError("malformed witness line; want 'YES L v0 ... vL'")
-        length, tokens = tokens[1], tokens[2:]
+        tokens = tokens[1:]
     try:
-        vertices = tuple(int(tok) for tok in tokens)
-        if length is not None and int(length) != len(vertices) - 1:
-            raise CliError(f"witness line says L = {length} but lists {len(vertices)} vertices")
+        numbers = _ints(tokens)
     except ValueError:
         raise CliError("witness length and vertices must be integers") from None
-    return vertices
+    if stated:
+        length, *numbers = numbers
+        if length != len(numbers) - 1:
+            raise CliError(f"witness line says L = {length} but lists {len(numbers)} vertices")
+    return tuple(numbers)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

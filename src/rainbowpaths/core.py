@@ -26,9 +26,11 @@ MODES = ("atmost", "exact", "any")
 class ColoredDigraph:
     """A digraph with one color per vertex and two terminals.
 
-    Invariants enforced at construction: no self-loops, no duplicate arcs,
-    all ids in range, s != t, and dense colors (every color in
-    [0, num_colors) is used by at least one vertex).
+    Invariants enforced at construction: n >= 2, one color per vertex,
+    dense colors (every color in [0, num_colors) is used by at least one
+    vertex), no self-loops, no duplicate arcs, all ids in range, and
+    s != t. ``parse_instance`` checks all but the terminals itself, in bulk,
+    and builds through ``_checked``, which checks only the terminals.
     """
 
     n: int
@@ -56,6 +58,23 @@ class ColoredDigraph:
                 raise ValueError(f"arc ({u}, {v}) out of range")
         if len(set(self.arcs)) != len(self.arcs):
             raise ValueError("duplicate arcs")
+        self._check_terminals()
+
+    @classmethod
+    def _checked(
+        cls, n: int, colors: tuple[int, ...], arcs: tuple[Arc, ...], s: int, t: int
+    ) -> ColoredDigraph:
+        """The graph of parts already checked: every invariant but the terminals holds.
+
+        ``colors`` and ``arcs`` must be tuples of ints; they are stored as given.
+        """
+        g = object.__new__(cls)
+        # the frozen fields, stored where __init__ stores them
+        vars(g).update(n=n, colors=colors, arcs=arcs, s=s, t=t)
+        g._check_terminals()
+        return g
+
+    def _check_terminals(self) -> None:
         for name in ("s", "t"):
             vid = getattr(self, name)
             if not (0 <= vid < self.n):

@@ -10,8 +10,10 @@ Random instances and a small line-oriented file format round things out.
 from __future__ import annotations
 
 import logging
+import operator
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import MODES, ColoredDigraph, Query
 
@@ -290,98 +292,134 @@ def gen_random(
     return g, Query(r=r, ell=ell, mode=mode)
 
 
-def _int(token: str) -> int:
-    """One integer token of an input file: an optional '-' then ASCII digits.
+def _ints(tokens: list[str]) -> list[int]:
+    """Integer tokens of an input file, each an optional '-' then ASCII digits.
 
     ``int`` alone would also take '+1', '1_0' and non-ASCII digits, which
-    ``write_instance`` never emits. Raises ValueError on any other token;
-    the caller names the line.
+    ``write_instance`` never emits; those are looked for once, in the
+    joined tokens. Raises ValueError on any other token; the caller names
+    the line.
     """
-    if token.isascii() and "+" not in token and "_" not in token:
-        return int(token)
-    raise ValueError(token)
+    joined = "".join(tokens)
+    if joined.isascii() and "+" not in joined and "_" not in joined:
+        return list(map(int, tokens))
+    raise ValueError(joined)
+
+
+def _arcs(n: int, arc_lines: list[str]) -> tuple[tuple[int, int], ...] | None:
+    """The arcs of the arc lines, each at its first line; None if any line is at fault.
+
+    Each fact is checked once over all lines: two tokens per line, the
+    integer grammar, ids in [0, n) and no self-loops.
+    """
+    pairs = list(map(str.split, arc_lines))
+    if not set(map(len, pairs)) <= {2}:
+        return None
+    try:
+        ends = _ints(list(chain.from_iterable(pairs)))
+    except ValueError:
+        return None
+    tails, heads = ends[0::2], ends[1::2]
+    if ends and (min(ends) < 0 or max(ends) >= n or any(map(operator.eq, tails, heads))):
+        return None
+    return tuple(dict.fromkeys(zip(tails, heads)))
+
+
+def _walk_arc_lines(n: int, numbered: list[tuple[int, str]]) -> None:
+    """Read numbered arc lines in order: warn of each duplicate and raise at the first fault.
+
+    ``parse_instance`` checks the arc lines in bulk and comes here only
+    when a bulk check fails or an arc repeats, to name the fault and the
+    line of each duplicate.
+    """
+    seen: set[tuple[int, int]] = set()
+    for lineno, arc_line in numbered:
+        try:
+            u, v = arc = tuple(_ints(arc_line.split()))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected arc 'u v', got {arc_line!r}") from None
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {lineno}: arc ({u}, {v}) out of range")
+        if arc in seen:
+            logger.warning("line %d: duplicate arc %s collapsed", lineno, arc)
+        seen.add(arc)
 
 
 def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
     """Parse the line-oriented instance format.
 
-    Layout: a header line "rainbow 1"; "n m"; n vertex colors; m arc
-    lines "u v"; a final line "s t r ell mode". Text after '#' and blank
-    lines are ignored. Every integer is an optional '-' then ASCII digits.
-    Errors carry the 1-based line number.
+    Layout: a header line "rainbow 1"; "n m" with n >= 2; n vertex colors;
+    m arc lines "u v"; a final line "s t r ell mode". Text after '#' and
+    blank lines are ignored. Every integer is an optional '-' then ASCII
+    digits. Errors carry the 1-based line number.
+
+    The colors and arcs are checked once, in bulk: the integer grammar,
+    dense colors, two ids per arc line, ids in range and no self-loops; a
+    repeated arc keeps its first line, with a warning. The graph is built
+    through ``ColoredDigraph._checked``, which checks only the terminals.
     """
-    entries: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            entries.append((lineno, stripped))
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = list(map(str.strip, lines))
+    content = list(filter(None, lines))
 
-    def fail(lineno: int, msg: str) -> ValueError:
-        return ValueError(f"line {lineno}: {msg}")
+    def numbered() -> list[tuple[int, str]]:
+        return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
 
-    if not entries:
+    def fail(index: int, msg: str) -> ValueError:
+        return ValueError(f"line {numbered()[index][0]}: {msg}")
+
+    if not content:
         raise ValueError("empty instance")
-    if entries[0][1] != FORMAT_HEADER:
-        raise fail(entries[0][0], f"expected header {FORMAT_HEADER!r}, got {entries[0][1]!r}")
-    if len(entries) < 2:
+    if content[0] != FORMAT_HEADER:
+        raise fail(0, f"expected header {FORMAT_HEADER!r}, got {content[0]!r}")
+    if len(content) < 2:
         raise ValueError("missing size line")
-    lineno, size_line = entries[1]
     try:
-        n, m = map(_int, size_line.split())
+        n, m = _ints(content[1].split())
     except ValueError:
-        raise fail(lineno, f"expected 'n m', got {size_line!r}") from None
+        raise fail(1, f"expected 'n m', got {content[1]!r}") from None
     if n < 0 or m < 0:
-        raise fail(lineno, f"n and m must be non-negative, got {size_line!r}")
+        raise fail(1, f"n and m must be non-negative, got {content[1]!r}")
+    if n < 2:
+        raise fail(1, "graph needs at least two vertices")
     expected = 3 + m + 1
-    if len(entries) != expected:
+    if len(content) != expected:
         raise ValueError(
-            f"expected {expected} content lines for n={n}, m={m}, got {len(entries)}"
+            f"expected {expected} content lines for n={n}, m={m}, got {len(content)}"
         )
-    lineno, color_line = entries[2]
-    color_parts = color_line.split()
+    color_parts = content[2].split()
     if len(color_parts) != n:
-        raise fail(lineno, f"expected {n} colors, got {len(color_parts)}")
+        raise fail(2, f"expected {n} colors, got {len(color_parts)}")
     try:
-        palette = tuple(map(_int, color_parts))
+        palette = tuple(_ints(color_parts))
     except ValueError:
-        raise fail(lineno, "colors must be integers") from None
-    if any(c < 0 for c in palette):
-        raise fail(lineno, "colors must be non-negative")
-    used = set(palette)
-    if used != set(range(len(used))):
-        raise fail(lineno, "colors must form a dense range starting at 0")
-    arcs: list[tuple[int, int]] = []
-    seen_arcs: set[tuple[int, int]] = set()
-    for lineno, arc_line in entries[3 : 3 + m]:
-        try:
-            a, b = arc_line.split()
-            u, v = arc = (_int(a), _int(b))
-        except ValueError:
-            raise fail(lineno, f"expected arc 'u v', got {arc_line!r}") from None
-        if u == v:
-            raise fail(lineno, f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise fail(lineno, f"arc ({u}, {v}) out of range")
-        if arc in seen_arcs:
-            logger.warning("line %d: duplicate arc %s collapsed", lineno, arc)
-            continue
-        seen_arcs.add(arc)
-        arcs.append(arc)
-    lineno, query_line = entries[3 + m]
+        raise fail(2, "colors must be integers") from None
+    if min(palette) < 0:
+        raise fail(2, "colors must be non-negative")
+    if max(palette) + 1 != len(set(palette)):
+        raise fail(2, "colors must form a dense range starting at 0")
+    arcs = _arcs(n, content[3:-1])
+    if arcs is None or len(arcs) < m:
+        _walk_arc_lines(n, numbered()[3:-1])
+    query_line = content[-1]
     parts = query_line.split()
     if len(parts) != 5:
-        raise fail(lineno, f"expected 's t r ell mode', got {query_line!r}")
+        raise fail(-1, f"expected 's t r ell mode', got {query_line!r}")
     if parts[4] not in MODES:
-        raise fail(lineno, f"mode must be one of {MODES}, got {parts[4]!r}")
+        raise fail(-1, f"mode must be one of {MODES}, got {parts[4]!r}")
     try:
-        s, t, r, ell = map(_int, parts[:4])
+        s, t, r, ell = _ints(parts[:4])
     except ValueError:
-        raise fail(lineno, "s, t, r, ell must be integers") from None
+        raise fail(-1, "s, t, r, ell must be integers") from None
     try:
-        g = ColoredDigraph(n, palette, tuple(arcs), s, t)
+        g = ColoredDigraph._checked(n, palette, arcs, s, t)
         query = Query(r=r, ell=ell, mode=parts[4])
     except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
+        raise fail(-1, str(exc)) from None
     return g, query
 
 
@@ -410,7 +448,7 @@ def read_dimacs(text: str) -> CnfInput:
         if not line or line.startswith("c") or line.startswith("p"):
             continue
         try:
-            values = [_int(token) for token in line.split()]
+            values = _ints(line.split())
         except ValueError:
             raise ValueError(f"line {lineno}: expected integer literals, got {line!r}") from None
         for value in values:
@@ -431,21 +469,21 @@ def read_phs_sets(text: str) -> PHSInput:
     First content line: k. Each following line is one family given as an
     even-length list of integers "i1 j1 i2 j2 ...". '#' comments allowed.
     """
-    rows: list[list[int]] = []
+    rows: list[tuple[int, list[int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            rows.append([_int(tok) for tok in line.split()])
+            rows.append((lineno, _ints(line.split())))
         except ValueError:
             raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
-    if not rows or len(rows[0]) != 1:
+    if not rows or len(rows[0][1]) != 1:
         raise ValueError("first content line must be the single integer k")
-    k = rows[0][0]
+    k = rows[0][1][0]
     sets = []
-    for row in rows[1:]:
+    for lineno, row in rows[1:]:
         if len(row) % 2 != 0:
-            raise ValueError(f"family {row} has an odd number of integers")
+            raise ValueError(f"line {lineno}: family {row} has an odd number of integers")
         sets.append(tuple(zip(row[::2], row[1::2])))
     return PHSInput(k, tuple(sets))

@@ -77,6 +77,17 @@ def test_verify_checks_the_stated_length(tmp_path):
         assert out == "" and message in err, (line, err)
 
 
+def test_verify_reads_witness_integers_with_the_file_grammar(tmp_path):
+    g = ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2)
+    path = write_tmp(tmp_path, g, Query(1, 2, "atmost"))
+    assert helpers.run_cli(["verify", path, "--witness", "YES 02 0 01 2"])[0] == EXIT_YES
+    # int() takes each of these, so they used to read as 0 1 2 or 0 10 2
+    for line in ("+0 1 2", "YES +2 0 1 2", "0 1_0 2", "0 \u0661 2"):
+        code, out, err = helpers.run_cli(["verify", path, "--witness", line])
+        assert code == EXIT_ERROR, line
+        assert out == "" and "witness length and vertices must be integers" in err, (line, err)
+
+
 def test_verify_path_flag(tmp_path):
     g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
     path = write_tmp(tmp_path, g, Query(2, 4, "atmost"))

@@ -319,6 +319,81 @@ def test_parse_reports_arc_and_color_faults_at_their_line():
         parse_instance("rainbow 1\n3 2\n0 2 2\n0 1\n1 2\n0 2 2 2 atmost\n")
 
 
+def test_parse_rejects_fewer_than_two_vertices_at_the_size_line():
+    # the size line is at fault, not the query line or the count of content lines
+    with pytest.raises(ValueError, match=r"^line 2: graph needs at least two vertices$"):
+        parse_instance("rainbow 1\n1 0\n0\n0 0 1 1 atmost\n")
+    with pytest.raises(ValueError, match=r"^line 2: graph needs at least two vertices$"):
+        parse_instance("rainbow 1\n0 0\n\n0 0 1 1 atmost\n")
+
+
+def test_parse_names_the_first_fault_in_line_order(caplog):
+    with pytest.raises(ValueError, match=r"^line 4: arc \(1, 7\) out of range$"):
+        parse_instance("rainbow 1\n3 2\n0 1 2\n1 7\n0 x\n0 2 2 2 atmost\n")
+    with pytest.raises(ValueError, match=r"^line 4: expected arc 'u v', got '0 1 2'$"):
+        parse_instance("rainbow 1\n3 2\n0 1 2\n0 1 2\n1 1\n0 2 2 2 atmost\n")
+    with pytest.raises(ValueError, match=r"^line 5: arc \(-1, 2\) out of range$"):
+        parse_instance("rainbow 1\n3 2\n0 1 2\n0 1\n-1 2\n0 2 2 2 atmost\n")
+    with caplog.at_level(logging.WARNING, logger="rainbowpaths.instances"):
+        with pytest.raises(ValueError, match=r"^line 6: expected arc 'u v', got '1 x'$"):
+            parse_instance("rainbow 1\n3 3\n0 1 2\n0 1\n0 1\n1 x\n0 2 2 2 atmost\n")
+    assert [rec.getMessage() for rec in caplog.records] == ["line 5: duplicate arc (0, 1) collapsed"]
+    # the terminals are checked where the graph is built, and blamed on the query line
+    with pytest.raises(ValueError, match=r"^line 6: t=3 out of range$"):
+        parse_instance("rainbow 1\n3 1\n0 1 2\n\n0 1\n0 3 2 2 atmost\n")
+    with pytest.raises(ValueError, match=r"^line 5: terminals must differ$"):
+        parse_instance("rainbow 1\n3 1\n0 1 2\n0 1\n2 2 2 2 atmost\n")
+
+
+def _noisy_instance_text(rng, n, colors, arc_lines, query_line):
+    """An instance file with comments, tabs, CRLF line ends, blank lines and zero-padded ids."""
+    def spaced(tokens):
+        return rng.choice((" ", "\t", "  ", " \t ")).join(tokens)
+
+    def pad(v):
+        return f"0{v}" if rng.random() < 0.1 else str(v)
+
+    body = ["rainbow 1", f"{n} {len(arc_lines)}", spaced(map(str, colors))]
+    body += [spaced((pad(u), pad(v))) for u, v in arc_lines]
+    body.append(query_line)
+    out = []
+    for line in body:
+        if rng.random() < 0.2:
+            out.append(rng.choice(("", "   ", "# a comment", "\t# indented comment")))
+        if rng.random() < 0.3:
+            line += f"  # note {rng.randrange(100)}"
+        out.append(rng.choice(("", " ", "\t")) + line)
+    return rng.choice(("\n", "\r\n")).join(out) + rng.choice(("", "\n", "\r\n"))
+
+
+def test_parse_builds_the_graph_the_public_constructor_builds(caplog):
+    rng = random.Random(41)
+    duplicated = 0
+    for trial in range(200):
+        n = rng.randint(2, 12)
+        colors = [rng.randrange(n) for _ in range(n)]
+        dense = {c: i for i, c in enumerate(sorted(set(colors)))}
+        colors = tuple(dense[c] for c in colors)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arc_lines = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
+        if arc_lines and rng.random() < 0.3:
+            arc_lines.insert(rng.randrange(len(arc_lines) + 1), rng.choice(arc_lines))
+        s, t = rng.sample(range(n), 2)
+        q = Query(rng.randint(0, 3), rng.randint(0, 9), rng.choice(("atmost", "exact", "any")))
+        text = _noisy_instance_text(rng, n, colors, arc_lines, f"{s} {t} {q.r} {q.ell} {q.mode}")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="rainbowpaths.instances"):
+            g, q2 = parse_instance(text)
+        first_kept = tuple(dict.fromkeys(arc_lines))
+        duplicated += len(first_kept) < len(arc_lines)
+        assert len(caplog.records) == len(arc_lines) - len(first_kept), trial
+        want = ColoredDigraph(n, colors, first_kept, s, t)
+        assert g == want and q2 == q, trial
+        assert g.out_neighbors == want.out_neighbors, trial
+        assert g.in_neighbors == want.in_neighbors, trial
+    assert duplicated > 20
+
+
 def test_parse_allows_comments():
     g, q = gen_random(4, 0.5, 2, 1, 3, seed=2)
     text = "# a comment\n" + write_instance(g, q)
@@ -339,6 +414,11 @@ def test_readers_report_malformed_integers_at_their_line():
         line = f"1 {token}"
         with pytest.raises(ValueError, match=rf"^line 2: expected integers, got {re.escape(repr(line))}$"):
             read_phs_sets(f"2\n{line}\n")
+
+
+def test_read_phs_sets_reports_an_odd_family_at_its_line():
+    with pytest.raises(ValueError, match=r"^line 4: family \[1, 1, 2\] has an odd number of integers$"):
+        read_phs_sets("2\n1 1 2 2\n# odd\n1 1 2\n")
 
 
 def test_read_phs_sets():
