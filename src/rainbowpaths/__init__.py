@@ -19,7 +19,6 @@ from .core import (
     Query,
     Witness,
     dist_from_source,
-    dist_to_target,
     is_locally_rainbow,
     r_compatible,
     slot_set,
@@ -65,7 +64,6 @@ __all__ = [
     "Witness",
     "blocked_slots",
     "dist_from_source",
-    "dist_to_target",
     "distance_separators",
     "gen_3sat_instance",
     "gen_phs_instance",

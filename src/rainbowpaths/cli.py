@@ -107,6 +107,8 @@ def _parse_witness_tokens(tokens: list[str]) -> tuple[int, ...]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.instance == "-" and args.witness is None:
+        raise CliError("verify - reads the instance from stdin; pass the witness with --witness")
     g, query = _load_instance(args.instance)
     raw = args.witness if args.witness is not None else sys.stdin.read()
     vertices = _parse_witness_tokens(raw.split())

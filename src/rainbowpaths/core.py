@@ -17,6 +17,8 @@ from functools import cached_property
 from typing import Any, Sequence
 
 ColorSeq = tuple[int, ...]
+# pads a DP window on the left to r colors; it equals no color, so it blocks nothing
+_PAD = -1
 Arc = tuple[int, int]
 
 MODES = ("atmost", "exact", "any")
@@ -103,11 +105,6 @@ class ColoredDigraph:
     @cached_property
     def arc_set(self) -> frozenset[Arc]:
         return frozenset(self.arcs)
-
-    @cached_property
-    def dist_from_s(self) -> tuple[int | None, ...]:
-        """Arc counts of shortest paths from s; None where unreached."""
-        return tuple(bfs_distances(self.out_neighbors, self.s))
 
     @cached_property
     def dist_to_t(self) -> tuple[int | None, ...]:
@@ -220,17 +217,9 @@ def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int | None]
     return dist
 
 
-def dist_to_target(g: ColoredDigraph) -> list[int | None]:
-    """Shortest directed distance from each vertex to g.t; None if t is unreachable.
-
-    A copy of ``g.dist_to_t``, so the BFS runs once per graph.
-    """
-    return list(g.dist_to_t)
-
-
 def dist_from_source(g: ColoredDigraph) -> list[int | None]:
-    """Shortest directed distance from g.s to each vertex; a copy of ``g.dist_from_s``."""
-    return list(g.dist_from_s)
+    """Shortest directed distance from g.s to each vertex; None if unreached."""
+    return bfs_distances(g.out_neighbors, g.s)
 
 
 def unwind(v: int, link: Any) -> Witness:

@@ -27,7 +27,7 @@ SOLVERS = (
 def _solve_auto(
     g: ColoredDigraph, query: Query, stats: dict | None
 ) -> tuple[Witness | None, str]:
-    dist = g.dist_from_s[g.t]
+    dist = g.dist_to_t[g.s]
     if dist is None:
         return None, "unreachable"
     if (query.r <= 1 and query.mode != "exact") or (query.ell == dist and query.mode != "any"):

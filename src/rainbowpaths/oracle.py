@@ -127,37 +127,39 @@ def _reconstruct(
 
 
 def oracle_path(g: ColoredDigraph, query: Query) -> Witness | None:
-    """Exhaustive DFS over simple locally rainbow s-t paths."""
+    """Exhaustive DFS over simple locally rainbow s-t paths.
+
+    The DFS keeps its own stack, one out-neighbor iterator per path vertex,
+    so a path of any length fits; it tries out-neighbors in order.
+    """
     ell = g.n - 1 if query.mode == "any" else query.ell
     exact = query.mode == "exact"
     colors = g.colors
     out = g.out_neighbors
-    found: list[tuple[int, ...]] = []
-
-    def dfs(v: int, window: tuple[int, ...], visited: set[int], seq: list[int]) -> bool:
-        if v == g.t:
-            if not exact or len(seq) - 1 == ell:
-                found.append(tuple(seq))
-                return True
-            return False
-        if len(seq) - 1 >= ell:
-            return False
-        for u in out[v]:
+    path = [g.s]
+    visited = {g.s}
+    # (out-neighbors not yet tried, window) for each path vertex that may extend
+    stack = [(iter(out[g.s] if ell > 0 else ()), _start_window(g, query.r))]
+    while stack:
+        successors, window = stack[-1]
+        for u in successors:
             if u in visited:
                 continue
             new_window = _extend_window(window, colors[u], query.r)
             if new_window is None:
                 continue
-            visited.add(u)
-            seq.append(u)
-            if dfs(u, new_window, visited, seq):
-                return True
-            seq.pop()
-            visited.remove(u)
-        return False
-
-    dfs(g.s, _start_window(g, query.r), {g.s}, [g.s])
-    return Witness(found[0]) if found else None
+            if u == g.t:
+                if not exact or len(path) == ell:
+                    return Witness(tuple(path) + (u,))
+            elif len(path) < ell:
+                path.append(u)
+                visited.add(u)
+                stack.append((iter(out[u]), new_window))
+                break
+        else:
+            stack.pop()
+            visited.remove(path.pop())
+    return None
 
 
 def distance_separators(path: tuple[int, ...], d: list[int | None]) -> list[int]:

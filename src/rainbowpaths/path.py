@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .core import ColoredDigraph, ColorSeq, Query, Witness, unwind
+from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, unwind
 
-# (near part of the visited set as a vertex bitmask, last r colors) -> link,
+# (near part of the visited set as a vertex bitmask, last r colors padded to r) -> link,
 # where a link is (vertex, link) for the path before the member's vertex, or None at s
 PathCell = dict[tuple[int, ColorSeq], Any]
 
@@ -29,17 +29,19 @@ def _path_levels(
 ) -> Iterator[dict[int, PathCell]]:
     """The path DP's levels, each yielded once it is built: each vertex u reached, with u's cell.
 
-    Level p holds the paths of p arcs from g.s. An arc into u extends a
-    member when u's bit is not in its mask, u's color is not in its
-    window, and ``dist_t[u] <= ell - p``; the new member stores ``(mask |
-    1 << u) & near``, where ``near`` holds the x with ``dist_t[x] < ell -
-    p``. ``near`` is one bitmask per level: the vertices are bucketed by
-    ``dist_t`` once, and each level drops the ring ``dist_t == ell - p``.
-    A vertex that leaves ``near`` is refused by the distance gate at every
-    later level, so the mask needs it no more. The DP stops after level
-    ``ell``, after an empty level, or, in mode "atmost", after the first
-    level holding g.t; ``mode`` is "atmost" or "exact". A budget past n -
-    1, which no path fits, or a gate that refuses g.s yields no level.
+    Level p holds the paths of p arcs from g.s. A window holds a path's
+    last r colors, padded on the left with ``_PAD`` to r, so a step drops
+    its first color. An arc into u extends a member when u's bit is not in
+    its mask, u's color is not in its window, and ``dist_t[u] <= ell -
+    p``; the new member stores ``(mask | 1 << u) & near``, where ``near``
+    holds the x with ``dist_t[x] < ell - p``. ``near`` is one bitmask per
+    level: the vertices are bucketed by ``dist_t`` once, and each level
+    drops the ring ``dist_t == ell - p``. A vertex that leaves ``near`` is
+    refused by the distance gate at every later level, so the mask needs
+    it no more. The DP stops after level ``ell``, after an empty level,
+    or, in mode "atmost", after the first level holding g.t; ``mode`` is
+    "atmost" or "exact". A budget past n - 1, which no path fits, or a
+    gate that refuses g.s yields no level.
 
     ``stats`` receives ``levels``, ``max_cell``, and ``total_members``,
     the member count summed over levels; a DP that yields no level leaves
@@ -57,7 +59,8 @@ def _path_levels(
         if d is not None and d < ell:
             rings[d].append(x)
     near = sum(1 << x for ring in rings for x in ring)
-    level: dict[int, PathCell] = {g.s: {((1 << g.s) & near, (colors[g.s],)[:r]): None}}
+    start = ((_PAD,) * (r - 1) + (colors[g.s],))[:r]
+    level: dict[int, PathCell] = {g.s: {((1 << g.s) & near, start): None}}
     yield level
     for p in range(1, ell + 1):
         near ^= sum(1 << x for x in rings[ell - p])
@@ -75,8 +78,7 @@ def _path_levels(
                     head = heads_at[u] = (1 << u, colors[u], (colors[u],)[:r], {})
                 heads.append(head)
             for (mask, window), link in members.items():
-                # a step keeps all of a short window, and a full one but its first color
-                stem = window[1:] if len(window) == r else window
+                stem = window[1:]
                 via = (v, link)
                 for bit, c, added, cell in heads:
                     if mask & bit or c in window:
@@ -108,8 +110,9 @@ def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
         ell, mode = query.ell, "exact"
     else:
         ell, mode = (g.n - 1 if query.mode == "any" else min(query.ell, g.n - 1)), "atmost"
+    # as in solve_walk, a radius past num_colors changes no answer
     level: dict[int, PathCell] = {}
-    for level in _path_levels(g, query.r, ell, mode, stats):
+    for level in _path_levels(g, min(query.r, g.num_colors), ell, mode, stats):
         pass
     cell = level.get(g.t)
     return None if cell is None else unwind(g.t, next(iter(cell.values())))

@@ -23,11 +23,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .core import ColoredDigraph, ColorSeq, Query, Witness, slot_set, unwind
+from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, slot_set, unwind
 from .repfam import ordered_bound, representative_keep
-
-# pads a window to r colors; it equals no color, so it blocks nothing
-_PAD = -1
 
 # tail -> first color -> link, where a link is (vertex, link) for the walk
 # before the window's vertex, or None at s

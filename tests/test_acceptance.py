@@ -20,7 +20,6 @@ from rainbowpaths import (
     ColoredDigraph,
     PHSInput,
     Query,
-    dist_to_target,
     distance_separators,
     gen_3sat_instance,
     gen_phs_instance,
@@ -148,7 +147,7 @@ def detour_runs() -> tuple[list, list[YesWitness], list[Detour]]:
         n = rng.randint(2, 9)
         g, _ = gen_random(n, rng.choice((0.3, 0.5)), rng.randint(1, 4), 0, 0, seed=20_000 + trial)
         r = rng.randint(1, 3)
-        dist = dist_to_target(g)[g.s]
+        dist = g.dist_to_t[g.s]
         for k in (0, 1, 2, 3):
             if dist is None:
                 if solve_path(g, Query(r, k, "atmost")) is not None:
@@ -395,7 +394,7 @@ def test_criterion_08_special_case_solvers_match_walk_dp():
         g = helpers.symmetric_no_mono_graph(rng, rng.randint(2, 9), rng.randint(2, 4), 0.4)
         if g is None:
             continue
-        dist = dist_to_target(g)[g.s]
+        dist = g.dist_to_t[g.s]
         if dist is None:
             continue
         checked += 1
@@ -467,7 +466,7 @@ def test_criterion_11_detour_witnesses_have_separator_structure(detour_runs):
     assert detours, "criterion 3 found no YES witness"
     failures = 0
     for g, r, k, vertices in detours:
-        d = dist_to_target(g)
+        d = g.dist_to_t
         dist = d[g.s]
         length = len(vertices) - 1
         if not (dist <= length <= dist + k):

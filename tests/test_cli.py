@@ -88,6 +88,15 @@ def test_verify_reads_witness_integers_with_the_file_grammar(tmp_path):
         assert out == "" and "witness length and vertices must be integers" in err, (line, err)
 
 
+def test_verify_refuses_instance_and_witness_both_on_stdin():
+    g = ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2)
+    text = write_instance(g, Query(1, 2, "atmost"))
+    code, out, err = helpers.run_cli(["verify", "-"], stdin_text=text)
+    assert code == EXIT_ERROR
+    assert out == "" and "pass the witness with --witness" in err, err
+    assert helpers.run_cli(["verify", "-", "--witness", "0 1 2"], stdin_text=text)[0] == EXIT_YES
+
+
 def test_verify_path_flag(tmp_path):
     g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
     path = write_tmp(tmp_path, g, Query(2, 4, "atmost"))
@@ -174,7 +183,7 @@ def test_radii_past_the_float_range_get_an_answer(tmp_path):
         for g, ell, want in ((yes, 1, EXIT_YES), (no, 3, EXIT_NO)):
             for mode in ("atmost", "exact", "any"):
                 path = write_tmp(tmp_path, g, Query(r, ell, mode))
-                for forced in ([], ["--solver", "walk"]):
+                for forced in ([], ["--solver", "walk"], ["--solver", "path"]):
                     code, _, err = helpers.run_cli(["solve", path, *forced])
                     assert (code, err) == (want, ""), (r, g.n, mode, forced)
 
@@ -219,6 +228,19 @@ def test_crosscheck_replays_the_solver_witness(tmp_path, monkeypatch):
     code, out, _ = helpers.run_cli(["crosscheck", path])
     assert code == EXIT_NO
     assert "solver walk-dp: YES" in out and "INVALID: vertices repeat" in out and "AGREE" not in out
+
+
+def test_path_oracle_answers_a_path_past_the_recursion_limit(tmp_path):
+    """A 1,500-vertex chain: its one s-t path is longer than the default recursion limit of 1,000."""
+    n = 1500
+    g = ColoredDigraph(n, tuple(i % 5 for i in range(n)), tuple((i, i + 1) for i in range(n - 1)), 0, n - 1)
+    path = write_tmp(tmp_path, g, Query(2, n, "atmost"))
+    code, out, err = helpers.run_cli(["crosscheck", path])
+    assert (code, err) == (EXIT_YES, ""), err
+    assert "solver path-dp: YES" in out and "AGREE" in out
+    code, out, err = helpers.run_cli(["solve", path, "--solver", "oracle-path"])
+    assert (code, err) == (EXIT_YES, "")
+    assert out == f"YES {n - 1} " + " ".join(map(str, range(n))) + "\n"
 
 
 def test_walk_solver_on_any_query(tmp_path):

@@ -14,7 +14,6 @@ from rainbowpaths import (
     Witness,
     blocked_slots,
     dist_from_source,
-    dist_to_target,
     is_locally_rainbow,
     r_compatible,
     slot_set,
@@ -151,14 +150,14 @@ def test_witness_basics():
 
 def test_distances():
     g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
-    assert dist_to_target(g) == [1, 3, 2, 0]
+    assert g.dist_to_t == (1, 3, 2, 0)
     assert dist_from_source(g) == [0, 1, 2, 1]
     assert bfs_distances(g.out_neighbors, 2) == [1, 2, 0, 2]
 
 
 def test_unreachable_distance_is_none():
     g = ColoredDigraph(3, (0, 1, 0), ((0, 1),), 0, 2)
-    assert dist_to_target(g) == [None, None, 0]
+    assert g.dist_to_t == (None, None, 0)
 
 
 @given(

@@ -7,7 +7,6 @@ from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
-    dist_to_target,
     distance_separators,
     gen_random,
     oracle_path,
@@ -46,7 +45,7 @@ def test_one_step_detour_around_color_clash():
 
 def test_witness_respects_distance_budget():
     g = ColoredDigraph(4, (0, 1, 2, 0), ((0, 1), (1, 3), (0, 2), (2, 1)), 0, 3)
-    d = dist_to_target(g)
+    d = g.dist_to_t
     w, _ = solve(g, Query(2, d[g.s] + 3, "atmost"))
     assert w is not None
     assert d[g.s] <= w.length <= d[g.s] + 3
@@ -67,7 +66,7 @@ def test_matches_path_solver_randomized():
         g, _ = gen_random(rng.randint(2, 8), 0.35, rng.randint(1, 4), 0, 0, seed=13000 + trial)
         r = rng.randint(1, 3)
         k = rng.randint(0, 3)
-        d = dist_to_target(g)[g.s]
+        d = g.dist_to_t[g.s]
         if d is None:
             assert solve(g, Query(r, k, "atmost"))[0] is None
             continue
@@ -86,7 +85,7 @@ def test_zero_slack_matches_walk_solver_randomized():
     for trial in range(80):
         g, _ = gen_random(rng.randint(2, 8), 0.35, rng.randint(1, 4), 0, 0, seed=15000 + trial)
         r = rng.randint(1, 3)
-        d = dist_to_target(g)[g.s]
+        d = g.dist_to_t[g.s]
         if d is None:
             continue
         mine = solve_path(g, Query(r, d, "atmost"))
@@ -99,7 +98,7 @@ def test_witness_separator_segments_stay_short():
     for trial in range(80):
         g, _ = gen_random(rng.randint(3, 8), 0.4, rng.randint(2, 4), 0, 0, seed=17000 + trial)
         k = rng.randint(0, 3)
-        d = dist_to_target(g)
+        d = g.dist_to_t
         if d[g.s] is None:
             continue
         w, _ = solve(g, Query(2, d[g.s] + k, "atmost"))
@@ -121,7 +120,7 @@ def test_matches_oracle_at_slack_four():
         n = rng.randint(2, 10)
         g, _ = gen_random(n, rng.choice((0.25, 0.4)), rng.randint(1, 4), 0, 0, seed=21000 + trial)
         r = rng.randint(1, 3)
-        d = dist_to_target(g)[g.s]
+        d = g.dist_to_t[g.s]
         if d is None:
             continue
         q = Query(r, d + k, "atmost")
@@ -168,7 +167,7 @@ def test_fan_graph_detours_match_oracle():
     yes = no = 0
     for trial in range(12):
         g = fan_graph(rng, blocked=trial % 3 == 2)
-        d = dist_to_target(g)[g.s]
+        d = g.dist_to_t[g.s]
         for k in (1, 2):
             q = Query(2, d + k, "atmost")
             mine, name = solve(g, q)
@@ -195,7 +194,7 @@ def test_matches_oracle_on_sparse_graphs_at_distance_four():
         while True:
             g, _ = gen_random(60, 0.05, 6, 0, 0, seed=seed)
             seed += 1
-            if dist_to_target(g)[g.s] == 4:
+            if g.dist_to_t[g.s] == 4:
                 break
         k = 1 + trial % 4
         q = Query(2, 4 + k, "atmost")

@@ -10,6 +10,7 @@ import helpers
 from rainbowpaths import (
     ColoredDigraph,
     Query,
+    core,
     dist_from_source,
     gen_random,
     oracle_path,
@@ -55,6 +56,24 @@ def test_auto_dispatch_matches_path_oracle():
         # at the distance, r = 2 goes to the walk DP like every larger radius
         assert check_auto(g, Query(2, dist, rng.choice(("atmost", "exact"))), names) == "walk-dp"
     assert set(names) == AUTO_NAMES, names
+
+
+def test_an_auto_solve_runs_one_bfs(monkeypatch):
+    """Auto reads dist(s, t) from the row the DPs gate on, so a fresh graph runs one BFS."""
+    calls = []
+    bfs = core.bfs_distances
+
+    def counted(adj, source):
+        calls.append(source)
+        return bfs(adj, source)
+
+    monkeypatch.setattr(core, "bfs_distances", counted)
+    g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
+    for q, want in ((Query(2, 4, "atmost"), "path-dp"), (Query(2, 1, "exact"), "walk-dp")):
+        calls.clear()
+        fresh = ColoredDigraph(g.n, g.colors, g.arcs, g.s, g.t)
+        assert solve(fresh, q)[1] == want
+        assert calls == [g.t], (q, calls)
 
 
 def test_forced_solver_refusals_raise_value_error():

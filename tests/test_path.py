@@ -10,14 +10,13 @@ from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
-    dist_to_target,
     gen_random,
     oracle_path,
     solve_path,
     solve_walk,
     verify_witness,
 )
-from rainbowpaths.core import unwind
+from rainbowpaths.core import _PAD, unwind
 from rainbowpaths.path import _path_levels
 
 
@@ -98,11 +97,12 @@ def test_cells_hold_one_member_per_forward_projection():
     """Each member links to its path and stores the part a gated completion can still reach.
 
     A member of u's cell at level p unwinds to a path of p arcs from s to
-    u, and its window holds that path's last min(r, p + 1) colors. Its
-    mask keeps the vertices x of the path with dist(x, t) < ell - p, and
-    with k = ell - dist(s, t) each of them sits at step p - k + 1 or
-    later, so a mask holds at most the last k vertices. Members are dict
-    keys, so a cell holds one member per mask and window.
+    u, and its window holds that path's last min(r, p + 1) colors, padded
+    on the left with ``_PAD`` to r. Its mask keeps the vertices x of the
+    path with dist(x, t) < ell - p, and with k = ell - dist(s, t) each of
+    them sits at step p - k + 1 or later, so a mask holds at most the last
+    k vertices. Members are dict keys, so a cell holds one member per mask
+    and window.
     """
     rng = random.Random(47)
     shared = tight = 0
@@ -111,7 +111,7 @@ def test_cells_hold_one_member_per_forward_projection():
         g, _ = gen_random(n, 0.45, rng.randint(2, 5), 0, 0, seed=23000 + trial)
         ell = rng.randint(2, n - 1)
         r = rng.randint(1, 3)
-        dist_t = dist_to_target(g)
+        dist_t = g.dist_to_t
         for p, level in enumerate(_path_levels(g, r, ell, "exact")):
             k = ell - dist_t[g.s]
             for u, cell in level.items():
@@ -121,7 +121,8 @@ def test_cells_hold_one_member_per_forward_projection():
                     assert path[0] == g.s and path[-1] == u, (trial, p, u, path)
                     assert set(zip(path, path[1:])) <= g.arc_set, (trial, p, u, path)
                     last = path[-min(r, p + 1) :]
-                    assert window == tuple(g.colors[x] for x in last), (trial, p, u)
+                    pad = (_PAD,) * (r - len(last))
+                    assert window == pad + tuple(g.colors[x] for x in last), (trial, p, u)
                     kept = [i for i, x in enumerate(path) if dist_t[x] < ell - p]
                     assert mask == sum(1 << path[i] for i in kept), (trial, p, u)
                     assert all(i >= p - k + 1 for i in kept), (trial, p, u, path, k)
@@ -205,7 +206,7 @@ def test_grid_detours_keep_cells_polynomial():
         for k in (3, 4):
             for seed in range(3):
                 g = symmetric_grid(4, cols, 16, 1000 * cols + 10 * k + seed)
-                q = Query(2, dist_to_target(g)[g.s] + k, "atmost")
+                q = Query(2, g.dist_to_t[g.s] + k, "atmost")
                 stats: dict = {}
                 mine = solve_path(g, q, stats=stats)
                 ref = oracle_path(g, q)
