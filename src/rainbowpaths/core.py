@@ -217,6 +217,64 @@ def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int | None]
     return dist
 
 
+def rainbow_distances(g: ColoredDigraph, r: int) -> Sequence[int | None]:
+    """Fewest arcs of a radius-min(r, 2) locally rainbow walk from each vertex to g.t; None if none.
+
+    A radius-r walk is also a radius-min(r, 2) one, so the row bounds the
+    length of every radius-r walk to t from below, and it is never below
+    ``g.dist_to_t``, which it is at r = 0. At r = 1 it is a BFS over the
+    arcs whose ends differ in color. At r >= 2, let D(x, c) be the fewest
+    arcs to t from x entered after a vertex of color c. It takes at most
+    two values in c: d1[x] for every c but k1[x], the color of the
+    successor that first set d1[x], and d2[x] for c = k1[x]. So a
+    backward BFS announces each vertex at most twice, and the row is d1.
+    """
+    if r == 0:
+        return g.dist_to_t
+    colors, in_adj = g.colors, g.in_neighbors
+    if r == 1:
+        return bfs_distances(
+            [[x for x in xs if colors[x] != colors[y]] for y, xs in enumerate(in_adj)], g.t
+        )
+    d1: list[int | None] = [None] * g.n
+    k1 = [_PAD] * g.n
+    twice = [False] * g.n
+    d1[g.t], twice[g.t] = 0, True
+    # firsts announce their d1 and seconds their d2, each step - 1: a d1
+    # reaches the predecessors not colored k1, a d2 those colored k1;
+    # twice[x] marks a vertex whose d2 is known
+    firsts, seconds, step = [g.t], [], 0
+    while firsts or seconds:
+        step += 1
+        new_firsts: list[int] = []
+        new_seconds: list[int] = []
+        for y in firsts:
+            cy, ky = colors[y], k1[y]
+            for x in in_adj[y]:
+                cx = colors[x]
+                if cx == cy or cx == ky:
+                    continue
+                if d1[x] is None:
+                    d1[x], k1[x] = step, cy
+                    new_firsts.append(x)
+                elif not twice[x] and cy != k1[x]:
+                    twice[x] = True
+                    new_seconds.append(x)
+        for y in seconds:
+            cy, ky = colors[y], k1[y]
+            for x in in_adj[y]:
+                if colors[x] != ky:
+                    continue
+                if d1[x] is None:
+                    d1[x], k1[x] = step, cy
+                    new_firsts.append(x)
+                elif not twice[x] and cy != k1[x]:
+                    twice[x] = True
+                    new_seconds.append(x)
+        firsts, seconds = new_firsts, new_seconds
+    return d1
+
+
 def dist_from_source(g: ColoredDigraph) -> list[int | None]:
     """Shortest directed distance from g.s to each vertex; None if unreached."""
     return bfs_distances(g.out_neighbors, g.s)

@@ -1,23 +1,33 @@
 """Locally rainbow path solvers.
 
-The path dynamic program makes each member remember only the near part
-of its visited set, as a vertex bitmask. A completion from level p takes
-at least one more step to reach any x, so under the DP's distance gate
-it can visit x only if ``dist_t[x] < ell - p``; a member at level p
-stores ``visited & near`` for that level's ``near`` set. Members agreeing
-there admit the same completions, so they meet as one key when inserted,
-and the first one stays. At a budget of dist(s, t) + k, a vertex at step
-i of a path has dist_t >= dist(s, t) - i, so it stays in the mask only
-while i > p - k: the mask holds at most the last k vertices, and a cell
-at most Δ^(max(k, r) - 1) members, Δ the largest in-degree. That is
-polynomial for fixed k and r.
+The path dynamic program gates on ``row = rainbow_distances(g, r)``, the
+fewest arcs of a radius-min(r, 2) locally rainbow walk from each vertex
+to t. Every completion of a member is a radius-r locally rainbow walk,
+so a completion from u has at least ``row[u]`` arcs, and u enters level
+p only if ``row[u] <= ell - p``. Each member remembers only the near
+part of its visited set, as a vertex bitmask. A completion from level p
+takes at least one more step to reach any x, so it can visit x only if
+``row[x] < ell - p``; a member at level p stores ``visited & near`` for
+that level's ``near`` set. Members agreeing there admit the same
+completions, so they meet as one key when inserted, and the first one
+stays.
+
+The row is never below dist_t, the plain distance to t, so each mask is
+a subset of the one a dist_t gate keeps, and the cell bound is that
+gate's. At a budget of dist(s, t) + k, a vertex at step i of a path has
+dist_t >= dist(s, t) - i, so it stays in the mask only while i > p - k:
+the mask holds at most the last k vertices, and a cell at most
+Δ^(max(k, r) - 1) members, Δ the largest in-degree. That is polynomial
+for fixed k and r. Measuring k from ``row[s]`` instead would need
+``row[s] <= i + row[x]``, which fails when x's shortest rainbow walk
+clashes with the colors before x.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, unwind
+from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, rainbow_distances, unwind
 
 # (near part of the visited set as a vertex bitmask, last r colors padded to r) -> link,
 # where a link is (vertex, link) for the path before the member's vertex, or None at s
@@ -32,30 +42,32 @@ def _path_levels(
     Level p holds the paths of p arcs from g.s. A window holds a path's
     last r colors, padded on the left with ``_PAD`` to r, so a step drops
     its first color. An arc into u extends a member when u's bit is not in
-    its mask, u's color is not in its window, and ``dist_t[u] <= ell -
-    p``; the new member stores ``(mask | 1 << u) & near``, where ``near``
-    holds the x with ``dist_t[x] < ell - p``. ``near`` is one bitmask per
-    level: the vertices are bucketed by ``dist_t`` once, and each level
-    drops the ring ``dist_t == ell - p``. A vertex that leaves ``near`` is
-    refused by the distance gate at every later level, so the mask needs
-    it no more. The DP stops after level ``ell``, after an empty level,
-    or, in mode "atmost", after the first level holding g.t; ``mode`` is
-    "atmost" or "exact". A budget past n - 1, which no path fits, or a
-    gate that refuses g.s yields no level.
+    its mask, u's color is not in its window, and ``row[u] <= ell - p``,
+    with ``row = rainbow_distances(g, r)`` built once per call; the new
+    member stores ``(mask | 1 << u) & near``, where ``near`` holds the x
+    with ``row[x] < ell - p``. ``near`` is one bitmask per level: the
+    vertices are bucketed by ``row`` once, and each level drops the ring
+    ``row == ell - p``. A vertex that leaves ``near`` is refused by the
+    gate at every later level, so the mask needs it no more. The DP stops
+    after level ``ell``, after an empty level, or, in mode "atmost", after
+    the first level holding g.t; ``mode`` is "atmost" or "exact". A budget
+    past n - 1, which no path fits, or a gate that refuses g.s yields no
+    level.
 
     ``stats`` receives ``levels``, ``max_cell``, and ``total_members``,
     the member count summed over levels; a DP that yields no level leaves
     ``levels`` and ``total_members`` at 0.
     """
-    colors, out_adj, dt = g.colors, g.out_neighbors, g.dist_to_t
+    colors, out_adj = g.colors, g.out_neighbors
+    row = rainbow_distances(g, r)
     if stats is not None:
         stats.setdefault("levels", 0)
         stats.setdefault("total_members", 0)
-    if ell >= g.n or dt[g.s] is None or dt[g.s] > ell:  # type: ignore[operator]
+    if ell >= g.n or row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
         return
-    # rings[d] lists the vertices at distance d < ell from t
+    # rings[d] lists the vertices whose row is d < ell
     rings: list[list[int]] = [[] for _ in range(ell)]
-    for x, d in enumerate(dt):
+    for x, d in enumerate(row):
         if d is not None and d < ell:
             rings[d].append(x)
     near = sum(1 << x for ring in rings for x in ring)
@@ -65,15 +77,15 @@ def _path_levels(
     for p in range(1, ell + 1):
         near ^= sum(1 << x for x in rings[ell - p])
         # u -> (bit, color, the colors u adds to a window, cell) for each u
-        # past the distance gate, built once per level; at r = 0 windows
-        # stay empty, and an empty window admits every color
+        # past the gate, built once per level; at r = 0 windows stay empty,
+        # and an empty window admits every color
         heads_at: dict[int, tuple[int, int, ColorSeq, PathCell]] = {}
         for v, members in level.items():
             heads = []
             for u in out_adj[v]:
                 head = heads_at.get(u)
                 if head is None:
-                    if dt[u] is None or dt[u] > ell - p:  # type: ignore[operator]
+                    if row[u] is None or row[u] > ell - p:  # type: ignore[operator]
                         continue
                     head = heads_at[u] = (1 << u, colors[u], (colors[u],)[:r], {})
                 heads.append(head)

@@ -14,6 +14,7 @@ from rainbowpaths import (
     dist_from_source,
     gen_random,
     oracle_path,
+    path,
     solve,
     verify_witness,
 )
@@ -59,21 +60,42 @@ def test_auto_dispatch_matches_path_oracle():
 
 
 def test_an_auto_solve_runs_one_bfs(monkeypatch):
-    """Auto reads dist(s, t) from the row the DPs gate on, so a fresh graph runs one BFS."""
+    """An auto solve runs one plain BFS; a path-dp solve at r >= 1 also builds one rainbow row.
+
+    Auto reads dist(s, t) from ``g.dist_to_t``, the row the walk DP gates
+    on, so a fresh graph runs one BFS over the plain graph. The path DP
+    gates on ``rainbow_distances(g, r)``: at r = 0 that is ``g.dist_to_t``
+    again, at r = 1 one more BFS, over the arcs that change color, and at
+    r >= 2 a search of its own.
+    """
     calls = []
-    bfs = core.bfs_distances
+    rows = []
+    bfs, rainbow = core.bfs_distances, path.rainbow_distances
 
     def counted(adj, source):
         calls.append(source)
         return bfs(adj, source)
 
+    def counted_row(g, r):
+        rows.append(r)
+        return rainbow(g, r)
+
     monkeypatch.setattr(core, "bfs_distances", counted)
+    monkeypatch.setattr(path, "rainbow_distances", counted_row)
     g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
-    for q, want in ((Query(2, 4, "atmost"), "path-dp"), (Query(2, 1, "exact"), "walk-dp")):
+    cases = (
+        (Query(2, 4, "atmost"), "path-dp", [2], 1),
+        (Query(1, 3, "exact"), "path-dp", [1], 2),
+        (Query(0, 3, "exact"), "path-dp", [0], 1),
+        (Query(2, 1, "exact"), "walk-dp", [], 1),
+    )
+    for q, want, want_rows, bfs_runs in cases:
         calls.clear()
+        rows.clear()
         fresh = ColoredDigraph(g.n, g.colors, g.arcs, g.s, g.t)
         assert solve(fresh, q)[1] == want
-        assert calls == [g.t], (q, calls)
+        assert calls == [g.t] * bfs_runs, (q, calls)
+        assert rows == want_rows, (q, rows)
 
 
 def test_forced_solver_refusals_raise_value_error():

@@ -7,16 +7,18 @@ import tracemalloc
 import pytest
 
 from rainbowpaths import (
+    CnfInput,
     ColoredDigraph,
     Query,
     Witness,
+    gen_3sat_instance,
     gen_random,
     oracle_path,
     solve_path,
     solve_walk,
     verify_witness,
 )
-from rainbowpaths.core import _PAD, unwind
+from rainbowpaths.core import _PAD, rainbow_distances, unwind
 from rainbowpaths.path import _path_levels
 
 
@@ -73,12 +75,31 @@ def test_path_matches_oracle_randomized():
         )
         for trial in range(40)
     ]
+    # dense graphs in three or four colors, where many shortest paths
+    # repeat a color within radius 2, so the rainbow row of s exceeds
+    # dist(s, t) and the DP's gate and near sets follow the row
+    instances += [
+        gen_random(
+            rng.randint(6, 9),
+            rng.uniform(0.5, 0.9),
+            rng.randint(3, 4),
+            rng.randint(2, 3),
+            rng.randint(3, 8),
+            seed=52000 + trial,
+            mode=rng.choice(("atmost", "exact")),
+        )
+        for trial in range(150)
+    ]
+    longer = 0
     for trial, (g, q) in enumerate(instances):
         mine = solve_path(g, q)
         ref = oracle_path(g, q)
         assert (mine is None) == (ref is None), (trial, q)
         if mine is not None:
             assert verify_witness(g, q, mine.vertices, require_path=True) == []
+        row_s = rainbow_distances(g, q.r)[g.s]
+        longer += row_s is not None and row_s > g.dist_to_t[g.s]
+    assert longer >= 30, longer
 
 
 def test_large_cells_are_left_whole():
@@ -99,10 +120,10 @@ def test_cells_hold_one_member_per_forward_projection():
     A member of u's cell at level p unwinds to a path of p arcs from s to
     u, and its window holds that path's last min(r, p + 1) colors, padded
     on the left with ``_PAD`` to r. Its mask keeps the vertices x of the
-    path with dist(x, t) < ell - p, and with k = ell - dist(s, t) each of
-    them sits at step p - k + 1 or later, so a mask holds at most the last
-    k vertices. Members are dict keys, so a cell holds one member per mask
-    and window.
+    path whose rainbow row is below ell - p. The row is never below
+    dist(x, t), so with k = ell - dist(s, t) each of them sits at step
+    p - k + 1 or later, and a mask holds at most the last k vertices.
+    Members are dict keys, so a cell holds one member per mask and window.
     """
     rng = random.Random(47)
     shared = tight = 0
@@ -111,9 +132,9 @@ def test_cells_hold_one_member_per_forward_projection():
         g, _ = gen_random(n, 0.45, rng.randint(2, 5), 0, 0, seed=23000 + trial)
         ell = rng.randint(2, n - 1)
         r = rng.randint(1, 3)
-        dist_t = g.dist_to_t
+        row = rainbow_distances(g, r)
         for p, level in enumerate(_path_levels(g, r, ell, "exact")):
-            k = ell - dist_t[g.s]
+            k = ell - g.dist_to_t[g.s]
             for u, cell in level.items():
                 for (mask, window), link in cell.items():
                     path = unwind(u, link).vertices
@@ -123,7 +144,7 @@ def test_cells_hold_one_member_per_forward_projection():
                     last = path[-min(r, p + 1) :]
                     pad = (_PAD,) * (r - len(last))
                     assert window == pad + tuple(g.colors[x] for x in last), (trial, p, u)
-                    kept = [i for i, x in enumerate(path) if dist_t[x] < ell - p]
+                    kept = [i for i, x in enumerate(path) if row[x] < ell - p]
                     assert mask == sum(1 << path[i] for i in kept), (trial, p, u)
                     assert all(i >= p - k + 1 for i in kept), (trial, p, u, path, k)
                     # the bound is met with equality by a vertex other than u
@@ -131,6 +152,37 @@ def test_cells_hold_one_member_per_forward_projection():
                 shared += len(cell) > 1
     assert shared >= 40, shared
     assert tight >= 100, tight
+
+
+def test_sat_levels_follow_the_rainbow_row():
+    """The 3-SAT reduction's gate and near sets read the rainbow row, which its shortcuts lengthen.
+
+    Its clause bypasses give s-t routes of 4 arcs whose colors repeat
+    within radius 2, while every rainbow route has ell = 32 arcs. The DP
+    is exact under a dist_t gate too, so only its levels show which row
+    it read: each vertex u at level p has ``row[u] <= ell - p``, some
+    member's successor passes the dist_t gate and fails the row, and a
+    member's mask holds exactly its path's x with ``row[x] < ell - p``,
+    which drops path vertices that a dist_t near set would keep.
+    """
+    g, q = gen_3sat_instance(CnfInput(((1, 2, 3), (1, -2, -3), (-1, 2, -3), (-1, -2, 3))))
+    mine = solve_path(g, q)
+    assert mine is not None
+    assert verify_witness(g, q, mine.vertices, require_path=True) == []
+    row, dist_t = rainbow_distances(g, q.r), g.dist_to_t
+    refused = dropped = 0
+    for p, level in enumerate(_path_levels(g, q.r, q.ell, "atmost")):
+        gate = q.ell - p - 1
+        for v, cell in level.items():
+            assert row[v] is not None and row[v] <= q.ell - p, (p, v, row[v])
+            refused += sum(
+                dist_t[u] <= gate and (row[u] is None or row[u] > gate) for u in g.out_neighbors[v]
+            )
+            for (mask, _), link in cell.items():
+                path = unwind(v, link).vertices
+                assert mask == sum(1 << x for x in path if row[x] < q.ell - p), (p, v, path)
+                dropped += any(dist_t[x] < q.ell - p <= row[x] for x in path)
+    assert refused > 0 and dropped > 0, (refused, dropped)
 
 
 def traced_peak(g: ColoredDigraph, q: Query) -> tuple[Witness | None, int]:
