@@ -218,60 +218,44 @@ def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int | None]
 
 
 def rainbow_distances(g: ColoredDigraph, r: int) -> Sequence[int | None]:
-    """Fewest arcs of a radius-min(r, 2) locally rainbow walk from each vertex to g.t; None if none.
+    """A lower bound on the arcs of each vertex's radius-r locally rainbow walks to g.t; None if none.
 
-    A radius-r walk is also a radius-min(r, 2) one, so the row bounds the
-    length of every radius-r walk to t from below, and it is never below
-    ``g.dist_to_t``, which it is at r = 0. At r = 1 it is a BFS over the
-    arcs whose ends differ in color. At r >= 2, let D(x, c) be the fewest
-    arcs to t from x entered after a vertex of color c. It takes at most
-    two values in c: d1[x] for every c but k1[x], the color of the
-    successor that first set d1[x], and d2[x] for c = k1[x]. So a
-    backward BFS announces each vertex at most twice, and the row is d1.
+    At r <= 1 it is ``g.dist_to_t``. At r >= 2 it is the fewest arcs of
+    a radius-2 locally rainbow walk to t, which a radius-r walk also is,
+    so it is never below ``g.dist_to_t``. Let D(x, c) be the fewest arcs
+    to t from x entered after a vertex of color c. It takes at most two
+    values in c: d1[x] for every c but k1[x], the color of the successor
+    that first set d1[x], and d2[x] for c = k1[x]. So a backward BFS
+    announces each vertex at most twice, and the row is d1.
     """
-    if r == 0:
+    if r <= 1:
         return g.dist_to_t
     colors, in_adj = g.colors, g.in_neighbors
-    if r == 1:
-        return bfs_distances(
-            [[x for x in xs if colors[x] != colors[y]] for y, xs in enumerate(in_adj)], g.t
-        )
     d1: list[int | None] = [None] * g.n
     k1 = [_PAD] * g.n
     twice = [False] * g.n
     d1[g.t], twice[g.t] = 0, True
-    # firsts announce their d1 and seconds their d2, each step - 1: a d1
-    # reaches the predecessors not colored k1, a d2 those colored k1;
-    # twice[x] marks a vertex whose d2 is known
-    firsts, seconds, step = [g.t], [], 0
-    while firsts or seconds:
+    # an announcement (y, second) carries y's d1, or its d2 if second, and
+    # reaches the predecessors x not colored y's color whose color is k1[y]
+    # exactly when second; twice[x] marks a vertex whose d2 is known
+    frontier: list[tuple[int, bool]] = [(g.t, False)]
+    step = 0
+    while frontier:
         step += 1
-        new_firsts: list[int] = []
-        new_seconds: list[int] = []
-        for y in firsts:
+        announced: list[tuple[int, bool]] = []
+        for y, second in frontier:
             cy, ky = colors[y], k1[y]
             for x in in_adj[y]:
                 cx = colors[x]
-                if cx == cy or cx == ky:
+                if cx == cy or (cx == ky) != second:
                     continue
                 if d1[x] is None:
                     d1[x], k1[x] = step, cy
-                    new_firsts.append(x)
+                    announced.append((x, False))
                 elif not twice[x] and cy != k1[x]:
                     twice[x] = True
-                    new_seconds.append(x)
-        for y in seconds:
-            cy, ky = colors[y], k1[y]
-            for x in in_adj[y]:
-                if colors[x] != ky:
-                    continue
-                if d1[x] is None:
-                    d1[x], k1[x] = step, cy
-                    new_firsts.append(x)
-                elif not twice[x] and cy != k1[x]:
-                    twice[x] = True
-                    new_seconds.append(x)
-        firsts, seconds = new_firsts, new_seconds
+                    announced.append((x, True))
+        frontier = announced
     return d1
 
 

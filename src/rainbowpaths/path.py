@@ -1,11 +1,12 @@
 """Locally rainbow path solvers.
 
-The path dynamic program gates on ``row = rainbow_distances(g, r)``, the
-fewest arcs of a radius-min(r, 2) locally rainbow walk from each vertex
-to t. Every completion of a member is a radius-r locally rainbow walk,
-so a completion from u has at least ``row[u]`` arcs, and u enters level
-p only if ``row[u] <= ell - p``. Each member remembers only the near
-part of its visited set, as a vertex bitmask. A completion from level p
+The path dynamic program gates on ``row = rainbow_distances(g, r)``:
+at r >= 2 the fewest arcs of a radius-2 locally rainbow walk from each
+vertex to t, and at r <= 1 the plain distance to t. Every completion of
+a member is a radius-r locally rainbow walk, so a completion from u has
+at least ``row[u]`` arcs, and u enters level p only if
+``row[u] <= ell - p``. Each member remembers only the near part of its
+visited set, as a vertex bitmask. A completion from level p
 takes at least one more step to reach any x, so it can visit x only if
 ``row[x] < ell - p``; a member at level p stores ``visited & near`` for
 that level's ``near`` set. Members agreeing there admit the same
@@ -59,11 +60,13 @@ def _path_levels(
     ``levels`` and ``total_members`` at 0.
     """
     colors, out_adj = g.colors, g.out_neighbors
-    row = rainbow_distances(g, r)
     if stats is not None:
         stats.setdefault("levels", 0)
         stats.setdefault("total_members", 0)
-    if ell >= g.n or row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
+    if ell >= g.n:
+        return
+    row = rainbow_distances(g, r)
+    if row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
         return
     # rings[d] lists the vertices whose row is d < ell
     rings: list[list[int]] = [[] for _ in range(ell)]

@@ -162,8 +162,8 @@ def test_unreachable_distance_is_none():
     assert g.dist_to_t == (None, None, 0)
 
 
-def forward_rainbow_row(g: ColoredDigraph, r: int) -> list[int | None]:
-    """Per vertex x, a forward BFS from x over (previous color, vertex) states to g.t at radius min(r, 2)."""
+def forward_rainbow_row(g: ColoredDigraph) -> list[int | None]:
+    """Per vertex x, a forward BFS from x over (previous color, vertex) states to g.t at radius 2."""
     row: list[int | None] = []
     for x in range(g.n):
         dist = {(None, x): 0}
@@ -177,7 +177,7 @@ def forward_rainbow_row(g: ColoredDigraph, r: int) -> list[int | None]:
             for y in g.out_neighbors[v]:
                 seq = (() if prev is None else (prev,)) + (g.colors[v], g.colors[y])
                 nxt = (g.colors[v], y)
-                if is_locally_rainbow(seq, min(r, 2)) and nxt not in dist:
+                if is_locally_rainbow(seq, 2) and nxt not in dist:
                     dist[nxt] = dist[state] + 1
                     queue.append(nxt)
         row.append(found)
@@ -185,25 +185,25 @@ def forward_rainbow_row(g: ColoredDigraph, r: int) -> list[int | None]:
 
 
 def test_rainbow_distances_match_a_forward_search():
-    """The row is the fewest arcs of a radius-min(r, 2) locally rainbow walk to t.
+    """At r >= 2 the row is the fewest arcs of a radius-2 locally rainbow walk to t.
 
-    Rows past r = 2 equal the r = 2 row, and the r = 0 row is the plain
-    distance row itself. With at most four colors, many vertices reach t
-    only through arcs that repeat a color, so their row is None, or longer
-    than their distance.
+    Rows past r = 2 equal the r = 2 row, and the r <= 1 rows are the
+    plain distance row itself. With at most four colors, many vertices
+    reach t only through arcs that repeat a color, so their row is None,
+    or longer than their distance.
     """
     rng = random.Random(83)
     unreached = longer = 0
     for trial in range(2000):
         g, _ = gen_random(rng.randint(2, 9), rng.uniform(0.2, 0.6), rng.randint(1, 4), 0, 0, 41000 + trial)
         assert rainbow_distances(g, 0) is g.dist_to_t
-        for r in (1, 2):
-            row = list(rainbow_distances(g, r))
-            assert row == forward_rainbow_row(g, r), (trial, r)
-            unreached += sum(d is None and e is not None for d, e in zip(row, g.dist_to_t))
-            longer += sum(d is not None and d > e for d, e in zip(row, g.dist_to_t))
+        assert rainbow_distances(g, 1) is g.dist_to_t
+        row = list(rainbow_distances(g, 2))
+        assert row == forward_rainbow_row(g), trial
+        unreached += sum(d is None and e is not None for d, e in zip(row, g.dist_to_t))
+        longer += sum(d is not None and d > e for d, e in zip(row, g.dist_to_t))
         assert rainbow_distances(g, 3) == rainbow_distances(g, 2), trial
-    assert unreached >= 5000 and longer >= 1000, (unreached, longer)
+    assert unreached >= 3000 and longer >= 300, (unreached, longer)
 
 
 @given(

@@ -60,16 +60,15 @@ def test_auto_dispatch_matches_path_oracle():
 
 
 def test_an_auto_solve_runs_one_bfs(monkeypatch):
-    """An auto solve runs one plain BFS; a path-dp solve at r >= 1 also builds one rainbow row.
+    """An auto solve runs one plain BFS; a path-dp solve at r >= 2 also searches for one rainbow row.
 
     Auto reads dist(s, t) from ``g.dist_to_t``, the row the walk DP gates
     on, so a fresh graph runs one BFS over the plain graph. The path DP
-    gates on ``rainbow_distances(g, r)``: at r = 0 that is ``g.dist_to_t``
-    again, at r = 1 one more BFS, over the arcs that change color, and at
-    r >= 2 a search of its own.
+    gates on ``rainbow_distances(g, r)``: at r <= 1 that is
+    ``g.dist_to_t`` again, and at r >= 2 a search of its own.
     """
     calls = []
-    rows = []
+    searched = []
     bfs, rainbow = core.bfs_distances, path.rainbow_distances
 
     def counted(adj, source):
@@ -77,25 +76,27 @@ def test_an_auto_solve_runs_one_bfs(monkeypatch):
         return bfs(adj, source)
 
     def counted_row(g, r):
-        rows.append(r)
-        return rainbow(g, r)
+        row = rainbow(g, r)
+        if row is not g.dist_to_t:
+            searched.append(r)
+        return row
 
     monkeypatch.setattr(core, "bfs_distances", counted)
     monkeypatch.setattr(path, "rainbow_distances", counted_row)
     g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
     cases = (
-        (Query(2, 4, "atmost"), "path-dp", [2], 1),
-        (Query(1, 3, "exact"), "path-dp", [1], 2),
-        (Query(0, 3, "exact"), "path-dp", [0], 1),
-        (Query(2, 1, "exact"), "walk-dp", [], 1),
+        (Query(2, 4, "atmost"), "path-dp", [2]),
+        (Query(1, 3, "exact"), "path-dp", []),
+        (Query(0, 3, "exact"), "path-dp", []),
+        (Query(2, 1, "exact"), "walk-dp", []),
     )
-    for q, want, want_rows, bfs_runs in cases:
+    for q, want, want_searched in cases:
         calls.clear()
-        rows.clear()
+        searched.clear()
         fresh = ColoredDigraph(g.n, g.colors, g.arcs, g.s, g.t)
         assert solve(fresh, q)[1] == want
-        assert calls == [g.t] * bfs_runs, (q, calls)
-        assert rows == want_rows, (q, rows)
+        assert calls == [g.t], (q, calls)
+        assert searched == want_searched, (q, searched)
 
 
 def test_forced_solver_refusals_raise_value_error():
