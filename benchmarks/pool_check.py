@@ -10,10 +10,12 @@ with the oracle answer recorded in ``solvebench/expected.json``. It prints
 one JSON line per pool: YES and NO counts, invalid witnesses, answers that
 differ from the record, the solver names that ran, the summed
 ``total_members`` and ``total_windows``, the largest ``max_cell``, an
-answer digest over (name, answer, solver), and the seconds spent in
+answer digest over (name, answer, solver), a witness digest over (name,
+witness vertices), the input digest ``workloads.pool_digest`` that
+``solvebench/expected.json`` pins, and the seconds spent in
 ``parse_instance`` (``parse_s``) and in ``dispatch.solve`` (``solve_s``).
 Two checkouts agree on a pool when their lines match apart from ``parse_s``
-and ``solve_s``.
+and ``solve_s``: the same instance bytes, answers and witnesses.
 
 Usage: python benchmarks/pool_check.py [walk] [path] [detour]
 """
@@ -45,7 +47,7 @@ def check_pool(workload: str) -> dict:
     recorded = json.loads((ROOT / "solvebench" / "expected.json").read_text())
     answers = recorded["workloads"][workload]["answers"]
     names: Counter[str] = Counter()
-    digest = hashlib.sha256()
+    digest, witnesses = hashlib.sha256(), hashlib.sha256()
     summary = {"pool": workload, "files": len(pool), "yes": 0, "no": 0, "invalid": 0, "wrong": 0}
     members = windows = max_cell = 0
     parse_seconds = seconds = 0.0
@@ -71,12 +73,15 @@ def check_pool(workload: str) -> dict:
         windows += stats.get("total_windows", 0)
         max_cell = max(max_cell, stats.get("max_cell", 0))
         digest.update(f"{inst.name} {found} {name}\n".encode())
+        witnesses.update(f"{inst.name} {witness.vertices if found else None}\n".encode())
     summary.update(
         solvers=dict(sorted(names.items())),
         total_members=members,
         total_windows=windows,
         max_cell=max_cell,
         answer_digest=digest.hexdigest()[:16],
+        witness_digest=witnesses.hexdigest()[:16],
+        input_digest=workloads.pool_digest(pool),
         parse_s=round(parse_seconds, 3),
         solve_s=round(seconds, 3),
     )

@@ -24,15 +24,23 @@ Arc = tuple[int, int]
 MODES = ("atmost", "exact", "any")
 
 
+def _check_ints(what: str, values: Sequence[Any]) -> None:
+    """Raise ValueError unless every value is an int; a bool is not one."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} must be ints, got {x!r}")
+
+
 @dataclass(frozen=True)
 class ColoredDigraph:
     """A digraph with one color per vertex and two terminals.
 
-    Invariants enforced at construction: n >= 2, one color per vertex,
-    dense colors (every color in [0, num_colors) is used by at least one
-    vertex), no self-loops, no duplicate arcs, all ids in range, and
-    s != t. ``parse_instance`` checks all but the terminals itself, in bulk,
-    and builds through ``_checked``, which checks only the terminals.
+    Invariants enforced at construction: n, ids and colors are ints (a
+    bool is not one), n >= 2, one color per vertex, dense colors (every
+    color in [0, num_colors) is used by at least one vertex), no
+    self-loops, no duplicate arcs, all ids in range, and s != t.
+    ``parse_instance`` checks all but the terminals itself, in bulk, and
+    builds through ``_checked``, which checks only the terminals.
     """
 
     n: int
@@ -43,7 +51,10 @@ class ColoredDigraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "colors", tuple(self.colors))
-        object.__setattr__(self, "arcs", tuple((int(u), int(v)) for u, v in self.arcs))
+        object.__setattr__(self, "arcs", tuple((u, v) for u, v in self.arcs))
+        _check_ints("n, s and t", (self.n, self.s, self.t))
+        _check_ints("colors", self.colors)
+        _check_ints("arc ends", [x for arc in self.arcs for x in arc])
         if self.n < 2:
             raise ValueError("graph needs at least two vertices")
         if len(self.colors) != self.n:
@@ -117,7 +128,7 @@ class Query:
     """What to look for: locality r, length budget ell, and a length mode.
 
     mode "atmost" accepts lengths up to ell, "exact" only ell itself, and
-    "any" ignores ell entirely.
+    "any" ignores ell entirely. r and ell must be ints, and not bools.
     """
 
     r: int
@@ -125,6 +136,7 @@ class Query:
     mode: str = "atmost"
 
     def __post_init__(self) -> None:
+        _check_ints("r and ell", (self.r, self.ell))
         if self.r < 0:
             raise ValueError("locality r must be non-negative")
         if self.ell < 0:
@@ -294,9 +306,13 @@ def verify_witness(
 
     Returns:
         Human-readable violation messages, first offense first.
+
+    Raises:
+        ValueError: if a vertex is not an int.
     """
     problems: list[str] = []
-    walk = tuple(int(v) for v in vertices)
+    walk = tuple(vertices)
+    _check_ints("witness vertices", walk)
     if not walk:
         return ["witness is empty"]
     if any(not (0 <= v < g.n) for v in walk):

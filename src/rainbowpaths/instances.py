@@ -200,23 +200,16 @@ def gen_3sat_instance(cnf: CnfInput) -> tuple[ColoredDigraph, Query]:
     per_var, w, fresh = lay["per_var"], lay["w"], lay["fresh"]
     conn_a, conn_b = lay["conn_a"], lay["conn_b"]
     total = 8 * n + 4 * m + 3
-    colors = [0] * total
+    colors = [0] * total  # var, join and the w chain keep color 0; the clauses color fresh
     for i in range(1, n + 1):
-        colors[per_var[(i, "var")]] = 0
         colors[per_var[(i, "pos1")]] = 1
         colors[per_var[(i, "pos2")]] = 2
         colors[per_var[(i, "neg1")]] = 1
         colors[per_var[(i, "neg2")]] = 2
-        colors[per_var[(i, "join")]] = 0
         colors[per_var[(i, "after_join")]] = 1
         colors[per_var[(i, "exit")]] = 2
     colors[conn_a] = 3
     colors[conn_b] = 1
-    for j in range(1, m + 2):
-        colors[w[j]] = 0
-    for j in range(1, m + 1):
-        for slot in range(3):
-            colors[fresh[(j, slot)]] = 0  # overwritten below per occurrence kind
     arcs: list[tuple[int, int]] = []
     for i in range(1, n + 1):
         arcs.append((per_var[(i, "var")], per_var[(i, "pos1")]))

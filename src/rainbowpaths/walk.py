@@ -31,23 +31,29 @@ from .repfam import ordered_bound, representative_keep
 WalkCell = dict[ColorSeq, dict[int, Any]]
 
 
-def prune_window_cell(
-    windows: dict[ColorSeq, Any], r: int, stats: dict | None = None
-) -> dict[ColorSeq, Any]:
-    """Replace a window cell by an ordered representative when it grows too large.
+def prune_window_cell(cell: WalkCell, r: int, stats: dict | None = None) -> WalkCell:
+    """Replace a walk cell by an ordered representative of its windows, at r >= 1.
 
-    Values of the dict are carried along untouched, and kept windows come
-    back in sorted order; a cell too wide to prune stays as it is.
+    The windows, padding dropped, are distinct, so the entries sort by
+    window alone; the kept ones are filed back in that order, links
+    untouched. A cell too wide to prune comes back whole.
     """
-    if r == 0 or len(windows) <= ordered_bound(r):
-        return windows
-    keys = sorted(windows)
-    keep = window_keep(keys, r)
+    entries: list[tuple[ColorSeq, ColorSeq, int, Any]] = []  # (window, tail, first, link)
+    for tail, firsts in cell.items():
+        for first, link in firsts.items():
+            window = (first,) + tail
+            entries.append((window[window.count(_PAD):], tail, first, link))
+    entries.sort()
+    keep = window_keep([window for window, *_ in entries], r)
     if keep is None:
-        return windows
+        return cell
     if stats is not None:
         stats["rep_calls"] = stats.get("rep_calls", 0) + 1
-    return {keys[i]: windows[keys[i]] for i in sorted(keep)}
+    pruned: WalkCell = {}
+    for i in sorted(keep):
+        _, tail, first, link = entries[i]
+        pruned.setdefault(tail, {})[first] = link
+    return pruned
 
 
 def window_keep(windows: list[ColorSeq], r: int) -> list[int] | None:
@@ -61,22 +67,6 @@ def window_keep(windows: list[ColorSeq], r: int) -> list[int] | None:
     universe = (max(max(w) for w in windows) + 1) * r
     q = r - 1 if len({w[-1] for w in windows}) == 1 else r
     return representative_keep([slot_set(w, r) for w in windows], universe, q)
-
-
-def _prune_cell(cell: WalkCell, r: int, stats: dict | None) -> WalkCell:
-    """``prune_window_cell`` on the cell's windows, with the padding dropped."""
-    windows = {}
-    for tail, firsts in cell.items():
-        for first, link in firsts.items():
-            window = (first,) + tail
-            windows[window[window.count(_PAD):]] = (tail, first, link)
-    kept = prune_window_cell(windows, r, stats)
-    if kept is windows:
-        return cell
-    pruned: WalkCell = {}
-    for tail, first, link in kept.values():
-        pruned.setdefault(tail, {})[first] = link
-    return pruned
 
 
 def _new_entries(cell: WalkCell, old: WalkCell) -> WalkCell:
@@ -184,7 +174,7 @@ def _last_level(
                 continue
             size = sum(map(len, cell.values()))
             if size > bound:
-                cell = _prune_cell(cell, r, stats)
+                cell = prune_window_cell(cell, r, stats)
                 size = sum(map(len, cell.values()))
             level[u] = cell
             total += size

@@ -6,8 +6,9 @@ import io
 import random
 import sys
 
-from rainbowpaths import ColoredDigraph, is_window_representative
+from rainbowpaths import ColoredDigraph, is_window_representative, ordered_bound
 from rainbowpaths.cli import main as cli_main
+from rainbowpaths.core import _PAD
 
 
 def run_cli(argv: list[str], stdin_text: str | None = None) -> tuple[int, str, str]:
@@ -81,9 +82,17 @@ def core_windows(rng: random.Random, length: int, core: int, num_colors: int, co
     return sorted({tuple(rng.sample(rest, length - core)) + suffix for _ in range(count)})
 
 
+def cell_windows(cell) -> list[tuple[int, ...]]:
+    """The windows of a walk cell (tail -> first color -> link), padding dropped."""
+    windows = [(first,) + tail for tail, firsts in cell.items() for first in firsts]
+    return [w[w.count(_PAD):] for w in windows]
+
+
 class PruneChecker:
     """Stands in for ``module.prune_window_cell`` and checks what the prunes it passes on keep.
 
+    Every cell it is given must hold more than ``ordered_bound(r)``
+    windows, the walk DP's one prune trigger, and ``calls`` counts them.
     Each prune that runs is checked against the definition of an ordered
     representative, up to ``per_trial`` of them between calls to
     ``next_trial``, since the exhaustive check costs far more than the prune.
@@ -95,17 +104,20 @@ class PruneChecker:
     def __init__(self, monkeypatch, module, per_trial: int):
         self.prune = module.prune_window_cell
         self.per_trial = self.left = per_trial
-        self.checked = 0
+        self.checked = self.calls = 0
         monkeypatch.setattr(module, "prune_window_cell", self)
 
-    def __call__(self, windows, r, stats=None):
-        kept = self.prune(windows, r, stats)
-        if kept is not windows and self.left:
+    def __call__(self, cell, r, stats=None):
+        self.calls += 1
+        assert sum(map(len, cell.values())) > ordered_bound(r), "a cell within the bound was pruned"
+        kept = self.prune(cell, r, stats)
+        if kept is not cell and self.left:
             self.left -= 1
             self.checked += 1
+            windows, kept_windows = cell_windows(cell), cell_windows(kept)
             outside = max(c for w in windows for c in w) + 1
-            palette = sorted({c for w in kept for c in w}) + list(range(outside, outside + r))
-            assert is_window_representative(list(kept), list(windows), r, palette), (len(kept), len(windows))
+            palette = sorted({c for w in kept_windows for c in w}) + list(range(outside, outside + r))
+            assert is_window_representative(kept_windows, windows, r, palette), (len(kept_windows), len(windows))
         return kept
 
     def next_trial(self) -> None:

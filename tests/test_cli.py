@@ -10,7 +10,7 @@ from pathlib import Path
 
 import helpers
 import rainbowpaths
-from rainbowpaths import ColoredDigraph, Query, Witness, dispatch, gen_random, write_instance
+from rainbowpaths import ColoredDigraph, Query, Witness, cli, dispatch, gen_random, write_instance
 from rainbowpaths.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, build_parser
 from rainbowpaths.dispatch import SOLVERS
 
@@ -360,3 +360,45 @@ def test_main_is_reusable_in_one_process(tmp_path, monkeypatch):
     assert build_parser() is build_parser()
     probe = run_fresh(["-c", "import rainbowpaths.cli as cli; print(cli.build_parser.cache_info().currsize)"])
     assert probe.stdout.strip() == "0", probe.stderr
+
+
+def test_solve_reports_a_malformed_instance(tmp_path):
+    path = tmp_path / "bad.rainbow"
+    path.write_text("rainbow 1\n2 x\n")
+    code, out, err = helpers.run_cli(["solve", str(path)])
+    assert code == EXIT_ERROR
+    assert out == "" and err == "error: bad instance: line 2: expected 'n m', got '2 x'\n"
+
+
+def test_verify_refuses_witness_lines_it_cannot_read(tmp_path):
+    g = ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2)
+    path = write_tmp(tmp_path, g, Query(1, 2, "atmost"))
+    for line, message in (
+        ("", "empty witness"),
+        ("NO", "answer line says NO; nothing to verify"),
+        ("YES 2", "malformed witness line; want 'YES L v0 ... vL'"),
+        ("YES 2 0 x 2", "witness length and vertices must be integers"),
+    ):
+        code, out, err = helpers.run_cli(["verify", path, "--witness", line])
+        assert code == EXIT_ERROR, line
+        assert out == "" and err == f"error: {message}\n", (line, err)
+
+
+def test_crosscheck_reports_an_oracle_refusal(tmp_path):
+    # 20 vertices of 20 colors at r = 6: far past the walk oracle's state ceiling
+    n = 20
+    g = ColoredDigraph(n, tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)), 0, n - 1)
+    path = write_tmp(tmp_path, g, Query(6, n - 1, "atmost"))
+    code, out, err = helpers.run_cli(["crosscheck", path, "--solver", "walk"])
+    assert code == EXIT_ERROR
+    assert out == "solver walk-dp: YES\n"
+    assert err.startswith("error: oracle refused: product state space "), err
+
+
+def test_crosscheck_reports_a_disagreement(tmp_path, monkeypatch):
+    g = ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2)
+    path = write_tmp(tmp_path, g, Query(1, 2, "atmost"))
+    monkeypatch.setattr(cli, "solve", lambda g, q, solver: (None, "walk-dp"))
+    code, out, _ = helpers.run_cli(["crosscheck", path])
+    assert code == EXIT_NO
+    assert out == "solver walk-dp: NO\noracle oracle-path: YES\nDISAGREE\n"

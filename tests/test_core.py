@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 
 import pytest
@@ -251,3 +252,49 @@ def test_verify_witness_accepts_and_refuses():
     ]
     # wrong endpoints
     assert verify_witness(g, q, (1, 2, 0, 3))
+
+
+# (n, colors, arcs, s, t), and the start of the message each is refused with
+DIGRAPH_REFUSALS = {
+    "too-few-colors": ((3, (0, 1), ((0, 1),), 0, 1), "expected 3 colors, got 2"),
+    "negative-color": ((2, (0, -1), ((0, 1),), 0, 1), "colors must be non-negative"),
+    "arc-out-of-range": ((2, (0, 1), ((0, 2),), 0, 1), "arc (0, 2) out of range"),
+    "float-arc-end": ((2, (0, 1), ((0, 1.7),), 0, 1), "arc ends must be ints, got 1.7"),
+    "str-arc-end": ((2, (0, 1), ((0, "1"),), 0, 1), "arc ends must be ints, got '1'"),
+    "bool-arc-end": ((2, (0, 1), ((0, True),), 0, 1), "arc ends must be ints, got True"),
+    "float-s": ((2, (0, 1), ((0, 1),), 0.0, 1), "n, s and t must be ints, got 0.0"),
+    "float-n": ((3.0, (0, 1, 0), ((0, 1),), 0, 1), "n, s and t must be ints, got 3.0"),
+    "float-color": ((2, (0, 1.0), ((0, 1),), 0, 1), "colors must be ints, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("args, message", DIGRAPH_REFUSALS.values(), ids=DIGRAPH_REFUSALS)
+def test_digraph_refuses_bad_input(args, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ColoredDigraph(*args)
+
+
+@pytest.mark.parametrize("r, ell", [(2.5, 3), (2, 3.0), (True, 3), (2, "3")])
+def test_query_refuses_non_int_sizes(r, ell):
+    with pytest.raises(ValueError, match=r"^r and ell must be ints, got "):
+        Query(r, ell)
+
+
+@pytest.mark.parametrize(
+    "vertices, problems",
+    [
+        ((), ["witness is empty"]),
+        ((0, 4, 3), ["vertex id out of range in (0, 4, 3)"]),
+        ((0, 1, 2), ["witness ends at 2, expected t=3"]),
+    ],
+)
+def test_verify_witness_reports_malformed_witnesses(vertices, problems):
+    g = ColoredDigraph(4, (0, 1, 2, 1), ((0, 1), (1, 2), (2, 0), (0, 3)), 0, 3)
+    assert verify_witness(g, Query(2, 4), vertices) == problems
+
+
+@pytest.mark.parametrize("vertices", [(0, 1.5, 2), (0, "1", 2), (0, True, 2)])
+def test_verify_witness_refuses_non_int_vertices(vertices):
+    g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
+    with pytest.raises(ValueError, match=r"^witness vertices must be ints, got "):
+        verify_witness(g, Query(2, 2), vertices)

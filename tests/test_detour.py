@@ -54,8 +54,8 @@ def test_witness_respects_distance_budget():
 def test_distance_separators_definition():
     d = [2, 1, 2, 0]
     assert distance_separators((0, 2, 1, 3), d) == [2, 3]
-    # Strictly decreasing distances make every position a separator but
-    # the first, whose distance never exceeds a later one... it does here.
+    # Distances 2, 1, 0 strictly decrease along the path, so every
+    # position, the first included, is a separator.
     assert distance_separators((0, 1, 3), d) == [0, 1, 2]
 
 

@@ -425,3 +425,48 @@ def test_read_phs_sets():
     inp = read_phs_sets("2\n1 1 2 2\n2 1\n")
     assert inp.k == 2
     assert inp.sets == (((1, 1), (2, 2)), ((2, 1),))
+
+
+PARSE_REFUSALS = {
+    "empty": ("", "empty instance"),
+    "no-size-line": ("rainbow 1\n", "missing size line"),
+    "missing-arc-line": (
+        "rainbow 1\n2 1\n0 1\n0 1 1 1 atmost\n",
+        "expected 5 content lines for n=2, m=1, got 4",
+    ),
+    "negative-color": ("rainbow 1\n2 0\n0 -1\n0 1 1 0 atmost\n", "line 3: colors must be non-negative"),
+    "short-query": ("rainbow 1\n2 0\n0 1\n0 1 1\n", "line 4: expected 's t r ell mode', got '0 1 1'"),
+    "bad-mode": (
+        "rainbow 1\n2 0\n0 1\n0 1 1 0 most\n",
+        "line 4: mode must be one of ('atmost', 'exact', 'any'), got 'most'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", PARSE_REFUSALS.values(), ids=PARSE_REFUSALS)
+def test_parse_refuses_malformed_files(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
+
+
+BALANCED = ((1, 2, 3), (1, 2, 3), (-1, -2, -3), (-1, -2, -3))
+INPUT_REFUSALS = {
+    "phs-k": (lambda: PHSInput(0, ()), "k must be at least 1"),
+    "phs-pair": (lambda: PHSInput(2, (((3, 1),),)), "pair (3, 1) outside [1..2]^2"),
+    "cnf-width": (lambda: CnfInput(((1, 2),) + BALANCED[1:]), "clause 1 has 2 literals, want 3"),
+    "cnf-zero": (
+        lambda: CnfInput(((1, 2, 0),) + BALANCED[1:]),
+        "clause 1 contains a zero or non-integer literal",
+    ),
+    "phs-no-family": (lambda: gen_phs_instance(PHSInput(2, ())), "at least one family is required"),
+    "random-n": (lambda: gen_random(1, 0.5, 2, 1, 1, seed=0), "need at least two vertices"),
+    "random-p": (lambda: gen_random(3, 1.5, 2, 1, 1, seed=0), "arc_probability must lie in [0, 1]"),
+    "random-colors": (lambda: gen_random(3, 0.5, 0, 1, 1, seed=0), "need at least one color"),
+    "phs-file-k": (lambda: read_phs_sets("2 1\n1 1\n"), "first content line must be the single integer k"),
+}
+
+
+@pytest.mark.parametrize("build, message", INPUT_REFUSALS.values(), ids=INPUT_REFUSALS)
+def test_inputs_and_generators_refuse_bad_arguments(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from helpers import PruneChecker, core_windows
+from helpers import PruneChecker, cell_windows, core_windows
 from rainbowpaths import (
     ColoredDigraph,
     Query,
@@ -18,6 +18,7 @@ from rainbowpaths import (
     verify_witness,
 )
 from rainbowpaths import walk
+from rainbowpaths.core import _PAD
 from rainbowpaths.walk import prune_window_cell
 
 
@@ -70,19 +71,52 @@ def test_walk_matches_oracle_randomized():
             assert verify_witness(g, q, mine.vertices) == []
 
 
-def test_prune_cell_keeps_small_cells_verbatim():
-    cell = {(0, 1): "a", (1, 0): "b"}
-    assert prune_window_cell(cell, 2) == cell
+def test_prune_cell_keeps_small_cells_verbatim(monkeypatch):
+    """Cells within ordered_bound(r) never reach the prune, and one with nothing to cut comes back equal.
+
+    ``PruneChecker`` checks that the cells that do reach it are past the bound.
+    """
+    checker = PruneChecker(monkeypatch, walk, per_trial=0)
+    biggest = 0
+    for trial in range(40):
+        g, q = gen_random(9, 0.5, 5, 2 + trial % 2, 6, seed=6000 + trial, mode="exact")
+        stats: dict = {}
+        solve_walk(g, q, stats=stats)
+        biggest = max(biggest, stats.get("max_cell", 0))
+    assert checker.calls == 0 and biggest >= 8, biggest
+    # two windows of distinct colors at r = 1: each one alone avoids the other's color
+    cell = {(0,): {_PAD: "a"}, (1,): {_PAD: "b"}}
+    assert prune_window_cell(cell, 1) == cell
+
+
+def test_prune_cell_returns_too_wide_cells_whole(monkeypatch):
+    monkeypatch.setattr(walk, "window_keep", lambda windows, r: None)
+    cell = {(c,): {_PAD: c} for c in range(6)}
+    stats: dict = {}
+    assert prune_window_cell(cell, 1, stats) is cell
+    assert stats == {}
 
 
 def test_prune_cell_output_is_representative():
-    r = 1
-    cell = {(c,): c for c in range(6)}
-    kept = prune_window_cell(cell, r)
-    assert len(kept) <= ordered_bound(r)
-    for window, value in kept.items():
-        assert cell[window] == value
-    assert is_window_representative(sorted(kept), sorted(cell), r)
+    """The kept entries are a tail-class cell whose windows represent the cell's, links untouched."""
+    rng = random.Random(17)
+    cells = [(1, {(c,): {_PAD: c} for c in range(6)})]
+    for _ in range(3):
+        cell: dict = {}
+        for w in core_windows(rng, 3, 1, 9, 60):
+            firsts = cell.setdefault(w[1:], {})
+            if len(firsts) < 2:
+                firsts[w[0]] = w
+        cells.append((3, cell))
+    for r, cell in cells:
+        stats: dict = {}
+        kept = prune_window_cell(cell, r, stats)
+        assert stats["rep_calls"] == 1
+        assert sum(map(len, kept.values())) <= ordered_bound(r)
+        for tail, firsts in kept.items():
+            for first, link in firsts.items():
+                assert cell[tail][first] == link
+        assert is_window_representative(cell_windows(kept), cell_windows(cell), r)
 
 
 def test_any_length_backends_agree():
