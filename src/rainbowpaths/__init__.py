@@ -20,7 +20,6 @@ from .core import (
     Witness,
     dist_from_source,
     is_locally_rainbow,
-    r_compatible,
     slot_set,
     verify_witness,
 )
@@ -39,10 +38,6 @@ from .instances import (
     write_instance,
 )
 from .oracle import (
-    blocked_slots,
-    distance_separators,
-    is_set_representative,
-    is_window_representative,
     oracle_3sat,
     oracle_path,
     oracle_phs,
@@ -62,15 +57,11 @@ __all__ = [
     "PHSInput",
     "Query",
     "Witness",
-    "blocked_slots",
     "dist_from_source",
-    "distance_separators",
     "gen_3sat_instance",
     "gen_phs_instance",
     "gen_random",
     "is_locally_rainbow",
-    "is_set_representative",
-    "is_window_representative",
     "oracle_3sat",
     "oracle_path",
     "oracle_phs",
@@ -78,7 +69,6 @@ __all__ = [
     "ordered_bound",
     "parse_instance",
     "phs_layout",
-    "r_compatible",
     "read_dimacs",
     "read_phs_sets",
     "representative_keep",

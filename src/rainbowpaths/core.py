@@ -3,10 +3,10 @@
 A walk is locally rainbow with locality ``r`` if within every window of
 min(r + 1, length) consecutive vertices all colors are pairwise distinct.
 This module provides the instance substrate (graph, query, witness), the
-window compatibility test used by every solver, the slot encoding that turns
-compatibility into set disjointness, small shared graph utilities, and
-``unwind``, which reads a witness back from the link chain that each entry
-of the walk and path DPs holds.
+slot encoding that turns window compatibility into set disjointness for
+the walk DP's prunes, small shared graph utilities, and ``unwind``, which
+reads a witness back from the link chain that each entry of the walk and
+path DPs, and of the walk oracle's search, holds.
 """
 
 from __future__ import annotations
@@ -147,12 +147,17 @@ class Query:
 
 @dataclass(frozen=True)
 class Witness:
-    """An explicit vertex sequence returned by a solver, replayable for checks."""
+    """An explicit vertex sequence returned by a solver, replayable for checks.
+
+    Raises:
+        ValueError: if a vertex is not an int (a bool is not one).
+    """
 
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        _check_ints("witness vertices", self.vertices)
 
     @property
     def length(self) -> int:
@@ -174,23 +179,6 @@ def is_locally_rainbow(colors: Sequence[int], r: int) -> bool:
         return True
     for i in range(len(seq) - w + 1):
         if len(set(seq[i : i + w])) != w:
-            return False
-    return True
-
-
-def r_compatible(first: Sequence[int], second: Sequence[int], r: int) -> bool:
-    """Decide whether ``second`` may follow ``first`` without breaking locality r.
-
-    For each j in [1, r], the last j entries of ``first`` must avoid the
-    first min(r - j + 1, len(second)) entries of ``second``. When both parts
-    are individually locally rainbow this is equivalent to their
-    concatenation being locally rainbow.
-    """
-    n, m = len(first), len(second)
-    for j in range(1, r + 1):
-        tail = set(first[max(0, n - j) :])
-        head = set(second[: min(r - j + 1, m)])
-        if tail & head:
             return False
     return True
 

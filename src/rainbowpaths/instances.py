@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import MODES, ColoredDigraph, Query
+from .core import MODES, ColoredDigraph, Query, _check_ints
 
 logger = logging.getLogger(__name__)
 
@@ -265,6 +265,7 @@ def gen_random(
     Color labels are compacted to a dense range after sampling, so the
     effective palette may be smaller than requested.
     """
+    _check_ints("n and colors", (n, colors))
     if n < 2:
         raise ValueError("need at least two vertices")
     if not 0.0 <= arc_probability <= 1.0:

@@ -6,9 +6,10 @@ import io
 import random
 import sys
 
-from rainbowpaths import ColoredDigraph, is_window_representative, ordered_bound
+from rainbowpaths import ColoredDigraph, ordered_bound
 from rainbowpaths.cli import main as cli_main
 from rainbowpaths.core import _PAD
+from reference import is_window_representative
 
 
 def run_cli(argv: list[str], stdin_text: str | None = None) -> tuple[int, str, str]:

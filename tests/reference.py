@@ -1,0 +1,120 @@
+"""Definitional references that the tests check the package against.
+
+Exhaustive and deliberately simple: window compatibility straight from
+the locality definition, the (color, position) slots a window blocks,
+which ``core.slot_set`` encodes, the definitional checks of a
+representative family of sets and of color windows, and the distance
+separators of a path (a short detour has one every 2k + 1 steps).
+"""
+from __future__ import annotations
+
+from itertools import combinations, product
+from typing import Iterable, Sequence
+
+ColorSeq = tuple[int, ...]
+
+
+def r_compatible(first: Sequence[int], second: Sequence[int], r: int) -> bool:
+    """Decide whether ``second`` may follow ``first`` without breaking locality r.
+
+    For each j in [1, r], the last j entries of ``first`` must avoid the
+    first min(r - j + 1, len(second)) entries of ``second``. When both parts
+    are individually locally rainbow this is equivalent to their
+    concatenation being locally rainbow.
+    """
+    n, m = len(first), len(second)
+    for j in range(1, r + 1):
+        tail = set(first[max(0, n - j) :])
+        head = set(second[: min(r - j + 1, m)])
+        if tail & head:
+            return False
+    return True
+
+
+def blocked_slots(window: Sequence[int], r: int) -> frozenset[tuple[int, int]]:
+    """Encode a stored suffix window as the (color, position) slots it blocks.
+
+    Position i in [1, r] is blocked by color a_j for every j in
+    [p - (r - i), p] (1-based, clipped at 1), where p = len(window). A
+    continuation claims the slot (color, i) of each of its first r
+    entries, and is compatible with the window exactly when its claimed
+    slots avoid all blocked ones.
+    """
+    p = len(window)
+    if p < 1:
+        raise ValueError("window must be nonempty")
+    out: set[tuple[int, int]] = set()
+    for i in range(1, r + 1):
+        for j in range(max(1, p - (r - i)), p + 1):
+            out.add((window[j - 1], i))
+    return frozenset(out)
+
+
+def _fresh_palette(windows: Iterable[ColorSeq], r: int) -> list[int]:
+    """Family colors plus r fresh ones.
+
+    Any continuation over arbitrary colors behaves, against every stored
+    window, like one whose out-of-family colors are replaced by distinct
+    fresh colors, and a continuation has at most r positions, so r fresh
+    colors make the enumeration exhaustive.
+    """
+    colors = sorted({c for s in windows for c in s})
+    base = (colors[-1] + 1) if colors else 0
+    return colors + [base + i for i in range(r)]
+
+
+def is_set_representative(
+    kept: Sequence[Sequence[int]], full: Sequence[Sequence[int]], universe: int, q: int
+) -> bool:
+    """Definitional check, exhaustive over all obstructions in [0, universe) of size <= q."""
+    kept_sets = [frozenset(m) for m in kept]
+    full_sets = [frozenset(m) for m in full]
+    if not all(m in full_sets for m in kept_sets):
+        return False
+    for size in range(q + 1):
+        for obstruction in combinations(range(universe), size):
+            oset = set(obstruction)
+            if any(not (m & oset) for m in full_sets) and not any(
+                not (m & oset) for m in kept_sets
+            ):
+                return False
+    return True
+
+
+def is_window_representative(
+    kept: Sequence[ColorSeq],
+    full: Sequence[ColorSeq],
+    r: int,
+    palette: Sequence[int] | None = None,
+) -> bool:
+    """Definitional check over all continuations of length <= r.
+
+    Continuations are drawn from ``palette`` (default: the family's
+    colors plus r fresh ones, which is exhaustive up to renaming); all
+    sequences are tried, rainbow or not.
+    """
+    if not all(s in full for s in kept):
+        return False
+    if palette is None:
+        palette = _fresh_palette(full, r)
+    for length in range(r + 1):
+        for rho in product(palette, repeat=length):
+            if any(r_compatible(s, rho, r) for s in full) and not any(
+                r_compatible(s, rho, r) for s in kept
+            ):
+                return False
+    return True
+
+
+def distance_separators(path: tuple[int, ...], d: Sequence[int | None]) -> list[int]:
+    """Indices of path vertices nearer to t than all before, farther than all after."""
+    separators = []
+    for i, v in enumerate(path):
+        dv = d[v]
+        if dv is None:
+            continue
+        before = all(d[w] is not None and d[w] > dv for w in path[:i])
+        after = all(d[w] is not None and d[w] < dv for w in path[i + 1 :])
+        if before and after:
+            separators.append(i)
+    return separators

@@ -20,20 +20,16 @@ from rainbowpaths import (
     ColoredDigraph,
     PHSInput,
     Query,
-    distance_separators,
     gen_3sat_instance,
     gen_phs_instance,
     gen_random,
     is_locally_rainbow,
-    is_set_representative,
-    is_window_representative,
     oracle_3sat,
     oracle_path,
     oracle_phs,
     oracle_walk,
     ordered_bound,
     phs_layout,
-    r_compatible,
     representative_keep,
     slot_set,
     solve,
@@ -43,8 +39,8 @@ from rainbowpaths import (
     verify_witness,
     write_instance,
 )
-from rainbowpaths.oracle import _exhaustive_keep, _ordered_exhaustive_keep
 from rainbowpaths.walk import window_keep
+from reference import distance_separators, is_set_representative, is_window_representative, r_compatible
 
 CRITERION_1_BUDGET_SECONDS = 120.0
 
@@ -177,27 +173,23 @@ def test_criterion_03_detour_equals_path_at_shifted_budget(detour_runs):
 
 
 def test_criterion_04_representative_families_pass_definitional_checks():
-    """200 random families per flavor plus 100 sharing a core, both backends, bounds included."""
+    """200 random families per flavor plus 100 sharing a core, bounds included."""
     failures = []
     rng = random.Random(30_000)
-    set_keeps = {"algebraic": representative_keep, "exhaustive": _exhaustive_keep}
-    window_keeps = {"algebraic": window_keep, "exhaustive": _ordered_exhaustive_keep}
 
     def check_sets(trial, fam, universe, p, q):
-        for backend, keep in set_keeps.items():
-            kept = [fam[i] for i in keep(fam, universe, q)]
-            if len(kept) > unordered_bound(p, q):
-                failures.append((trial, backend, "size"))
-            if not is_set_representative(kept, fam, universe, q):
-                failures.append((trial, backend, "definition"))
+        kept = [fam[i] for i in representative_keep(fam, universe, q)]
+        if len(kept) > unordered_bound(p, q):
+            failures.append((trial, "size"))
+        if not is_set_representative(kept, fam, universe, q):
+            failures.append((trial, "definition"))
 
     def check_windows(trial, seqs, r):
-        for backend, keep in window_keeps.items():
-            kept = [seqs[i] for i in keep(seqs, r)]
-            if len(kept) > ordered_bound(r):
-                failures.append((trial, backend, "ordered size"))
-            if not is_window_representative(kept, seqs, r):
-                failures.append((trial, backend, "ordered definition"))
+        kept = [seqs[i] for i in window_keep(seqs, r)]
+        if len(kept) > ordered_bound(r):
+            failures.append((trial, "ordered size"))
+        if not is_window_representative(kept, seqs, r):
+            failures.append((trial, "ordered definition"))
 
     for trial in range(200):
         universe = rng.randint(3, 10)

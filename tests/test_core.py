@@ -14,15 +14,14 @@ from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
-    blocked_slots,
     dist_from_source,
     gen_random,
     is_locally_rainbow,
-    r_compatible,
     slot_set,
     verify_witness,
 )
 from rainbowpaths.core import bfs_distances, rainbow_distances
+from reference import blocked_slots, r_compatible
 
 
 def test_locally_rainbow_windows_clamp_to_length():
@@ -149,6 +148,13 @@ def test_query_validation():
 def test_witness_basics():
     w = Witness((0, 1, 2))
     assert w.length == 2
+    assert Witness([0, 1, 2]) == w
+
+
+@pytest.mark.parametrize("vertices", [(0, "1", 2), (0, 1, 2.7), (0, True, 2)], ids=["str", "float", "bool"])
+def test_witness_refuses_non_int_vertices(vertices):
+    with pytest.raises(ValueError, match="^witness vertices must be ints"):
+        Witness(vertices)
 
 
 def test_distances():

@@ -7,7 +7,6 @@ from rainbowpaths import (
     ColoredDigraph,
     Query,
     Witness,
-    distance_separators,
     gen_random,
     oracle_path,
     solve,
@@ -15,6 +14,7 @@ from rainbowpaths import (
     solve_walk,
     verify_witness,
 )
+from reference import distance_separators
 
 
 def test_negative_slack_is_no():

@@ -462,6 +462,8 @@ INPUT_REFUSALS = {
     "random-n": (lambda: gen_random(1, 0.5, 2, 1, 1, seed=0), "need at least two vertices"),
     "random-p": (lambda: gen_random(3, 1.5, 2, 1, 1, seed=0), "arc_probability must lie in [0, 1]"),
     "random-colors": (lambda: gen_random(3, 0.5, 0, 1, 1, seed=0), "need at least one color"),
+    "random-float-n": (lambda: gen_random(3.0, 0.5, 2, 1, 1, seed=0), "n and colors must be ints, got 3.0"),
+    "random-float-colors": (lambda: gen_random(3, 0.5, 2.0, 1, 1, seed=0), "n and colors must be ints, got 2.0"),
     "phs-file-k": (lambda: read_phs_sets("2 1\n1 1\n"), "first content line must be the single integer k"),
 }
 

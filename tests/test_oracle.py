@@ -70,10 +70,11 @@ def test_walk_exact_vs_atmost_consistency():
             for l2 in range(ell + 1):
                 assert oracle_walk(g, Query(r, l2, "exact")) is None
         else:
-            assert any(
-                oracle_walk(g, Query(r, l2, "exact")) is not None
-                for l2 in range(ell + 1)
+            # the atmost witness is a shortest one: no shorter exact query is YES
+            shortest = next(
+                l2 for l2 in range(ell + 1) if oracle_walk(g, Query(r, l2, "exact")) is not None
             )
+            assert atmost.length == shortest
 
 
 def test_walk_refuses_oversized_state_space():

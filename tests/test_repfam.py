@@ -8,20 +8,18 @@ import pytest
 
 from helpers import core_sets, core_windows
 from rainbowpaths import (
-    is_set_representative,
-    is_window_representative,
     ordered_bound,
     representative_keep,
     slot_set,
     unordered_bound,
 )
-from rainbowpaths.oracle import _exhaustive_keep, _ordered_exhaustive_keep
 from rainbowpaths.repfam import WEDGE_WIDTH_LIMIT, algebraic_width
 from rainbowpaths.walk import window_keep
+from reference import is_set_representative, is_window_representative
 
-# each maps (sets, universe, q), or (windows, r), to kept input indices
-KEEPS = {"algebraic": representative_keep, "exhaustive": _exhaustive_keep}
-WINDOW_KEEPS = {"algebraic": window_keep, "exhaustive": _ordered_exhaustive_keep}
+# each maps (sets, universe, q), or (windows, r), to kept input indices; the key names the test case
+KEEPS = {"algebraic": representative_keep}
+WINDOW_KEEPS = {"algebraic": window_keep}
 
 
 def test_bounds():
@@ -104,6 +102,19 @@ def test_partial_representative_budget_zero_keeps_one():
     assert len(kept) == 1
 
 
+def test_definitional_checks_refuse_what_is_not_a_representative():
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert is_set_representative(pairs, pairs, 3, 1)
+    # (1, 2) alone avoids the obstruction {0}
+    assert not is_set_representative([(0, 1)], pairs, 3, 1)
+    assert not is_set_representative(pairs + [(0, 3)], pairs, 4, 1)
+    windows = [(1, 2), (2, 1)]
+    assert is_window_representative(windows, windows, 2)
+    # (2, 1) alone may be followed by (3, 2)
+    assert not is_window_representative([(1, 2)], windows, 2)
+    assert not is_window_representative(windows + [(3, 1)], windows, 2)
+
+
 @pytest.mark.parametrize("backend", KEEPS)
 def test_unordered_random_families_pass_definition(backend):
     rng = random.Random(13)
@@ -150,7 +161,7 @@ def test_ordered_r_zero_single_member():
     # at r = 0 every window blocks nothing, so one member represents the family
     windows = [(), ()]
     assert representative_keep([slot_set(w, 0) for w in windows], 0, 0) == [0]
-    assert _ordered_exhaustive_keep(windows, 0) == [0]
+    assert is_window_representative([windows[0]], windows, 0)
 
 
 @pytest.mark.parametrize("backend", WINDOW_KEEPS)

@@ -9,7 +9,6 @@ from rainbowpaths import (
     Query,
     Witness,
     gen_random,
-    is_window_representative,
     oracle_path,
     oracle_walk,
     ordered_bound,
@@ -20,6 +19,7 @@ from rainbowpaths import (
 from rainbowpaths import walk
 from rainbowpaths.core import _PAD
 from rainbowpaths.walk import prune_window_cell
+from reference import is_window_representative
 
 
 def chain(colors):
