@@ -7,15 +7,17 @@ its pool file asks for (``--solver walk`` or auto), checks each witness
 against the generated graph with ``verify_witness`` (as a path under auto,
 whose every solver answers the path question), and compares each answer
 with the oracle answer recorded in ``solvebench/expected.json``. It prints
-one JSON line per pool: YES and NO counts, invalid witnesses, answers that
-differ from the record, the solver names that ran, the summed
-``total_members`` and ``total_windows``, the largest ``max_cell``, an
-answer digest over (name, answer, solver), a witness digest over (name,
-witness vertices), the input digest ``workloads.pool_digest`` that
-``solvebench/expected.json`` pins, and the seconds spent in
-``parse_instance`` (``parse_s``) and in ``dispatch.solve`` (``solve_s``).
-Two checkouts agree on a pool when their lines match apart from ``parse_s``
-and ``solve_s``: the same instance bytes, answers and witnesses.
+one JSON line per pool on standard output: YES and NO counts, invalid
+witnesses, answers that differ from the record, the solver names that
+ran, the summed ``total_members`` and ``total_windows``, the largest
+``max_cell``, an answer digest over (name, answer, solver), a witness
+digest over (name, witness vertices) and the input digest
+``workloads.pool_digest`` that ``solvebench/expected.json`` pins. The
+seconds spent in ``parse_instance`` (``parse_s``) and in
+``dispatch.solve`` (``solve_s``) go to standard error, one JSON line per
+pool. Two checkouts agree on a pool (the same instance bytes, answers
+and witnesses) exactly when their standard output is byte-identical, so
+``diff`` checks it.
 
 Usage: python benchmarks/pool_check.py [walk] [path] [detour]
 """
@@ -41,8 +43,8 @@ POOLS = ("walk", "path", "detour")
 SEED = 0
 
 
-def check_pool(workload: str) -> dict:
-    """The summary line of one pool."""
+def check_pool(workload: str) -> tuple[dict, dict]:
+    """The summary line of one pool, and its parse and solve seconds."""
     pool = workloads.build_pool(workload, SEED)
     recorded = json.loads((ROOT / "solvebench" / "expected.json").read_text())
     answers = recorded["workloads"][workload]["answers"]
@@ -82,10 +84,8 @@ def check_pool(workload: str) -> dict:
         answer_digest=digest.hexdigest()[:16],
         witness_digest=witnesses.hexdigest()[:16],
         input_digest=workloads.pool_digest(pool),
-        parse_s=round(parse_seconds, 3),
-        solve_s=round(seconds, 3),
     )
-    return summary
+    return summary, {"pool": workload, "parse_s": round(parse_seconds, 3), "solve_s": round(seconds, 3)}
 
 
 def main() -> None:
@@ -95,7 +95,9 @@ def main() -> None:
     for unknown in set(pools) - set(POOLS):
         parser.error(f"unknown pool {unknown!r}")
     for workload in pools:
-        print(json.dumps(check_pool(workload)), flush=True)
+        summary, seconds = check_pool(workload)
+        print(json.dumps(summary), flush=True)
+        print(json.dumps(seconds), file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":

@@ -7,15 +7,18 @@ first color and with its (r - 1)-color tail, and the successors it steps
 to depend on the tail alone. So a cell maps each tail to at most two
 first colors: two distinct first colors admit every next color outside
 the tail, one admits all of those but itself, and a third adds nothing.
-Each tail class is expanded once, and a successor whose class already
-holds two first colors is dropped as it arrives. In modes "atmost" and
+A successor's tail is its predecessor's stem (the tail less its first
+color) plus its own color, so tails that share a stem feed one class at
+each successor; the expansion looks that class up once per run of such
+tails and feeds it until it holds two first colors. In modes "atmost" and
 "any" a class also keeps its first colors across levels, so the DP is a
 breadth-first search over (vertex, window) states that finds a shortest
 walk, and at radius 0 and 1 a path. At r = 2 every window of a cell ends
 in the cell's color, so a cell holds at most two windows. Cells that
 still outgrow ``ordered_bound(r)`` are pruned with ordered
-representative families, so cell sizes stay bounded by a function of
-the locality radius alone.
+representative families, which bounds cell sizes by a function of the
+locality radius alone, except that a cell too wide to prune
+(``repfam.WEDGE_WIDTH_LIMIT``) is kept whole.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ def prune_window_cell(cell: WalkCell, r: int, stats: dict | None = None) -> Walk
 
     The windows, padding dropped, are distinct, so the entries sort by
     window alone; the kept ones are filed back in that order, links
-    untouched. A cell too wide to prune comes back whole.
+    untouched. A cell too wide to prune comes back whole. ``stats`` counts
+    the prunes run in ``rep_calls`` and the cells returned whole in
+    ``rep_skipped``.
     """
     entries: list[tuple[ColorSeq, ColorSeq, int, Any]] = []  # (window, tail, first, link)
     for tail, firsts in cell.items():
@@ -45,10 +50,11 @@ def prune_window_cell(cell: WalkCell, r: int, stats: dict | None = None) -> Walk
             entries.append((window[window.count(_PAD):], tail, first, link))
     entries.sort()
     keep = window_keep([window for window, *_ in entries], r)
+    if stats is not None:
+        counter = "rep_skipped" if keep is None else "rep_calls"
+        stats[counter] = stats.get(counter, 0) + 1
     if keep is None:
         return cell
-    if stats is not None:
-        stats["rep_calls"] = stats.get("rep_calls", 0) + 1
     pruned: WalkCell = {}
     for i in sorted(keep):
         _, tail, first, link = entries[i]
@@ -102,6 +108,17 @@ def _last_level(
     window links to the walk before it, so the last level alone gives the
     witness.
 
+    Each level expands a cell's tails in runs of consecutive tails that
+    share a stem, since those feed one successor class at each head. The
+    class is looked up once per run and head and skipped when it already
+    holds two first colors; otherwise the run's tails that do not block
+    the head's color feed it in cell order until it holds two. Each class
+    so receives its entries in (vertex, tail) order, as a tail-by-tail
+    expansion would give them, and misses only those it would drop. Runs,
+    not all of a cell's tails with one stem, also keep the order in which
+    a successor cell's classes are created, which later levels and the
+    witness read; at r <= 3 every cell has one stem, so one run.
+
     In mode "exact" level p holds the windows of walks of p arcs from s.
     In modes "atmost" and "any" a (vertex, tail) class keeps the first
     colors it collects across all levels, at most two, and a level holds
@@ -113,8 +130,9 @@ def _last_level(
     The DP stops after level ``ell``, after an empty level, or, outside
     mode "exact", after the first level holding t. ``stats`` receives
     ``levels``, ``max_cell``, ``total_windows`` (first colors kept,
-    summed over levels) and, from the prune, ``rep_calls``; a gate that
-    refuses s leaves ``levels`` and ``total_windows`` at 0.
+    summed over levels) and, from the prune, ``rep_calls`` and
+    ``rep_skipped``; a gate that refuses s leaves ``levels`` and
+    ``total_windows`` at 0.
     """
     colors, out_adj, dist_t = g.colors, g.out_neighbors, g.dist_to_t
     level: dict[int, WalkCell] = {g.s: {((_PAD,) * (r - 2) + (colors[g.s],))[:r]: {_PAD: None}}}
@@ -142,10 +160,14 @@ def _last_level(
                         continue
                     head = heads_at[u] = (colors[u], (colors[u],)[:r], {})
                 heads.append(head)
+            # (stem, [(lead, blocked, a, via_a, via_b) per tail]) per run: a
+            # successor's first color is the tail's first (its lead), its tail
+            # the stem plus u's color
+            runs: list[tuple[ColorSeq, list]] = []
             for tail, firsts in cell.items():
-                # a successor's first color is the tail's first, and its tail the rest plus u's color
-                lead = tail[0] if r > 1 else _PAD
                 stem = tail[1:]
+                if not runs or runs[-1][0] != stem:
+                    runs.append((stem, []))
                 if len(firsts) == 2:
                     (a, link_a), (_, link_b) = firsts.items()
                     blocked = tail
@@ -153,16 +175,21 @@ def _last_level(
                     ((a, link_a),) = firsts.items()
                     link_b = link_a
                     blocked = tail + (a,)
-                via_a, via_b = (v, link_a), (v, link_b)
+                runs[-1][1].append((tail[0] if r > 1 else _PAD, blocked, a, (v, link_a), (v, link_b)))
+            for stem, entries in runs:
                 for c, added, successors in heads:
-                    if c in blocked:
-                        continue
                     key = stem + added
                     kept = successors.get(key)
-                    if kept is None:
-                        successors[key] = {lead: via_b if c == a else via_a}
-                    elif len(kept) == 1 and lead not in kept:
-                        kept[lead] = via_b if c == a else via_a
+                    if kept is not None and len(kept) == 2:
+                        continue
+                    for lead, blocked, a, via_a, via_b in entries:
+                        if c in blocked:
+                            continue
+                        if kept is None:
+                            kept = successors[key] = {lead: via_b if c == a else via_a}
+                        elif lead not in kept:
+                            kept[lead] = via_b if c == a else via_a
+                            break
         level = {}
         total = biggest = 0
         for u, (*_, cell) in heads_at.items():

@@ -71,6 +71,37 @@ def test_walk_matches_oracle_randomized():
             assert verify_witness(g, q, mine.vertices) == []
 
 
+def test_walk_matches_oracle_at_radius_4_to_6():
+    """At r >= 4 a cell can hold tails with different stems; answers and witnesses still match.
+
+    A tail's stem is all of it but its first color, and tails that share a
+    stem feed one successor class at each head. Up to r = 3 every cell has
+    one stem, so only these radii expand several stems per cell. A trial
+    counts as reaching such a cell when the exact-mode DP, run to each
+    length up to the query's, has a level holding one.
+    """
+    rng = random.Random(44)
+    several = 0
+    for trial in range(400):
+        g, _ = gen_random(
+            rng.randint(6, 12), rng.choice((0.3, 0.45, 0.6)), rng.randint(6, 9), 0, 0, seed=13_000 + trial
+        )
+        q = Query(rng.randint(4, 6), rng.randint(3, 8), rng.choice(("atmost", "exact", "any")))
+        mine = solve_walk(g, q)
+        ref = oracle_walk(g, q)
+        assert (mine is None) == (ref is None), (trial, q)
+        if mine is not None:
+            assert verify_witness(g, q, mine.vertices) == []
+            assert q.mode == "exact" or mine.length == ref.length, (trial, q)
+        r = min(q.r, g.num_colors)
+        several += any(
+            len({tail[1:] for tail in cell}) >= 2
+            for ell in range(q.ell + 1)
+            for cell in walk._last_level(g, r, ell, "exact", None).values()
+        )
+    assert several >= 150, several
+
+
 def test_prune_cell_keeps_small_cells_verbatim(monkeypatch):
     """Cells within ordered_bound(r) never reach the prune, and one with nothing to cut comes back equal.
 
@@ -94,7 +125,7 @@ def test_prune_cell_returns_too_wide_cells_whole(monkeypatch):
     cell = {(c,): {_PAD: c} for c in range(6)}
     stats: dict = {}
     assert prune_window_cell(cell, 1, stats) is cell
-    assert stats == {}
+    assert stats == {"rep_skipped": 1}
 
 
 def test_prune_cell_output_is_representative():
@@ -302,11 +333,14 @@ def test_dedupe_keeps_two_windows_per_tail_and_a_representative():
     s, whose color no window holds, and the chains leave s in random
     order. So t's cell at level r is the family with each tail class cut
     to two first colors, the first two to arrive; every kept window links
-    back to a walk whose last r colors it is.
+    back to a walk whose last r colors it is. Classes are cut at every
+    radius tried.
     """
     rng = random.Random(61)
+    cut_at = set()
     for trial in range(300):
-        r = rng.randint(2, 3)
+        # one trial in 50 at r = 4, whose exhaustive check costs some 30 times an r = 3 one
+        r = 4 if trial % 50 == 49 else rng.randint(2, 3)
         windows = core_windows(rng, r, 1, rng.randint(r + 1, 6), rng.randint(2, 30))
         dense = {c: i for i, c in enumerate(sorted({c for w in windows for c in w}))}
         windows = [tuple(dense[c] for c in w) for w in windows]
@@ -322,7 +356,10 @@ def test_dedupe_keeps_two_windows_per_tail_and_a_representative():
         cell = walk._last_level(g, r, r, "exact", None)[1]
         kept = []
         for tail, firsts in cell.items():
-            assert len(firsts) == min(2, sum(w[1:] == tail for w in windows)), (trial, r)
+            arrived = sum(w[1:] == tail for w in windows)
+            assert len(firsts) == min(2, arrived), (trial, r)
+            if arrived > 2:
+                cut_at.add(r)
             for first, link in firsts.items():
                 kept.append((first,) + tail)
                 vertices = [1]
@@ -331,6 +368,54 @@ def test_dedupe_keeps_two_windows_per_tail_and_a_representative():
                     vertices.append(v)
                 assert tuple(colors[v] for v in reversed(vertices))[-r:] == kept[-1], trial
         assert is_window_representative(kept, windows, r), (trial, r, windows)
+    assert cut_at == {2, 3, 4}, cut_at
+
+
+def test_a_stem_run_skips_blocked_tails_and_fills_a_class_to_two():
+    """A successor class passes over a tail that blocks u's color and takes the next two leads.
+
+    At r = 3, v (color 4) holds three tails with stem (4,): (1, 4), (2, 4)
+    and (3, 4), reached through p1, p2 and p3 from a1, a2 and a3. The
+    first has first color 5, u's color, so it cannot step to u; the other
+    two can, and u's class (4, 5) takes both of their leads with their links.
+    """
+    g = ColoredDigraph(
+        9,
+        (0, 5, 6, 7, 1, 2, 3, 4, 5),
+        ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 7), (6, 7), (7, 8)),
+        0,
+        8,
+    )
+    at_v = ColoredDigraph(g.n, g.colors, g.arcs, 0, 7)
+    assert walk._last_level(at_v, 3, 3, "exact", None)[7] == {
+        (1, 4): {5: (4, (1, (0, None)))},
+        (2, 4): {6: (5, (2, (0, None)))},
+        (3, 4): {7: (6, (3, (0, None)))},
+    }
+    assert walk._last_level(g, 3, 4, "exact", None) == {
+        8: {(4, 5): {2: (7, (5, (2, (0, None)))), 3: (7, (6, (3, (0, None))))}}
+    }
+
+
+def test_stem_runs_keep_the_order_in_which_classes_arrive():
+    """Tails are grouped into runs of consecutive tails, so a blocked tail cannot reorder classes.
+
+    At r = 4, v (color 4) holds tails (1, 2, 4), (5, 3, 4) and (6, 2, 4),
+    in that order, through p1 (color 2), p2 (color 3) and p3 (color 2);
+    the first and third share stem (2, 4). u has color 1, which the first
+    tail holds, so u's class (3, 4, 1) arrives before (2, 4, 1), and the
+    witness is the walk through p2. Grouping all tails of stem (2, 4)
+    together would create (2, 4, 1) first and answer through p3.
+    """
+    g = ColoredDigraph(
+        9,
+        (0, 1, 5, 6, 2, 3, 2, 4, 1),
+        ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 7), (6, 7), (7, 8)),
+        0,
+        8,
+    )
+    assert list(walk._last_level(g, 4, 4, "exact", None)[8]) == [(3, 4, 1), (2, 4, 1)]
+    assert solve_walk(g, Query(4, 4, "exact")) == Witness((0, 2, 5, 7, 8))
 
 
 def test_exact_walk_keeps_the_second_window_of_a_tail_around_a_cycle():
