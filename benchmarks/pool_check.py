@@ -9,11 +9,11 @@ whose every solver answers the path question), and compares each answer
 with the oracle answer recorded in ``solvebench/expected.json``. It prints
 one JSON line per pool on standard output: YES and NO counts, invalid
 witnesses, answers that differ from the record, the solver names that
-ran, the summed ``total_members`` and ``total_windows``, the largest
-``max_cell``, an answer digest over (name, answer, solver), a witness
-digest over (name, witness vertices) and the input digest
-``workloads.pool_digest`` that ``solvebench/expected.json`` pins. The
-seconds spent in ``parse_instance`` (``parse_s``) and in
+ran, the summed ``total_members``, ``total_windows`` and ``rep_calls``
+(walk prunes), the largest ``max_cell``, an answer digest over (name,
+answer, solver), a witness digest over (name, witness vertices) and the
+input digest ``workloads.pool_digest`` that ``solvebench/expected.json``
+pins. The seconds spent in ``parse_instance`` (``parse_s``) and in
 ``dispatch.solve`` (``solve_s``) go to standard error, one JSON line per
 pool. Two checkouts agree on a pool (the same instance bytes, answers
 and witnesses) exactly when their standard output is byte-identical, so
@@ -51,7 +51,7 @@ def check_pool(workload: str) -> tuple[dict, dict]:
     names: Counter[str] = Counter()
     digest, witnesses = hashlib.sha256(), hashlib.sha256()
     summary = {"pool": workload, "files": len(pool), "yes": 0, "no": 0, "invalid": 0, "wrong": 0}
-    members = windows = max_cell = 0
+    members = windows = prunes = max_cell = 0
     parse_seconds = seconds = 0.0
     for inst, want in zip(pool, answers, strict=True):
         solver = "walk" if inst.semantics == "walk" else "auto"
@@ -73,6 +73,7 @@ def check_pool(workload: str) -> tuple[dict, dict]:
         names[name] += 1
         members += stats.get("total_members", 0)
         windows += stats.get("total_windows", 0)
+        prunes += stats.get("rep_calls", 0)
         max_cell = max(max_cell, stats.get("max_cell", 0))
         digest.update(f"{inst.name} {found} {name}\n".encode())
         witnesses.update(f"{inst.name} {witness.vertices if found else None}\n".encode())
@@ -80,6 +81,7 @@ def check_pool(workload: str) -> tuple[dict, dict]:
         solvers=dict(sorted(names.items())),
         total_members=members,
         total_windows=windows,
+        rep_calls=prunes,
         max_cell=max_cell,
         answer_digest=digest.hexdigest()[:16],
         witness_digest=witnesses.hexdigest()[:16],

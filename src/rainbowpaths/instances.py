@@ -35,6 +35,8 @@ class PHSInput:
     sets: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
+        entries = [x for fam in self.sets for pair in fam for x in pair]
+        _check_ints("k and pair entries", (self.k, *entries))
         if self.k < 1:
             raise ValueError("k must be at least 1")
         canon = tuple(tuple(sorted(set(fam))) for fam in self.sets)
@@ -69,7 +71,8 @@ class CnfInput:
         for idx, clause in enumerate(canon, start=1):
             if len(clause) != 3:
                 raise ValueError(f"clause {idx} has {len(clause)} literals, want 3")
-            if any(not isinstance(lit, int) or lit == 0 for lit in clause):
+            _check_ints("literals", clause)
+            if 0 in clause:
                 raise ValueError(f"clause {idx} contains a zero or non-integer literal")
             if len({abs(lit) for lit in clause}) != 3:
                 raise ValueError(f"clause {idx} repeats a variable")

@@ -39,17 +39,12 @@ def ordered_bound(r: int) -> int:
         return math.floor(sys.float_info.max)
 
 
-# Largest algebraic_width a prune may materialize; wider families stay unpruned.
+# Most wedge coordinates a prune may materialize; wider families are refused.
 WEDGE_WIDTH_LIMIT = 200_000
 
 
-def algebraic_width(p: int, q: int, universe_size: int) -> int:
-    """Number of wedge coordinates a prune of p-sets at budget q materializes."""
-    return math.comb(p + min(q, max(0, universe_size - p)), p)
-
-
-def representative_keep(sets: Sequence[Sequence[int]], universe: int, q: int) -> list[int] | None:
-    """Indices of a q-representative subfamily of ``sets``, or None if too wide to compute.
+def representative_keep(sets: Sequence[Sequence[int]], universe: int, q: int) -> list[int]:
+    """Indices of a q-representative subfamily of ``sets``.
 
     The sets must be equally sized subsets of [0, universe). The prune runs
     on the family stripped of the core C of elements every set contains
@@ -60,13 +55,12 @@ def representative_keep(sets: Sequence[Sequence[int]], universe: int, q: int) ->
     which stripping leaves unchanged, and a row is kept iff its wedge
     vector is independent of the rows kept before it, so of equal sets
     only the first is kept. The kept indices come back in that row order,
-    at most unordered_bound(p - |C|, q) of them. None means the stripped
-    family would materialize more than ``WEDGE_WIDTH_LIMIT`` wedge
-    coordinates and the prune was not run.
+    at most unordered_bound(p - |C|, q) of them.
 
     Raises:
         ValueError: if q < 0, or the sets differ in size, repeat an
-            element, or leave [0, universe).
+            element, or leave [0, universe), or the stripped family would
+            materialize more than ``WEDGE_WIDTH_LIMIT`` wedge coordinates.
     """
     if q < 0:
         raise ValueError("obstruction budget q must be non-negative")
@@ -84,10 +78,10 @@ def representative_keep(sets: Sequence[Sequence[int]], universe: int, q: int) ->
     label = {x: i for i, x in enumerate(sorted({x for row in rows for x in row} - core))}
     rows = [[label[x] for x in row if x in label] for row in rows]
     universe, p = len(label), len(rows[0])
-    width = algebraic_width(p, q, universe)
-    if width > WEDGE_WIDTH_LIMIT:
-        return None
     rank = p + min(q, universe - p)
+    width = math.comb(rank, p)
+    if width > WEDGE_WIDTH_LIMIT:
+        raise ValueError(f"family too wide to prune: {width} wedge coordinates, limit {WEDGE_WIDTH_LIMIT}")
     vander = [[pow(x, i, MODULUS) for i in range(rank)] for x in range(1, universe + 1)]
     order = sorted(range(len(rows)), key=rows.__getitem__)  # stable: equal sets keep input order
     kept = greedy_basis((minors(vander, rows[i], rank) for i in order), width)

@@ -17,8 +17,7 @@ walk, and at radius 0 and 1 a path. At r = 2 every window of a cell ends
 in the cell's color, so a cell holds at most two windows. Cells that
 still outgrow ``ordered_bound(r)`` are pruned with ordered
 representative families, which bounds cell sizes by a function of the
-locality radius alone, except that a cell too wide to prune
-(``repfam.WEDGE_WIDTH_LIMIT``) is kept whole.
+locality radius alone.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ def prune_window_cell(cell: WalkCell, r: int, stats: dict | None = None) -> Walk
 
     The windows, padding dropped, are distinct, so the entries sort by
     window alone; the kept ones are filed back in that order, links
-    untouched. A cell too wide to prune comes back whole. ``stats`` counts
-    the prunes run in ``rep_calls`` and the cells returned whole in
-    ``rep_skipped``.
+    untouched. ``stats`` counts the prunes in ``rep_calls``.
     """
     entries: list[tuple[ColorSeq, ColorSeq, int, Any]] = []  # (window, tail, first, link)
     for tail, firsts in cell.items():
@@ -51,10 +48,7 @@ def prune_window_cell(cell: WalkCell, r: int, stats: dict | None = None) -> Walk
     entries.sort()
     keep = window_keep([window for window, *_ in entries], r)
     if stats is not None:
-        counter = "rep_skipped" if keep is None else "rep_calls"
-        stats[counter] = stats.get(counter, 0) + 1
-    if keep is None:
-        return cell
+        stats["rep_calls"] = stats.get("rep_calls", 0) + 1
     pruned: WalkCell = {}
     for i in sorted(keep):
         _, tail, first, link = entries[i]
@@ -62,13 +56,17 @@ def prune_window_cell(cell: WalkCell, r: int, stats: dict | None = None) -> Walk
     return pruned
 
 
-def window_keep(windows: list[ColorSeq], r: int) -> list[int] | None:
-    """Indices of an ordered representative of nonempty windows, at r >= 1; None if too wide.
+def window_keep(windows: list[ColorSeq], r: int) -> list[int]:
+    """Indices of an ordered representative of nonempty windows, at r >= 1.
 
     Position r of a continuation is blocked only by a window's last color.
     When every window ends in the same color, as in a walk cell,
     those slots are a core the prune strips, so at most r - 1 elements of
-    an obstruction matter and the family is pruned at q = r - 1.
+    an obstruction matter and the family is pruned at q = r - 1. A walk
+    cell's windows also share their length, so its width is at most
+    C(r(r - 1)/2 + r - 1, r - 1), 15,504 at r = 6; from r = 7 on only cells
+    past ``ordered_bound(7)`` = 903,124,561 windows are pruned. So no walk
+    cell reaches ``repfam.WEDGE_WIDTH_LIMIT``.
     """
     universe = (max(max(w) for w in windows) + 1) * r
     q = r - 1 if len({w[-1] for w in windows}) == 1 else r
@@ -130,9 +128,8 @@ def _last_level(
     The DP stops after level ``ell``, after an empty level, or, outside
     mode "exact", after the first level holding t. ``stats`` receives
     ``levels``, ``max_cell``, ``total_windows`` (first colors kept,
-    summed over levels) and, from the prune, ``rep_calls`` and
-    ``rep_skipped``; a gate that refuses s leaves ``levels`` and
-    ``total_windows`` at 0.
+    summed over levels) and, from the prune, ``rep_calls``; a gate that
+    refuses s leaves ``levels`` and ``total_windows`` at 0.
     """
     colors, out_adj, dist_t = g.colors, g.out_neighbors, g.dist_to_t
     level: dict[int, WalkCell] = {g.s: {((_PAD,) * (r - 2) + (colors[g.s],))[:r]: {_PAD: None}}}

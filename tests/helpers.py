@@ -94,7 +94,7 @@ class PruneChecker:
 
     Every cell it is given must hold more than ``ordered_bound(r)``
     windows, the walk DP's one prune trigger, and ``calls`` counts them.
-    Each prune that runs is checked against the definition of an ordered
+    Each prune is checked against the definition of an ordered
     representative, up to ``per_trial`` of them between calls to
     ``next_trial``, since the exhaustive check costs far more than the prune.
     The check draws continuations from the kept windows' colors and r
@@ -112,7 +112,7 @@ class PruneChecker:
         self.calls += 1
         assert sum(map(len, cell.values())) > ordered_bound(r), "a cell within the bound was pruned"
         kept = self.prune(cell, r, stats)
-        if kept is not cell and self.left:
+        if self.left:
             self.left -= 1
             self.checked += 1
             windows, kept_windows = cell_windows(cell), cell_windows(kept)

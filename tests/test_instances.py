@@ -459,6 +459,14 @@ INPUT_REFUSALS = {
         "clause 1 contains a zero or non-integer literal",
     ),
     "phs-no-family": (lambda: gen_phs_instance(PHSInput(2, ())), "at least one family is required"),
+    "phs-float-k": (lambda: PHSInput(2.5, ()), "k and pair entries must be ints, got 2.5"),
+    "phs-bool-k": (lambda: PHSInput(True, (((1, 1),),)), "k and pair entries must be ints, got True"),
+    "phs-float-pair": (lambda: PHSInput(2, (((1.0, 1),),)), "k and pair entries must be ints, got 1.0"),
+    "phs-float-k-encode": (
+        lambda: gen_phs_instance(PHSInput(2.0, (((1, 1),),))),
+        "k and pair entries must be ints, got 2.0",
+    ),
+    "cnf-bool": (lambda: CnfInput(((True, 2, 3),) + BALANCED[1:]), "literals must be ints, got True"),
     "random-n": (lambda: gen_random(1, 0.5, 2, 1, 1, seed=0), "need at least two vertices"),
     "random-p": (lambda: gen_random(3, 1.5, 2, 1, 1, seed=0), "arc_probability must lie in [0, 1]"),
     "random-colors": (lambda: gen_random(3, 0.5, 0, 1, 1, seed=0), "need at least one color"),

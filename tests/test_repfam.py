@@ -1,6 +1,7 @@
 """Representative-family pruning, for families of sets and of color windows."""
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from rainbowpaths import (
     slot_set,
     unordered_bound,
 )
-from rainbowpaths.repfam import WEDGE_WIDTH_LIMIT, algebraic_width
+from rainbowpaths.repfam import WEDGE_WIDTH_LIMIT
 from rainbowpaths.walk import window_keep
 from reference import is_set_representative, is_window_representative
 
@@ -47,18 +48,47 @@ def test_family_validation():
     assert representative_keep([], 3, 1) == []
 
 
-def test_keep_skips_families_too_wide_to_prune():
-    assert algebraic_width(10, 10, 40) <= WEDGE_WIDTH_LIMIT < algebraic_width(10, 11, 40)
+def test_keep_refuses_families_too_wide_to_prune():
+    assert math.comb(20, 10) <= WEDGE_WIDTH_LIMIT < math.comb(21, 10)
     # four disjoint 10-sets share no element, so nothing is stripped
     disjoint = [tuple(range(i, i + 10)) for i in range(0, 40, 10)]
-    assert representative_keep(disjoint, 40, 11) is None
+    with pytest.raises(ValueError, match="too wide"):
+        representative_keep(disjoint, 40, 11)
     assert len(representative_keep(disjoint, 40, 1)) >= 2
     # a lone set is all core: stripped to the empty set, it is kept
     assert representative_keep([tuple(range(10))], 40, 11) == [0]
     # 10-sets sharing 8 elements strip to disjoint pairs over 16 elements: width C(13, 2)
     shared = [tuple(range(8)) + (8 + 2 * i, 9 + 2 * i) for i in range(8)]
-    assert algebraic_width(2, 11, 16) == 78
+    assert math.comb(13, 2) == 78
     assert representative_keep(shared, 40, 11) == list(range(8))
+
+
+def test_walk_cell_widths_stay_within_the_limit():
+    """A walk cell's windows, stripped, never need more wedge coordinates than WEDGE_WIDTH_LIMIT.
+
+    Same-length rainbow windows that end in one color strip to slot sets of
+    at most r(r - 1)/2 elements, pruned at q = r - 1, so the width is at most
+    C(r(r - 1)/2 + r - 1, r - 1) through r = 6; from r = 7 on a cell must
+    first outgrow ordered_bound(7) windows. The widths are computed from
+    ``slot_set`` as ``representative_keep`` strips them, without pruning.
+    """
+    assert ordered_bound(7) == 903_124_561
+    rng = random.Random(29)
+    for r in range(1, 7):
+        bound = math.comb(r * (r - 1) // 2 + r - 1, r - 1)
+        assert bound <= WEDGE_WIDTH_LIMIT
+        widest = 0
+        for _ in range(60):
+            length = rng.randint(1, r)
+            windows = core_windows(rng, length, 1, rng.randint(length, 3 * r + 2), rng.randint(1, 30))
+            slots = [set(slot_set(w, r)) for w in windows]
+            core = set.intersection(*slots)
+            p = len(slots[0]) - len(core)
+            universe = len(set.union(*slots)) - len(core)
+            width = math.comb(p + min(r - 1, universe - p), p)
+            assert width <= bound, (r, windows)
+            widest = max(widest, width)
+        assert widest == bound, (r, widest)
 
 
 def test_keep_returns_input_indices_in_row_order():

@@ -120,14 +120,6 @@ def test_prune_cell_keeps_small_cells_verbatim(monkeypatch):
     assert prune_window_cell(cell, 1) == cell
 
 
-def test_prune_cell_returns_too_wide_cells_whole(monkeypatch):
-    monkeypatch.setattr(walk, "window_keep", lambda windows, r: None)
-    cell = {(c,): {_PAD: c} for c in range(6)}
-    stats: dict = {}
-    assert prune_window_cell(cell, 1, stats) is cell
-    assert stats == {"rep_skipped": 1}
-
-
 def test_prune_cell_output_is_representative():
     """The kept entries are a tail-class cell whose windows represent the cell's, links untouched."""
     rng = random.Random(17)
