@@ -60,7 +60,7 @@ def main() -> None:
     fam = make_family(11, universe, p=4, count=900)
     cell = fan_cell(276)
     rows = [
-        ("prune 900 sets, q=4", lambda: representative_keep(fam, universe, 4)),
+        ("prune 900 sets, q=4", lambda: representative_keep(fam, 4)),
         ("prune 552-window cell, r=3", lambda: window_keep(cell, 3)),
     ]
     for label, fn in rows:

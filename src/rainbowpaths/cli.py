@@ -29,7 +29,6 @@ from .instances import (
     read_phs_sets,
     write_instance,
 )
-from .oracle import oracle_path, oracle_walk
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -144,7 +143,6 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     witness, name = solve(g, query, args.solver)
     # forced "walk" asks the walk question; "auto" and "path" ask the path question
     walk_semantics = args.solver == "walk"
-    oracle_fn = oracle_walk if walk_semantics else oracle_path
     print(f"solver {name}: {'YES' if witness else 'NO'}")
     if witness is not None:
         problems = verify_witness(g, query, witness.vertices, require_path=not walk_semantics)
@@ -153,10 +151,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         if problems:
             return EXIT_NO
     try:
-        reference = oracle_fn(g, query)
+        reference, oracle_name = solve(g, query, "oracle" if walk_semantics else "oracle-path")
     except ValueError as exc:
         raise CliError(f"oracle refused: {exc}") from None
-    oracle_name = "oracle-walk" if walk_semantics else "oracle-path"
     print(f"oracle {oracle_name}: {'YES' if reference else 'NO'}")
     if (witness is None) == (reference is None):
         print("AGREE")

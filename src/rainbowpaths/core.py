@@ -114,10 +114,6 @@ class ColoredDigraph:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
-    def arc_set(self) -> frozenset[Arc]:
-        return frozenset(self.arcs)
-
-    @cached_property
     def dist_to_t(self) -> tuple[int | None, ...]:
         """Arc counts of shortest paths to t; None where t is unreachable."""
         return tuple(bfs_distances(self.in_neighbors, self.t))
@@ -310,7 +306,7 @@ def verify_witness(
     if walk[-1] != g.t:
         problems.append(f"witness ends at {walk[-1]}, expected t={g.t}")
     for i in range(len(walk) - 1):
-        if (walk[i], walk[i + 1]) not in g.arc_set:
+        if walk[i + 1] not in g.out_neighbors[walk[i]]:
             problems.append(f"missing arc ({walk[i]}, {walk[i + 1]}) at step {i}")
             break
     if not is_locally_rainbow([g.colors[v] for v in walk], query.r):

@@ -24,17 +24,6 @@ SOLVERS = (
 )
 
 
-def _solve_auto(
-    g: ColoredDigraph, query: Query, stats: dict | None
-) -> tuple[Witness | None, str]:
-    dist = g.dist_to_t[g.s]
-    if dist is None:
-        return None, "unreachable"
-    if (query.r <= 1 and query.mode != "exact") or (query.ell == dist and query.mode != "any"):
-        return solve_walk(g, query, stats=stats), "walk-dp"
-    return solve_path(g, query, stats=stats), "path-dp"
-
-
 def solve(
     g: ColoredDigraph,
     query: Query,
@@ -59,7 +48,11 @@ def solve(
             is too large for this query.
     """
     if solver == "auto":
-        return _solve_auto(g, query, stats)
+        dist = g.dist_to_t[g.s]
+        if dist is None:
+            return None, "unreachable"
+        at_distance = query.ell == dist and query.mode != "any"
+        solver = "walk" if (query.r <= 1 and query.mode != "exact") or at_distance else "path"
     if solver == "walk":
         return solve_walk(g, query, stats=stats), "walk-dp"
     if solver == "path":

@@ -7,8 +7,8 @@ the path DP does not prune.
 ``representative_keep`` computes it in plain Python on the family stripped
 of the elements every member shares: ``minors`` gives a set's binom(p + q, p)
 Vandermonde minors over a prime field, and ``greedy_basis`` keeps the sets
-whose minors raise the rank. The exhaustive references and the
-definitional checks live in ``oracle``.
+whose minors raise the rank. The definitional checks the tests hold a
+prune to live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ def ordered_bound(r: int) -> int:
 WEDGE_WIDTH_LIMIT = 200_000
 
 
-def representative_keep(sets: Sequence[Sequence[int]], universe: int, q: int) -> list[int]:
+def representative_keep(sets: Sequence[Sequence[int]], q: int) -> list[int]:
     """Indices of a q-representative subfamily of ``sets``.
 
-    The sets must be equally sized subsets of [0, universe). The prune runs
-    on the family stripped of the core C of elements every set contains
-    and of the elements no set contains. This is exact: an obstruction
+    The sets must be equally sized sets of integers. The prune runs on the
+    family stripped of the core C of elements every set contains, with the
+    rest of their union relabelled densely. This is exact: an obstruction
     meeting C blocks every member, a member avoids one that misses C
     exactly when its stripped part does, and elements outside the union
     decide nothing. Rows are taken in order of (sorted set, input index),
@@ -58,9 +58,9 @@ def representative_keep(sets: Sequence[Sequence[int]], universe: int, q: int) ->
     at most unordered_bound(p - |C|, q) of them.
 
     Raises:
-        ValueError: if q < 0, or the sets differ in size, repeat an
-            element, or leave [0, universe), or the stripped family would
-            materialize more than ``WEDGE_WIDTH_LIMIT`` wedge coordinates.
+        ValueError: if q < 0, or the sets differ in size or repeat an
+            element, or the stripped family would materialize more than
+            ``WEDGE_WIDTH_LIMIT`` wedge coordinates.
     """
     if q < 0:
         raise ValueError("obstruction budget q must be non-negative")
@@ -69,8 +69,6 @@ def representative_keep(sets: Sequence[Sequence[int]], universe: int, q: int) ->
     rows = [sorted(s) for s in sets]
     if len(set(map(len, rows))) > 1:
         raise ValueError("sets must all have the same size")
-    if rows[0] and (min(row[0] for row in rows) < 0 or max(row[-1] for row in rows) >= universe):
-        raise ValueError(f"set elements must lie in [0, {universe})")
     if any(a == b for row in rows for a, b in zip(row, row[1:])):
         raise ValueError("a set repeats an element")
     # strip the core every row shares, then relabel the rest of the union densely

@@ -9,15 +9,15 @@ first colors: two distinct first colors admit every next color outside
 the tail, one admits all of those but itself, and a third adds nothing.
 A successor's tail is its predecessor's stem (the tail less its first
 color) plus its own color, so tails that share a stem feed one class at
-each successor; the expansion looks that class up once per run of such
-tails and feeds it until it holds two first colors. In modes "atmost" and
-"any" a class also keeps its first colors across levels, so the DP is a
-breadth-first search over (vertex, window) states that finds a shortest
-walk, and at radius 0 and 1 a path. At r = 2 every window of a cell ends
-in the cell's color, so a cell holds at most two windows. Cells that
-still outgrow ``ordered_bound(r)`` are pruned with ordered
-representative families, which bounds cell sizes by a function of the
-locality radius alone.
+each successor; the expansion groups a cell's tails by stem, looks that
+class up once per group and feeds it until it holds two first colors. In
+modes "atmost" and "any" a class also keeps its first colors across
+levels, so the DP is a breadth-first search over (vertex, window) states
+that finds a shortest walk, and at radius 0 and 1 a path. At r = 2 every
+window of a cell ends in the cell's color, so a cell holds at most two
+windows. Cells that still outgrow ``ordered_bound(r)`` are pruned with
+ordered representative families, which bounds cell sizes by a function
+of the locality radius alone.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from .repfam import ordered_bound, representative_keep
 WalkCell = dict[ColorSeq, dict[int, Any]]
 
 
-def prune_window_cell(cell: WalkCell, r: int, stats: dict | None = None) -> WalkCell:
+def prune_window_cell(cell: WalkCell, r: int) -> WalkCell:
     """Replace a walk cell by an ordered representative of its windows, at r >= 1.
 
     The windows, padding dropped, are distinct, so the entries sort by
     window alone; the kept ones are filed back in that order, links
-    untouched. ``stats`` counts the prunes in ``rep_calls``.
+    untouched.
     """
     entries: list[tuple[ColorSeq, ColorSeq, int, Any]] = []  # (window, tail, first, link)
     for tail, firsts in cell.items():
@@ -47,8 +47,6 @@ def prune_window_cell(cell: WalkCell, r: int, stats: dict | None = None) -> Walk
             entries.append((window[window.count(_PAD):], tail, first, link))
     entries.sort()
     keep = window_keep([window for window, *_ in entries], r)
-    if stats is not None:
-        stats["rep_calls"] = stats.get("rep_calls", 0) + 1
     pruned: WalkCell = {}
     for i in sorted(keep):
         _, tail, first, link = entries[i]
@@ -68,9 +66,8 @@ def window_keep(windows: list[ColorSeq], r: int) -> list[int]:
     past ``ordered_bound(7)`` = 903,124,561 windows are pruned. So no walk
     cell reaches ``repfam.WEDGE_WIDTH_LIMIT``.
     """
-    universe = (max(max(w) for w in windows) + 1) * r
     q = r - 1 if len({w[-1] for w in windows}) == 1 else r
-    return representative_keep([slot_set(w, r) for w in windows], universe, q)
+    return representative_keep([slot_set(w, r) for w in windows], q)
 
 
 def _new_entries(cell: WalkCell, old: WalkCell) -> WalkCell:
@@ -106,16 +103,15 @@ def _last_level(
     window links to the walk before it, so the last level alone gives the
     witness.
 
-    Each level expands a cell's tails in runs of consecutive tails that
-    share a stem, since those feed one successor class at each head. The
-    class is looked up once per run and head and skipped when it already
-    holds two first colors; otherwise the run's tails that do not block
-    the head's color feed it in cell order until it holds two. Each class
-    so receives its entries in (vertex, tail) order, as a tail-by-tail
-    expansion would give them, and misses only those it would drop. Runs,
-    not all of a cell's tails with one stem, also keep the order in which
-    a successor cell's classes are created, which later levels and the
-    witness read; at r <= 3 every cell has one stem, so one run.
+    Each level groups a cell's tails by stem, since the tails of a stem
+    feed one successor class at each head. The class is looked up once per
+    group and head and skipped when it already holds two first colors;
+    otherwise the group's tails that do not block the head's color feed it
+    in cell order until it holds two. Each class so receives its entries
+    in (vertex, tail) order, as a tail-by-tail expansion would give them,
+    and misses only those it would drop. Classes are created group by
+    group, which from r = 4 on can differ from tail order and so change
+    the witness, never the answer; at r <= 3 every cell has one stem.
 
     In mode "exact" level p holds the windows of walks of p arcs from s.
     In modes "atmost" and "any" a (vertex, tail) class keeps the first
@@ -128,8 +124,8 @@ def _last_level(
     The DP stops after level ``ell``, after an empty level, or, outside
     mode "exact", after the first level holding t. ``stats`` receives
     ``levels``, ``max_cell``, ``total_windows`` (first colors kept,
-    summed over levels) and, from the prune, ``rep_calls``; a gate that
-    refuses s leaves ``levels`` and ``total_windows`` at 0.
+    summed over levels) and, once a cell is pruned, ``rep_calls``; a gate
+    that refuses s leaves ``levels`` and ``total_windows`` at 0.
     """
     colors, out_adj, dist_t = g.colors, g.out_neighbors, g.dist_to_t
     level: dict[int, WalkCell] = {g.s: {((_PAD,) * (r - 2) + (colors[g.s],))[:r]: {_PAD: None}}}
@@ -157,14 +153,11 @@ def _last_level(
                         continue
                     head = heads_at[u] = (colors[u], (colors[u],)[:r], {})
                 heads.append(head)
-            # (stem, [(lead, blocked, a, via_a, via_b) per tail]) per run: a
-            # successor's first color is the tail's first (its lead), its tail
-            # the stem plus u's color
-            runs: list[tuple[ColorSeq, list]] = []
+            # stem -> [(lead, blocked, a, via_a, via_b) per tail]: a successor's
+            # first color is the tail's first (its lead), its tail the stem
+            # plus u's color
+            stems: dict[ColorSeq, list] = {}
             for tail, firsts in cell.items():
-                stem = tail[1:]
-                if not runs or runs[-1][0] != stem:
-                    runs.append((stem, []))
                 if len(firsts) == 2:
                     (a, link_a), (_, link_b) = firsts.items()
                     blocked = tail
@@ -172,8 +165,10 @@ def _last_level(
                     ((a, link_a),) = firsts.items()
                     link_b = link_a
                     blocked = tail + (a,)
-                runs[-1][1].append((tail[0] if r > 1 else _PAD, blocked, a, (v, link_a), (v, link_b)))
-            for stem, entries in runs:
+                stems.setdefault(tail[1:], []).append(
+                    (tail[0] if r > 1 else _PAD, blocked, a, (v, link_a), (v, link_b))
+                )
+            for stem, entries in stems.items():
                 for c, added, successors in heads:
                     key = stem + added
                     kept = successors.get(key)
@@ -188,7 +183,7 @@ def _last_level(
                             kept[lead] = via_b if c == a else via_a
                             break
         level = {}
-        total = biggest = 0
+        total = biggest = prunes = 0
         for u, (*_, cell) in heads_at.items():
             if cell and seen is not None:
                 old = seen.setdefault(u, cell)
@@ -198,7 +193,8 @@ def _last_level(
                 continue
             size = sum(map(len, cell.values()))
             if size > bound:
-                cell = prune_window_cell(cell, r, stats)
+                cell = prune_window_cell(cell, r)
+                prunes += 1
                 size = sum(map(len, cell.values()))
             level[u] = cell
             total += size
@@ -208,6 +204,8 @@ def _last_level(
             stats["total_windows"] += total
             if level:
                 stats["max_cell"] = max(stats.get("max_cell", 0), biggest)
+            if prunes:
+                stats["rep_calls"] = stats.get("rep_calls", 0) + prunes
         if not level or (seen is not None and g.t in level):
             break
     return level

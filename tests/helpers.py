@@ -108,10 +108,10 @@ class PruneChecker:
         self.checked = self.calls = 0
         monkeypatch.setattr(module, "prune_window_cell", self)
 
-    def __call__(self, cell, r, stats=None):
+    def __call__(self, cell, r):
         self.calls += 1
         assert sum(map(len, cell.values())) > ordered_bound(r), "a cell within the bound was pruned"
-        kept = self.prune(cell, r, stats)
+        kept = self.prune(cell, r)
         if self.left:
             self.left -= 1
             self.checked += 1

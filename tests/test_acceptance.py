@@ -178,7 +178,7 @@ def test_criterion_04_representative_families_pass_definitional_checks():
     rng = random.Random(30_000)
 
     def check_sets(trial, fam, universe, p, q):
-        kept = [fam[i] for i in representative_keep(fam, universe, q)]
+        kept = [fam[i] for i in representative_keep(fam, q)]
         if len(kept) > unordered_bound(p, q):
             failures.append((trial, "size"))
         if not is_set_representative(kept, fam, universe, q):

@@ -253,6 +253,11 @@ def test_walk_solver_on_any_query(tmp_path):
     assert rep["solver"] == "walk-dp"
     assert rep["witness"] == [0, 1, 2, 3, 1, 4]
     assert {"levels", "total_windows"} <= set(rep["stats"])
+    code, out, _ = helpers.run_cli(["solve", path, "--solver", "oracle", "--json"])
+    oracle_rep = json.loads(out)
+    assert code == EXIT_YES
+    assert oracle_rep["solver"] == "oracle-walk"
+    assert (oracle_rep["answer"], oracle_rep["length"]) == (rep["answer"], rep["length"])
     code, out, _ = helpers.run_cli(["crosscheck", path, "--solver", "walk"])
     assert code == EXIT_YES and "AGREE" in out
     code, out, _ = helpers.run_cli(["solve", path, "--solver", "walk"])
@@ -398,7 +403,12 @@ def test_crosscheck_reports_an_oracle_refusal(tmp_path):
 def test_crosscheck_reports_a_disagreement(tmp_path, monkeypatch):
     g = ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2)
     path = write_tmp(tmp_path, g, Query(1, 2, "atmost"))
-    monkeypatch.setattr(cli, "solve", lambda g, q, solver: (None, "walk-dp"))
+    solve = cli.solve
+
+    def says_no(g, q, name):  # the solver under test says NO; the oracles run as they are
+        return solve(g, q, name) if name.startswith("oracle") else (None, "walk-dp")
+
+    monkeypatch.setattr(cli, "solve", says_no)
     code, out, _ = helpers.run_cli(["crosscheck", path])
     assert code == EXIT_NO
     assert out == "solver walk-dp: NO\noracle oracle-path: YES\nDISAGREE\n"

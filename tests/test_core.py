@@ -35,6 +35,8 @@ def test_locally_rainbow_windows_clamp_to_length():
 
 def test_locally_rainbow_r_zero_accepts_anything():
     assert is_locally_rainbow((4, 4, 4), 0)
+    with pytest.raises(ValueError, match="^locality r must be non-negative$"):
+        is_locally_rainbow((4, 4, 4), -1)
 
 
 def test_locally_rainbow_monotone_in_locality():
@@ -133,7 +135,7 @@ def test_digraph_accessors():
     assert g.out_neighbors[0] == (1, 3)
     assert g.in_neighbors[0] == (2,)
     assert g.num_colors == 3
-    assert (0, 3) in g.arc_set
+    assert g.in_neighbors[3] == (0,)
 
 
 def test_query_validation():

@@ -404,6 +404,8 @@ def test_parse_allows_comments():
 def test_read_dimacs():
     cnf = read_dimacs("c comment\np cnf 3 4\n1 2 3 0\n1 2 3 0\n-1 -2 -3 0\n-1 -2 -3 0\n")
     assert cnf.clauses == ((1, 2, 3), (1, 2, 3), (-1, -2, -3), (-1, -2, -3))
+    # a last clause with no terminating 0 is kept
+    assert read_dimacs("1 2 3 0 1 2 3 0\n-1 -2 -3 0\n-1 -2 -3\n") == cnf
 
 
 def test_readers_report_malformed_integers_at_their_line():
@@ -440,6 +442,8 @@ PARSE_REFUSALS = {
         "rainbow 1\n2 0\n0 1\n0 1 1 0 most\n",
         "line 4: mode must be one of ('atmost', 'exact', 'any'), got 'most'",
     ),
+    # the integers of the query line are read before its mode
+    "bad-ints-and-mode": ("rainbow 1\n2 0\n0 1\n0 x 1 0 most\n", "line 4: s, t, r, ell must be integers"),
 }
 
 
@@ -456,7 +460,7 @@ INPUT_REFUSALS = {
     "cnf-width": (lambda: CnfInput(((1, 2),) + BALANCED[1:]), "clause 1 has 2 literals, want 3"),
     "cnf-zero": (
         lambda: CnfInput(((1, 2, 0),) + BALANCED[1:]),
-        "clause 1 contains a zero or non-integer literal",
+        "clause 1 contains a zero literal",
     ),
     "phs-no-family": (lambda: gen_phs_instance(PHSInput(2, ())), "at least one family is required"),
     "phs-float-k": (lambda: PHSInput(2.5, ()), "k and pair entries must be ints, got 2.5"),

@@ -147,12 +147,12 @@ def test_representative_keep_keeps_the_rows_python_would():
         universe = rng.randint(3, 9)
         p = rng.randint(1, min(4, universe))
         fam = [rng.sample(range(universe), p) for _ in range(rng.randint(1, 20))]
-        families.append((fam + fam[:3], universe, rng.randint(0, 3)))
+        families.append((fam + fam[:3], rng.randint(0, 3)))
     for trial in range(40):
         universe, p = rng.randint(4, 9), rng.randint(2, 4)
         fam = [rng.sample(s, len(s)) for s in core_sets(rng, universe, p, rng.randint(1, p - 1), 15)]
-        families.append((fam, universe, rng.randint(0, 3)))
-    for fam, universe, q in families:
+        families.append((fam, rng.randint(0, 3)))
+    for fam, q in families:
         # the reference strips the shared core and the unused elements, then relabels densely
         counts = Counter(x for s in fam for x in s)
         used = sorted(x for x, c in counts.items() if c < len(fam))
@@ -162,7 +162,7 @@ def test_representative_keep_keeps_the_rows_python_would():
         columns = vandermonde_columns(len(used), rank)
         order = sorted(range(len(fam)), key=lambda i: (stripped[i], i))
         want = greedy_keep([minors(columns, stripped[i], rank) for i in order])
-        assert representative_keep(fam, universe, q) == [i for i, k in zip(order, want) if k]
+        assert representative_keep(fam, q) == [i for i, k in zip(order, want) if k]
 
 
 def test_import_leaves_numpy_unloaded():

@@ -103,6 +103,8 @@ def test_path_witnesses_are_paths():
 
 def test_phs_singleton():
     assert oracle_phs(1, [{(1, 1)}]) == (1,)
+    with pytest.raises(ValueError, match="limited to k <= 8, got 9"):
+        oracle_phs(9, [{(1, 1)}])
 
 
 def test_phs_conflicting_pins():
@@ -138,6 +140,8 @@ def test_phs_hit_property_random():
 def test_3sat_satisfiable():
     model = oracle_3sat([(1, 2, 3), (-1, 2, 3)])
     assert model is not None
+    with pytest.raises(ValueError, match="limited to 20 variables, got 21"):
+        oracle_3sat([(v, v + 1, v + 2) for v in range(1, 20)])
     for clause in [(1, 2, 3), (-1, 2, 3)]:
         assert any(model[abs(l)] == (l > 0) for l in clause)
 

@@ -18,7 +18,7 @@ from rainbowpaths.repfam import WEDGE_WIDTH_LIMIT
 from rainbowpaths.walk import window_keep
 from reference import is_set_representative, is_window_representative
 
-# each maps (sets, universe, q), or (windows, r), to kept input indices; the key names the test case
+# each maps (sets, q), or (windows, r), to kept input indices; the key names the test case
 KEEPS = {"algebraic": representative_keep}
 WINDOW_KEEPS = {"algebraic": window_keep}
 
@@ -36,16 +36,14 @@ def test_bounds():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        representative_keep([(0, 1)], 3, -1)
+        representative_keep([(0, 1)], -1)
     with pytest.raises(ValueError):
-        representative_keep([(0,), (1, 2)], 3, 1)
+        representative_keep([(0,), (1, 2)], 1)
     with pytest.raises(ValueError):
-        representative_keep([(0, 2)], 2, 1)
-    with pytest.raises(ValueError):
-        representative_keep([(-1, 0)], 2, 1)
-    with pytest.raises(ValueError):
-        representative_keep([(1, 1)], 3, 1)
-    assert representative_keep([], 3, 1) == []
+        representative_keep([(1, 1)], 1)
+    assert representative_keep([], 1) == []
+    # elements need only be distinct ints: the union is relabelled densely
+    assert representative_keep([(5, 9), (-1, 0)], 1) == [1, 0]
 
 
 def test_keep_refuses_families_too_wide_to_prune():
@@ -53,14 +51,14 @@ def test_keep_refuses_families_too_wide_to_prune():
     # four disjoint 10-sets share no element, so nothing is stripped
     disjoint = [tuple(range(i, i + 10)) for i in range(0, 40, 10)]
     with pytest.raises(ValueError, match="too wide"):
-        representative_keep(disjoint, 40, 11)
-    assert len(representative_keep(disjoint, 40, 1)) >= 2
+        representative_keep(disjoint, 11)
+    assert len(representative_keep(disjoint, 1)) >= 2
     # a lone set is all core: stripped to the empty set, it is kept
-    assert representative_keep([tuple(range(10))], 40, 11) == [0]
+    assert representative_keep([tuple(range(10))], 11) == [0]
     # 10-sets sharing 8 elements strip to disjoint pairs over 16 elements: width C(13, 2)
     shared = [tuple(range(8)) + (8 + 2 * i, 9 + 2 * i) for i in range(8)]
     assert math.comb(13, 2) == 78
-    assert representative_keep(shared, 40, 11) == list(range(8))
+    assert representative_keep(shared, 11) == list(range(8))
 
 
 def test_walk_cell_widths_stay_within_the_limit():
@@ -93,28 +91,28 @@ def test_walk_cell_widths_stay_within_the_limit():
 
 def test_keep_returns_input_indices_in_row_order():
     # rows run (0, 1) #1, (0, 1) #2, (2, 3) #0; the duplicate is dropped
-    assert representative_keep([(3, 2), (0, 1), (1, 0)], 4, 1) == [1, 0]
+    assert representative_keep([(3, 2), (0, 1), (1, 0)], 1) == [1, 0]
 
 
 @pytest.mark.parametrize("backend", KEEPS)
 def test_unordered_singletons_both_kept(backend):
     sets = [(0,), (1,)]
-    kept = KEEPS[backend](sets, 2, 1)
+    kept = KEEPS[backend](sets, 1)
     assert sorted(sets[i] for i in kept) == [(0,), (1,)]
 
 
 @pytest.mark.parametrize("backend", KEEPS)
 def test_unordered_pairs_all_needed(backend):
     # Each pair misses a different singleton obstruction.
-    kept = KEEPS[backend]([(0, 1), (0, 2), (1, 2)], 3, 1)
+    kept = KEEPS[backend]([(0, 1), (0, 2), (1, 2)], 1)
     assert len(kept) == 3
 
 
 @pytest.mark.parametrize("backend", KEEPS)
 def test_unordered_duplicates_collapse(backend):
-    kept = KEEPS[backend]([(0, 1), (0, 1)], 3, 1)
+    kept = KEEPS[backend]([(0, 1), (0, 1)], 1)
     assert len(kept) == 1
-    assert len(KEEPS[backend]([(), ()], 3, 1)) == 1
+    assert len(KEEPS[backend]([(), ()], 1)) == 1
 
 
 def test_unordered_prune_is_idempotent():
@@ -122,13 +120,13 @@ def test_unordered_prune_is_idempotent():
     universe = 8
     members = [tuple(sorted(rng.sample(range(universe), 3))) for _ in range(40)]
     unique = list(dict.fromkeys(members))
-    once = [unique[i] for i in representative_keep(unique, universe, 2)]
-    twice = [once[i] for i in representative_keep(once, universe, 2)]
+    once = [unique[i] for i in representative_keep(unique, 2)]
+    twice = [once[i] for i in representative_keep(once, 2)]
     assert sorted(once) == sorted(twice)
 
 
 def test_partial_representative_budget_zero_keeps_one():
-    kept = representative_keep([(0, 1), (2, 3), (0, 2)], 4, 0)
+    kept = representative_keep([(0, 1), (2, 3), (0, 2)], 0)
     assert len(kept) == 1
 
 
@@ -164,7 +162,7 @@ def test_unordered_random_families_pass_definition(backend):
         fam = core_sets(core_rng, universe, p, core, core_rng.randint(2, 25))
         families.append((fam, universe, p, core_rng.randint(0, 3), core))
     for fam, universe, p, q, core in families:
-        kept = [fam[i] for i in KEEPS[backend](fam, universe, q)]
+        kept = [fam[i] for i in KEEPS[backend](fam, q)]
         # a shared core leaves only p - core elements per set to represent
         assert len(kept) <= unordered_bound(p - core, q)
         assert is_set_representative(kept, fam, universe, q)
@@ -190,7 +188,7 @@ def test_ordered_regression_needs_non_rainbow_obstructions(backend):
 def test_ordered_r_zero_single_member():
     # at r = 0 every window blocks nothing, so one member represents the family
     windows = [(), ()]
-    assert representative_keep([slot_set(w, 0) for w in windows], 0, 0) == [0]
+    assert representative_keep([slot_set(w, 0) for w in windows], 0) == [0]
     assert is_window_representative([windows[0]], windows, 0)
 
 
