@@ -3,9 +3,9 @@
 The pruner spends its time on the wedge minors of each set's Vandermonde
 columns and on a greedy row basis of them over a prime field. This script
 times two pruning workloads, best of N repeats: a family with no shared
-element, and the cell a radius-3 walk prunes at the hub of a fan, whose
-windows all end in the hub's color, so the prune strips those shared
-slots first.
+element, and the walk's own prune, ``prune_window_cell``, on the cell a
+radius-3 walk holds at the hub of a fan, whose windows all end in the
+hub's color, so the prune strips those shared slots first.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -22,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rainbowpaths import representative_keep
-from rainbowpaths.walk import window_keep
+from rainbowpaths.walk import WalkCell, prune_window_cell
 
 
 def make_family(seed: int, universe: int, p: int, count: int) -> list[tuple[int, ...]]:
@@ -31,15 +31,15 @@ def make_family(seed: int, universe: int, p: int, count: int) -> list[tuple[int,
     return sorted(rng.sample(pool, min(count, len(pool))))
 
 
-def fan_cell(width: int) -> list[tuple[int, ...]]:
-    """The radius-3 windows (x, m, hub) at a fan's hub: x in {0, 1}, m one of ``width`` colors.
+def fan_cell(width: int) -> WalkCell:
+    """The radius-3 cell at a fan's hub: windows (x, m, hub), x in {0, 1}, m one of ``width`` colors.
 
     Windows with one tail (m, hub) differ only in x, so the walk's tail
     classes keep them all, two first colors each, and 2 * width above
     ordered_bound(3) = 542 makes the walk prune the cell.
     """
     hub = width + 2
-    return [(x, m, hub) for x in (0, 1) for m in range(2, width + 2)]
+    return {(m, hub): {0: None, 1: None} for m in range(2, width + 2)}
 
 
 def timed(fn, repeats: int) -> float:
@@ -61,7 +61,7 @@ def main() -> None:
     cell = fan_cell(276)
     rows = [
         ("prune 900 sets, q=4", lambda: representative_keep(fam, 4)),
-        ("prune 552-window cell, r=3", lambda: window_keep(cell, 3)),
+        ("prune 552-window cell, r=3", lambda: prune_window_cell(cell, 3)),
     ]
     for label, fn in rows:
         print(f"{label:<28}{timed(fn, args.repeats) * 1000:>10.2f}ms")

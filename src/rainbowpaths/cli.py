@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .core import ColoredDigraph, Query, verify_witness
+from .core import MODES, ColoredDigraph, Query, verify_witness
 from .dispatch import SOLVERS, solve
 from .instances import (
     _ints,
@@ -188,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     generate = sub.add_parser("generate", help="emit an instance file")
+    generate.set_defaults(func=cmd_generate)
     gen_sub = generate.add_subparsers(dest="kind", required=True)
     g_random = gen_sub.add_parser("random")
     g_random.add_argument("--n", type=int, required=True)
@@ -196,17 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     g_random.add_argument("--r", type=int, required=True)
     g_random.add_argument("--ell", type=int, required=True)
     g_random.add_argument("--seed", type=int, required=True)
-    g_random.add_argument("--mode", default="atmost", choices=["atmost", "exact", "any"])
+    g_random.add_argument("--mode", default="atmost", choices=MODES)
     g_random.add_argument("--output", default="-")
-    g_random.set_defaults(func=cmd_generate, kind="random")
     g_phs = gen_sub.add_parser("phs")
     g_phs.add_argument("--file", required=True, help="pair families, one per line")
     g_phs.add_argument("--output", default="-")
-    g_phs.set_defaults(func=cmd_generate, kind="phs")
     g_sat = gen_sub.add_parser("sat")
     g_sat.add_argument("--file", required=True, help="DIMACS CNF, 2+/2- occurrences per variable")
     g_sat.add_argument("--output", default="-")
-    g_sat.set_defaults(func=cmd_generate, kind="sat")
 
     crosscheck = sub.add_parser("crosscheck", help="compare a solver against an oracle")
     crosscheck.add_argument("instance")

@@ -19,10 +19,6 @@ from .core import ColoredDigraph, ColorSeq, Query, Witness, unwind
 STATE_CEILING = 10**7
 
 
-def _state_budget(g: ColoredDigraph, r: int) -> int:
-    return g.n * max(1, g.num_colors) ** min(r, g.n + 1)
-
-
 def _start_window(g: ColoredDigraph, r: int) -> tuple[int, ...]:
     return (g.colors[g.s],) if r >= 1 else ()
 
@@ -49,10 +45,9 @@ def oracle_walk(g: ColoredDigraph, query: Query) -> Witness | None:
     Raises:
         ValueError: if the state space exceeds STATE_CEILING.
     """
-    if _state_budget(g, query.r) > STATE_CEILING:
-        raise ValueError(
-            f"product state space {_state_budget(g, query.r)} exceeds {STATE_CEILING}"
-        )
+    budget = g.n * g.num_colors ** min(query.r, g.n + 1)
+    if budget > STATE_CEILING:
+        raise ValueError(f"product state space {budget} exceeds {STATE_CEILING}")
     exact = query.mode == "exact"
     cap = None if query.mode == "any" else query.ell
     r, colors, out = query.r, g.colors, g.out_neighbors

@@ -60,9 +60,9 @@ def _path_levels(
     ``levels`` and ``total_members`` at 0.
     """
     colors, out_adj = g.colors, g.out_neighbors
-    if stats is not None:
-        stats.setdefault("levels", 0)
-        stats.setdefault("total_members", 0)
+    stats = {} if stats is None else stats
+    stats.setdefault("levels", 0)
+    stats.setdefault("total_members", 0)
     if ell >= g.n:
         return
     row = rainbow_distances(g, r)
@@ -102,11 +102,10 @@ def _path_levels(
                     if member not in cell:
                         cell[member] = via
         level = {u: cell for u, (*_, cell) in heads_at.items() if cell}
-        if stats is not None:
-            stats["levels"] = p
-            stats["total_members"] += sum(map(len, level.values()))
-            if level:
-                stats["max_cell"] = max(stats.get("max_cell", 0), max(map(len, level.values())))
+        stats["levels"] = p
+        stats["total_members"] += sum(map(len, level.values()))
+        if level:
+            stats["max_cell"] = max(stats.get("max_cell", 0), max(map(len, level.values())))
         yield level
         if not level or (mode != "exact" and g.t in level):
             break

@@ -13,11 +13,11 @@ each successor; the expansion groups a cell's tails by stem, looks that
 class up once per group and feeds it until it holds two first colors. In
 modes "atmost" and "any" a class also keeps its first colors across
 levels, so the DP is a breadth-first search over (vertex, window) states
-that finds a shortest walk, and at radius 0 and 1 a path. At r = 2 every
-window of a cell ends in the cell's color, so a cell holds at most two
+that finds a shortest walk, and at radius 0 and 1 a path. Every window
+of a cell ends in the cell's color, so at r = 2 a cell holds at most two
 windows. Cells that still outgrow ``ordered_bound(r)`` are pruned with
-ordered representative families, which bounds cell sizes by a function
-of the locality radius alone.
+ordered representative families at q = r - 1, the shared color's slots
+stripped, which bounds cell sizes by a function of the radius alone.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ WalkCell = dict[ColorSeq, dict[int, Any]]
 def prune_window_cell(cell: WalkCell, r: int) -> WalkCell:
     """Replace a walk cell by an ordered representative of its windows, at r >= 1.
 
+    Every window of a cell ends in its vertex's color, and position r of a
+    continuation is blocked only by a window's last color, so those slots
+    are a core the prune strips and the windows are pruned at q = r - 1.
+    Its windows also share their length, so the stripped family's width is
+    at most C(r(r - 1)/2 + r - 1, r - 1), 15,504 at r = 6; from r = 7 on
+    only cells past ``ordered_bound(7)`` = 903,124,561 windows are pruned.
+    So no walk cell reaches ``repfam.WEDGE_WIDTH_LIMIT``.
+
     The windows, padding dropped, are distinct, so the entries sort by
     window alone; the kept ones are filed back in that order, links
     untouched.
@@ -46,28 +54,12 @@ def prune_window_cell(cell: WalkCell, r: int) -> WalkCell:
             window = (first,) + tail
             entries.append((window[window.count(_PAD):], tail, first, link))
     entries.sort()
-    keep = window_keep([window for window, *_ in entries], r)
+    keep = representative_keep([slot_set(window, r) for window, *_ in entries], r - 1)
     pruned: WalkCell = {}
     for i in sorted(keep):
         _, tail, first, link = entries[i]
         pruned.setdefault(tail, {})[first] = link
     return pruned
-
-
-def window_keep(windows: list[ColorSeq], r: int) -> list[int]:
-    """Indices of an ordered representative of nonempty windows, at r >= 1.
-
-    Position r of a continuation is blocked only by a window's last color.
-    When every window ends in the same color, as in a walk cell,
-    those slots are a core the prune strips, so at most r - 1 elements of
-    an obstruction matter and the family is pruned at q = r - 1. A walk
-    cell's windows also share their length, so its width is at most
-    C(r(r - 1)/2 + r - 1, r - 1), 15,504 at r = 6; from r = 7 on only cells
-    past ``ordered_bound(7)`` = 903,124,561 windows are pruned. So no walk
-    cell reaches ``repfam.WEDGE_WIDTH_LIMIT``.
-    """
-    q = r - 1 if len({w[-1] for w in windows}) == 1 else r
-    return representative_keep([slot_set(w, r) for w in windows], q)
 
 
 def _new_entries(cell: WalkCell, old: WalkCell) -> WalkCell:
@@ -129,9 +121,9 @@ def _last_level(
     """
     colors, out_adj, dist_t = g.colors, g.out_neighbors, g.dist_to_t
     level: dict[int, WalkCell] = {g.s: {((_PAD,) * (r - 2) + (colors[g.s],))[:r]: {_PAD: None}}}
-    if stats is not None:
-        stats.setdefault("levels", 0)
-        stats.setdefault("total_windows", 0)
+    stats = {} if stats is None else stats
+    stats.setdefault("levels", 0)
+    stats.setdefault("total_windows", 0)
     last = math.inf if ell is None else ell
     if dist_t[g.s] is None or dist_t[g.s] > last:  # type: ignore[operator]
         return level
@@ -199,13 +191,12 @@ def _last_level(
             level[u] = cell
             total += size
             biggest = max(biggest, size)
-        if stats is not None:
-            stats["levels"] = p
-            stats["total_windows"] += total
-            if level:
-                stats["max_cell"] = max(stats.get("max_cell", 0), biggest)
-            if prunes:
-                stats["rep_calls"] = stats.get("rep_calls", 0) + prunes
+        stats["levels"] = p
+        stats["total_windows"] += total
+        if level:
+            stats["max_cell"] = max(stats.get("max_cell", 0), biggest)
+        if prunes:
+            stats["rep_calls"] = stats.get("rep_calls", 0) + prunes
         if not level or (seen is not None and g.t in level):
             break
     return level

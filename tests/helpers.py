@@ -6,7 +6,7 @@ import io
 import random
 import sys
 
-from rainbowpaths import ColoredDigraph, ordered_bound
+from rainbowpaths import ColoredDigraph, ordered_bound, representative_keep, slot_set
 from rainbowpaths.cli import main as cli_main
 from rainbowpaths.core import _PAD
 from reference import is_window_representative
@@ -83,6 +83,14 @@ def core_windows(rng: random.Random, length: int, core: int, num_colors: int, co
     return sorted({tuple(rng.sample(rest, length - core)) + suffix for _ in range(count)})
 
 
+def keep_windows(windows: list[tuple[int, ...]], r: int, q: int) -> list[int]:
+    """Kept indices of a q-representative of the windows' slot sets at radius r.
+
+    q = r holds for any family; q = r - 1 suffices when every window ends in one color.
+    """
+    return representative_keep([slot_set(w, r) for w in windows], q)
+
+
 def cell_windows(cell) -> list[tuple[int, ...]]:
     """The windows of a walk cell (tail -> first color -> link), padding dropped."""
     windows = [(first,) + tail for tail, firsts in cell.items() for first in firsts]
@@ -93,7 +101,8 @@ class PruneChecker:
     """Stands in for ``module.prune_window_cell`` and checks what the prunes it passes on keep.
 
     Every cell it is given must hold more than ``ordered_bound(r)``
-    windows, the walk DP's one prune trigger, and ``calls`` counts them.
+    windows, the walk DP's one prune trigger, all ending in one color, as
+    the prune's q = r - 1 assumes; ``calls`` counts them.
     Each prune is checked against the definition of an ordered
     representative, up to ``per_trial`` of them between calls to
     ``next_trial``, since the exhaustive check costs far more than the prune.
@@ -111,11 +120,13 @@ class PruneChecker:
     def __call__(self, cell, r):
         self.calls += 1
         assert sum(map(len, cell.values())) > ordered_bound(r), "a cell within the bound was pruned"
+        windows = cell_windows(cell)
+        assert len({w[-1] for w in windows}) == 1, "a cell's windows end in several colors"
         kept = self.prune(cell, r)
         if self.left:
             self.left -= 1
             self.checked += 1
-            windows, kept_windows = cell_windows(cell), cell_windows(kept)
+            kept_windows = cell_windows(kept)
             outside = max(c for w in windows for c in w) + 1
             palette = sorted({c for w in kept_windows for c in w}) + list(range(outside, outside + r))
             assert is_window_representative(kept_windows, windows, r, palette), (len(kept_windows), len(windows))

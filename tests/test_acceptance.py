@@ -39,7 +39,6 @@ from rainbowpaths import (
     verify_witness,
     write_instance,
 )
-from rainbowpaths.walk import window_keep
 from reference import distance_separators, is_set_representative, is_window_representative, r_compatible
 
 CRITERION_1_BUDGET_SECONDS = 120.0
@@ -184,8 +183,8 @@ def test_criterion_04_representative_families_pass_definitional_checks():
         if not is_set_representative(kept, fam, universe, q):
             failures.append((trial, "definition"))
 
-    def check_windows(trial, seqs, r):
-        kept = [seqs[i] for i in window_keep(seqs, r)]
+    def check_windows(trial, seqs, r, q):
+        kept = [seqs[i] for i in helpers.keep_windows(seqs, r, q)]
         if len(kept) > ordered_bound(r):
             failures.append((trial, "ordered size"))
         if not is_window_representative(kept, seqs, r):
@@ -205,7 +204,7 @@ def test_criterion_04_representative_families_pass_definitional_checks():
         pool = set()
         for _ in range(50):
             pool.add(tuple(rng.sample(range(colors), length)))
-        check_windows(trial, sorted(pool), r)
+        check_windows(trial, sorted(pool), r, r)
     # every member shares c >= 1 elements (sets) or its last c colors
     # (windows), as in path and walk cells; set families keep duplicates
     for trial in range(100):
@@ -217,7 +216,8 @@ def test_criterion_04_representative_families_pass_definitional_checks():
         r = rng.randint(1, 3)
         length = rng.randint(1, r)
         seqs = helpers.core_windows(rng, length, rng.randint(1, length), rng.randint(length + 1, 5), 30)
-        check_windows(("core", trial), seqs, r)
+        # the last color's slots are a shared core, so q = r - 1 suffices
+        check_windows(("core", trial), seqs, r, r - 1)
     verdict(
         4,
         not failures,

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import core_sets, core_windows
+from helpers import core_sets, core_windows, keep_windows
 from rainbowpaths import (
     ordered_bound,
     representative_keep,
@@ -15,12 +15,7 @@ from rainbowpaths import (
     unordered_bound,
 )
 from rainbowpaths.repfam import WEDGE_WIDTH_LIMIT
-from rainbowpaths.walk import window_keep
 from reference import is_set_representative, is_window_representative
-
-# each maps (sets, q), or (windows, r), to kept input indices; the key names the test case
-KEEPS = {"algebraic": representative_keep}
-WINDOW_KEEPS = {"algebraic": window_keep}
 
 
 def test_bounds():
@@ -94,25 +89,22 @@ def test_keep_returns_input_indices_in_row_order():
     assert representative_keep([(3, 2), (0, 1), (1, 0)], 1) == [1, 0]
 
 
-@pytest.mark.parametrize("backend", KEEPS)
-def test_unordered_singletons_both_kept(backend):
+def test_unordered_singletons_both_kept():
     sets = [(0,), (1,)]
-    kept = KEEPS[backend](sets, 1)
+    kept = representative_keep(sets, 1)
     assert sorted(sets[i] for i in kept) == [(0,), (1,)]
 
 
-@pytest.mark.parametrize("backend", KEEPS)
-def test_unordered_pairs_all_needed(backend):
+def test_unordered_pairs_all_needed():
     # Each pair misses a different singleton obstruction.
-    kept = KEEPS[backend]([(0, 1), (0, 2), (1, 2)], 1)
+    kept = representative_keep([(0, 1), (0, 2), (1, 2)], 1)
     assert len(kept) == 3
 
 
-@pytest.mark.parametrize("backend", KEEPS)
-def test_unordered_duplicates_collapse(backend):
-    kept = KEEPS[backend]([(0, 1), (0, 1)], 1)
+def test_unordered_duplicates_collapse():
+    kept = representative_keep([(0, 1), (0, 1)], 1)
     assert len(kept) == 1
-    assert len(KEEPS[backend]([(), ()], 1)) == 1
+    assert len(representative_keep([(), ()], 1)) == 1
 
 
 def test_unordered_prune_is_idempotent():
@@ -143,8 +135,7 @@ def test_definitional_checks_refuse_what_is_not_a_representative():
     assert not is_window_representative(windows + [(3, 1)], windows, 2)
 
 
-@pytest.mark.parametrize("backend", KEEPS)
-def test_unordered_random_families_pass_definition(backend):
+def test_unordered_random_families_pass_definition():
     rng = random.Random(13)
     families = []
     for trial in range(30):
@@ -162,25 +153,23 @@ def test_unordered_random_families_pass_definition(backend):
         fam = core_sets(core_rng, universe, p, core, core_rng.randint(2, 25))
         families.append((fam, universe, p, core_rng.randint(0, 3), core))
     for fam, universe, p, q, core in families:
-        kept = [fam[i] for i in KEEPS[backend](fam, q)]
+        kept = [fam[i] for i in representative_keep(fam, q)]
         # a shared core leaves only p - core elements per set to represent
         assert len(kept) <= unordered_bound(p - core, q)
         assert is_set_representative(kept, fam, universe, q)
 
 
-@pytest.mark.parametrize("backend", WINDOW_KEEPS)
-def test_ordered_transposed_pair_both_kept(backend):
+def test_ordered_transposed_pair_both_kept():
     windows = [(1, 2), (2, 1)]
-    kept = WINDOW_KEEPS[backend](windows, 2)
+    kept = keep_windows(windows, 2, 2)
     assert sorted(windows[i] for i in kept) == [(1, 2), (2, 1)]
 
 
-@pytest.mark.parametrize("backend", WINDOW_KEEPS)
-def test_ordered_regression_needs_non_rainbow_obstructions(backend):
+def test_ordered_regression_needs_non_rainbow_obstructions():
     # (2, 2, 0) separates these two members at r = 3, so neither may be
     # dropped even though every rainbow continuation treats them alike.
     windows = [(0, 1), (1, 0)]
-    kept = [windows[i] for i in WINDOW_KEEPS[backend](windows, 3)]
+    kept = [windows[i] for i in keep_windows(windows, 3, 3)]
     assert sorted(kept) == [(0, 1), (1, 0)]
     assert is_window_representative(kept, windows, 3)
 
@@ -188,12 +177,11 @@ def test_ordered_regression_needs_non_rainbow_obstructions(backend):
 def test_ordered_r_zero_single_member():
     # at r = 0 every window blocks nothing, so one member represents the family
     windows = [(), ()]
-    assert representative_keep([slot_set(w, 0) for w in windows], 0) == [0]
+    assert keep_windows(windows, 0, 0) == [0]
     assert is_window_representative([windows[0]], windows, 0)
 
 
-@pytest.mark.parametrize("backend", WINDOW_KEEPS)
-def test_ordered_random_families_pass_definition(backend):
+def test_ordered_random_families_pass_definition():
     rng = random.Random(99)
     families = []
     for trial in range(25):
@@ -204,7 +192,7 @@ def test_ordered_random_families_pass_definition(backend):
         for _ in range(40):
             seq = tuple(rng.sample(range(num_colors), min(length, num_colors)))
             pool.add(seq)
-        families.append((sorted(pool), r))
+        families.append((sorted(pool), r, r))
     # windows sharing their last c colors, as every window of a walk cell ends in its vertex's color
     core_rng = random.Random(100)
     for trial in range(25):
@@ -212,21 +200,20 @@ def test_ordered_random_families_pass_definition(backend):
         length = core_rng.randint(1, r)
         core = core_rng.randint(1, length)
         fam = core_windows(core_rng, length, core, core_rng.randint(length + 1, 5), 20)
-        families.append((fam, r))
-    for fam, r in families:
-        kept = [fam[i] for i in WINDOW_KEEPS[backend](fam, r)]
+        families.append((fam, r, r - 1))
+    for fam, r, q in families:
+        kept = [fam[i] for i in keep_windows(fam, r, q)]
         assert len(kept) <= ordered_bound(r)
         assert is_window_representative(kept, fam, r)
 
 
-@pytest.mark.parametrize("backend", WINDOW_KEEPS)
-def test_walk_cell_windows_keep_the_stripped_bound(backend):
+def test_walk_cell_windows_keep_the_stripped_bound():
     # r = 2 windows of a walk cell end in one color, whose two slots every member blocks;
     # position 2 is blocked by that color alone, so one slot of an obstruction matters
     rng = random.Random(21)
     for trial in range(6):
         fam = core_windows(rng, 2, 1, rng.randint(5, 12), 20)
-        kept = [fam[i] for i in WINDOW_KEEPS[backend](fam, 2)]
+        kept = [fam[i] for i in keep_windows(fam, 2, 1)]
         assert len(kept) <= unordered_bound(1, 1) == 2
         assert is_window_representative(kept, fam, 2)
 
@@ -234,5 +221,5 @@ def test_walk_cell_windows_keep_the_stripped_bound(backend):
 def test_ordered_tags_follow_members():
     windows = [(2, 1), (1, 2)]
     tags = ["b", "a"]
-    kept = {windows[i]: tags[i] for i in window_keep(windows, 2)}
+    kept = {windows[i]: tags[i] for i in keep_windows(windows, 2, 2)}
     assert kept == {(1, 2): "a", (2, 1): "b"}

@@ -17,7 +17,6 @@ from rainbowpaths import (
     verify_witness,
 )
 from rainbowpaths import walk
-from rainbowpaths.core import _PAD
 from rainbowpaths.walk import prune_window_cell
 from reference import is_window_representative
 
@@ -94,11 +93,12 @@ def test_walk_matches_oracle_at_radius_4_to_6():
             assert verify_witness(g, q, mine.vertices) == []
             assert q.mode == "exact" or mine.length == ref.length, (trial, q)
         r = min(q.r, g.num_colors)
-        several += any(
-            len({tail[1:] for tail in cell}) >= 2
-            for ell in range(q.ell + 1)
-            for cell in walk._last_level(g, r, ell, "exact", None).values()
-        )
+        levels = [walk._last_level(g, r, ell, "exact", None) for ell in range(q.ell + 1)]
+        # every window of u's cell ends in u's color, so the prune runs at q = r - 1
+        for level in levels:
+            for u, cell in level.items():
+                assert {w[-1] for w in cell_windows(cell)} == {g.colors[u]}, (trial, u)
+        several += any(len({tail[1:] for tail in cell}) >= 2 for level in levels for cell in level.values())
     assert several >= 150, several
 
 
@@ -115,29 +115,26 @@ def test_prune_cell_keeps_small_cells_verbatim(monkeypatch):
         solve_walk(g, q, stats=stats)
         biggest = max(biggest, stats.get("max_cell", 0))
     assert checker.calls == 0 and biggest >= 8, biggest
-    # two windows of distinct colors at r = 1: each one alone avoids the other's color
-    cell = {(0,): {_PAD: "a"}, (1,): {_PAD: "b"}}
-    assert prune_window_cell(cell, 1) == cell
+    # two windows of one tail at r = 2: each alone avoids the other's first color
+    cell = {(9,): {0: "a", 1: "b"}}
+    assert prune_window_cell(cell, 2) == cell
 
 
 def test_prune_cell_output_is_representative():
     """The kept entries are a tail-class cell whose windows represent the cell's, links untouched."""
     rng = random.Random(17)
-    cells = [(1, {(c,): {_PAD: c} for c in range(6)})]
     for _ in range(3):
         cell: dict = {}
         for w in core_windows(rng, 3, 1, 9, 60):
             firsts = cell.setdefault(w[1:], {})
             if len(firsts) < 2:
                 firsts[w[0]] = w
-        cells.append((3, cell))
-    for r, cell in cells:
-        kept = prune_window_cell(cell, r)
-        assert sum(map(len, kept.values())) <= ordered_bound(r)
+        kept = prune_window_cell(cell, 3)
+        assert sum(map(len, kept.values())) <= ordered_bound(3)
         for tail, firsts in kept.items():
             for first, link in firsts.items():
                 assert cell[tail][first] == link
-        assert is_window_representative(cell_windows(kept), cell_windows(cell), r)
+        assert is_window_representative(cell_windows(kept), cell_windows(cell), 3)
 
 
 def test_any_length_backends_agree():
