@@ -6,54 +6,79 @@ seed 0, reads each instance back from its file text with
 its pool file asks for (``--solver walk`` or auto), checks each witness
 against the generated graph with ``verify_witness`` (as a path under auto,
 whose every solver answers the path question), and compares each answer
-with the oracle answer recorded in ``solvebench/expected.json``. It prints
-one JSON line per pool on standard output: YES and NO counts, invalid
-witnesses, answers that differ from the record, the solver names that
-ran, the summed ``total_members``, ``total_windows`` and ``rep_calls``
-(walk prunes), the largest ``max_cell``, an answer digest over (name,
-answer, solver), a witness digest over (name, witness vertices) and the
-input digest ``workloads.pool_digest`` that ``solvebench/expected.json``
-pins. The seconds spent in ``parse_instance`` (``parse_s``) and in
+with the oracle answer recorded in ``solvebench/expected.json``. No
+solve in those pools prunes, so a fourth pool, ``fan``, solves the
+radius-3 fans of ``tests/helpers.py`` (seeds 90,000-90,007, modes
+"atmost" and "exact") with the walk solver: their hub cells outgrow
+``ordered_bound(3)``, so the walk prune fires. Fans are acyclic, so each
+fan answer is checked against ``oracle_path`` and each witness as a path.
+It prints one JSON line per pool on standard output: YES and NO counts,
+invalid witnesses, answers that differ from the record, the solver names
+that ran, the summed ``total_members``, ``total_windows`` and
+``rep_calls`` (walk prunes), the largest ``max_cell``, an answer digest
+over (name, answer, solver), a witness digest over (name, witness
+vertices) and an input digest, ``workloads.pool_digest`` over the files'
+names and texts, which ``solvebench/expected.json`` pins for the first
+three pools. The seconds spent in ``parse_instance`` (``parse_s``) and in
 ``dispatch.solve`` (``solve_s``) go to standard error, one JSON line per
 pool. Two checkouts agree on a pool (the same instance bytes, answers
 and witnesses) exactly when their standard output is byte-identical, so
 ``diff`` checks it.
 
-Usage: python benchmarks/pool_check.py [walk] [path] [detour]
+Usage: python benchmarks/pool_check.py [walk] [path] [detour] [fan]
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import random
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
-# run from a bare checkout: the package source and solvebench sit beside this directory
+# run from a bare checkout: the package source, solvebench and the tests sit beside this directory
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solvebench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solvebench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
+from helpers import fan  # noqa: E402
 
-from rainbowpaths import dispatch, parse_instance, verify_witness  # noqa: E402
+from rainbowpaths import Query, dispatch, oracle_path, parse_instance, verify_witness  # noqa: E402
 
-POOLS = ("walk", "path", "detour")
+POOLS = ("walk", "path", "detour", "fan")
 SEED = 0
+
+
+def fan_pool() -> list[workloads.Instance]:
+    """Eight radius-3 fans of width 300, each asked in modes "atmost" and "exact"."""
+    pool = []
+    for trial in range(8):
+        g = fan(random.Random(90_000 + trial), 300, (1, 2, 306)[trial % 3])
+        for mode in ("atmost", "exact"):
+            q = Query(3, 4, mode)
+            oracle = functools.partial(oracle_path, g, q)
+            pool.append(workloads.Instance(f"fan-{trial}-{mode}", g, q, ("--solver", "walk"), "walk", oracle))
+    return pool
 
 
 def check_pool(workload: str) -> tuple[dict, dict]:
     """The summary line of one pool, and its parse and solve seconds."""
-    pool = workloads.build_pool(workload, SEED)
-    recorded = json.loads((ROOT / "solvebench" / "expected.json").read_text())
-    answers = recorded["workloads"][workload]["answers"]
+    if workload == "fan":
+        pool = fan_pool()
+        wants = [inst.expected() for inst in pool]
+    else:
+        pool = workloads.build_pool(workload, SEED)
+        recorded = json.loads((ROOT / "solvebench" / "expected.json").read_text())
+        wants = [answer == "Y" for answer in recorded["workloads"][workload]["answers"]]
     names: Counter[str] = Counter()
     digest, witnesses = hashlib.sha256(), hashlib.sha256()
     summary = {"pool": workload, "files": len(pool), "yes": 0, "no": 0, "invalid": 0, "wrong": 0}
     members = windows = prunes = max_cell = 0
     parse_seconds = seconds = 0.0
-    for inst, want in zip(pool, answers, strict=True):
+    for inst, want in zip(pool, wants, strict=True):
         solver = "walk" if inst.semantics == "walk" else "auto"
         text = inst.text
         start = time.perf_counter()
@@ -65,9 +90,9 @@ def check_pool(workload: str) -> tuple[dict, dict]:
         seconds += time.perf_counter() - start
         found = witness is not None
         summary["yes" if found else "no"] += 1
-        summary["wrong"] += found != (want == "Y")
+        summary["wrong"] += found != want
         if found and verify_witness(
-            inst.graph, inst.query, witness.vertices, require_path=solver == "auto"
+            inst.graph, inst.query, witness.vertices, require_path=solver == "auto" or workload == "fan"
         ):
             summary["invalid"] += 1
         names[name] += 1

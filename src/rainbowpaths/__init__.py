@@ -3,13 +3,12 @@
 A walk is locally rainbow at radius r when every stretch of r+1
 consecutive vertices (or the whole walk, if shorter) shows pairwise
 distinct colors. The package bundles dynamic programs for walks and
-simple paths, which keep only their current level and link each entry
-back to its parent (the path DP stays polynomial for a small detour over
-the s-t distance, and the walk DP, a plain BFS at radius 0 and 1, also
-answers path queries there), representative-family pruning that keeps
-the walk DP's window cells small, brute-force oracles,
-hardness-construction generators, and a file format with a CLI around
-it all, on the standard library alone.
+simple paths, representative-family pruning that keeps the walk DP's
+window cells small, brute-force oracles, hardness-construction
+generators, and a file format with a CLI around it all, on the standard
+library alone. Each DP links an entry back to its parent and keeps only
+its current level, except that in modes "atmost" and "any" the walk
+DP's classes keep their first colors across levels.
 """
 
 from .core import (

@@ -187,7 +187,8 @@ def slot_set(window: Sequence[int], r: int) -> tuple[int, ...]:
     slots a continuation may not claim, so a continuation is compatible
     with it exactly when the slots it claims avoid these. For windows
     drawn from colors [0, c) the result lies in [0, c * r), the set form
-    a representative prune takes.
+    a representative prune takes. A ``_PAD`` entry yields negative slots,
+    the same in every window of a walk cell, which the prune strips as core.
     """
     if r == 0:
         return ()

@@ -96,7 +96,7 @@ class CnfInput:
 def phs_layout(k: int, m: int) -> dict:
     """Vertex ids of the permutation-hitting construction.
 
-    Returns a dict with "u" (list, u[q] for q in 1..m+1), and "v"/"w"
+    Returns a dict with "u" (a dict keyed by q in 1..m+1), and "v"/"w"
     (dicts keyed by (q, i, j), 1-based throughout).
     """
     u = {q: q - 1 for q in range(1, m + 2)}

@@ -19,10 +19,6 @@ from .core import ColoredDigraph, ColorSeq, Query, Witness, unwind
 STATE_CEILING = 10**7
 
 
-def _start_window(g: ColoredDigraph, r: int) -> tuple[int, ...]:
-    return (g.colors[g.s],) if r >= 1 else ()
-
-
 def _extend_window(window: tuple[int, ...], color: int, r: int) -> tuple[int, ...] | None:
     """New trailing window after appending a color, or None if not rainbow."""
     if r == 0:
@@ -51,7 +47,7 @@ def oracle_walk(g: ColoredDigraph, query: Query) -> Witness | None:
     exact = query.mode == "exact"
     cap = None if query.mode == "any" else query.ell
     r, colors, out = query.r, g.colors, g.out_neighbors
-    frontier: dict[tuple[int, ColorSeq], Any] = {(g.s, _start_window(g, r)): None}
+    frontier: dict[tuple[int, ColorSeq], Any] = {(g.s, (colors[g.s],)[:r]): None}
     seen: set[tuple[int, ColorSeq]] = set()  # states of earlier levels, unless exact
     level = 0
     while frontier and level != cap:
@@ -86,7 +82,7 @@ def oracle_path(g: ColoredDigraph, query: Query) -> Witness | None:
     path = [g.s]
     visited = {g.s}
     # (out-neighbors not yet tried, window) for each path vertex that may extend
-    stack = [(iter(out[g.s] if ell > 0 else ()), _start_window(g, query.r))]
+    stack = [(iter(out[g.s] if ell > 0 else ()), (colors[g.s],)[:query.r])]
     while stack:
         successors, window = stack[-1]
         for u in successors:

@@ -68,17 +68,17 @@ def _path_levels(
     row = rainbow_distances(g, r)
     if row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
         return
-    # rings[d] lists the vertices whose row is d < ell
-    rings: list[list[int]] = [[] for _ in range(ell)]
+    # rings[d] is the bitmask of the vertices whose row is d < ell
+    rings = [0] * ell
     for x, d in enumerate(row):
         if d is not None and d < ell:
-            rings[d].append(x)
-    near = sum(1 << x for ring in rings for x in ring)
+            rings[d] |= 1 << x
+    near = sum(rings)
     start = ((_PAD,) * (r - 1) + (colors[g.s],))[:r]
     level: dict[int, PathCell] = {g.s: {((1 << g.s) & near, start): None}}
     yield level
     for p in range(1, ell + 1):
-        near ^= sum(1 << x for x in rings[ell - p])
+        near ^= rings[ell - p]
         # u -> (bit, color, the colors u adds to a window, cell) for each u
         # past the gate, built once per level; at r = 0 windows stay empty,
         # and an empty window admits every color

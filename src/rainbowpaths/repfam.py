@@ -34,7 +34,7 @@ def ordered_bound(r: int) -> int:
     float; no cell grows that large.
     """
     try:
-        return max(1, math.floor((r * math.e) ** r))
+        return math.floor((r * math.e) ** r)
     except OverflowError:
         return math.floor(sys.float_info.max)
 

@@ -44,20 +44,17 @@ def prune_window_cell(cell: WalkCell, r: int) -> WalkCell:
     only cells past ``ordered_bound(7)`` = 903,124,561 windows are pruned.
     So no walk cell reaches ``repfam.WEDGE_WIDTH_LIMIT``.
 
-    The windows, padding dropped, are distinct, so the entries sort by
-    window alone; the kept ones are filed back in that order, links
-    untouched.
+    A cell's windows are distinct, of equal length and rainbow past their
+    padding, so their slot sets are distinct and the kept set does not
+    depend on their order. Their ``_PAD`` entries, the same in each, give
+    negative slots in every set, stripped with the last color's. The kept
+    entries are filed back in cell order, links untouched.
     """
-    entries: list[tuple[ColorSeq, ColorSeq, int, Any]] = []  # (window, tail, first, link)
-    for tail, firsts in cell.items():
-        for first, link in firsts.items():
-            window = (first,) + tail
-            entries.append((window[window.count(_PAD):], tail, first, link))
-    entries.sort()
-    keep = representative_keep([slot_set(window, r) for window, *_ in entries], r - 1)
+    entries = [(tail, first, link) for tail, firsts in cell.items() for first, link in firsts.items()]
+    keep = representative_keep([slot_set((first,) + tail, r) for tail, first, _ in entries], r - 1)
     pruned: WalkCell = {}
     for i in sorted(keep):
-        _, tail, first, link = entries[i]
+        tail, first, link = entries[i]
         pruned.setdefault(tail, {})[first] = link
     return pruned
 

@@ -134,3 +134,22 @@ class PruneChecker:
 
     def next_trial(self) -> None:
         self.left = self.per_trial
+
+
+def fan(rng: random.Random, width: int, t_color: int) -> ColoredDigraph:
+    """s -> 2 vertices -> ``width`` vertices -> 3 hubs -> t, every vertex but t its own color.
+
+    Each arc between the two middle layers and into the hubs is present
+    with probability 0.96. t takes color 1 or 2, the color of one of the
+    vertices after s, so that only half of a hub's windows fit before t,
+    or the fresh color width + 6.
+    """
+    n = width + 7
+    hubs = range(width + 3, width + 6)
+    arcs = [(0, 1), (0, 2)]
+    for m in range(3, width + 3):
+        arcs += [(x, m) for x in (1, 2) if rng.random() < 0.96]
+        arcs += [(m, h) for h in hubs if rng.random() < 0.96]
+    arcs += [(h, n - 1) for h in hubs]
+    colors = tuple(range(n - 1)) + (t_color,)
+    return ColoredDigraph(n, colors, tuple(arcs), 0, n - 1)

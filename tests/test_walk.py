@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from helpers import PruneChecker, cell_windows, core_windows
+from helpers import PruneChecker, cell_windows, core_windows, fan, keep_windows
 from rainbowpaths import (
     ColoredDigraph,
     Query,
@@ -17,6 +17,7 @@ from rainbowpaths import (
     verify_witness,
 )
 from rainbowpaths import walk
+from rainbowpaths.core import _PAD
 from rainbowpaths.walk import prune_window_cell
 from reference import is_window_representative
 
@@ -137,6 +138,26 @@ def test_prune_cell_output_is_representative():
         assert is_window_representative(cell_windows(kept), cell_windows(cell), 3)
 
 
+def test_prune_cell_keeps_its_cell_order():
+    """The prune is a filter: the entries it keeps stay in cell order, links untouched.
+
+    Its windows are those ``keep_windows`` keeps of the cell's windows,
+    sorted and padding dropped, at q = r - 1. The cells list their tails
+    in descending order, and the second pads its windows.
+    """
+    descending = {(m, 9): {0: ("a", m), 1: ("b", m)} for m in range(8, 1, -1)}
+    padded = {(5, m, 9): {_PAD: m} for m in range(40, 9, -1)}
+    for cell, r, dropped in ((descending, 3, 5), (padded, 4, 21)):
+        entries = [(tail, first) for tail, firsts in cell.items() for first in firsts]
+        kept = prune_window_cell(cell, r)
+        kept_entries = [(tail, first) for tail, firsts in kept.items() for first in firsts]
+        assert len(entries) - len(kept_entries) == dropped
+        assert kept_entries == [e for e in entries if e in kept_entries]
+        assert all(kept[tail][first] == cell[tail][first] for tail, first in kept_entries)
+        windows = sorted(cell_windows(cell))
+        assert sorted(cell_windows(kept)) == sorted(windows[i] for i in keep_windows(windows, r, r - 1))
+
+
 def test_any_length_backends_agree():
     rng = random.Random(31)
     for trial in range(120):
@@ -234,25 +255,6 @@ def test_stats_are_recorded():
     stats: dict = {}
     solve_walk(chain((0, 1, 2)), Query(2, 2, "atmost"), stats=stats)
     assert stats
-
-
-def fan(rng: random.Random, width: int, t_color: int) -> ColoredDigraph:
-    """s -> 2 vertices -> ``width`` vertices -> 3 hubs -> t, every vertex but t its own color.
-
-    Each arc between the two middle layers and into the hubs is present
-    with probability 0.96. t takes color 1 or 2, the color of one of the
-    vertices after s, so that only half of a hub's windows fit before t,
-    or the fresh color width + 6.
-    """
-    n = width + 7
-    hubs = range(width + 3, width + 6)
-    arcs = [(0, 1), (0, 2)]
-    for m in range(3, width + 3):
-        arcs += [(x, m) for x in (1, 2) if rng.random() < 0.96]
-        arcs += [(m, h) for h in hubs if rng.random() < 0.96]
-    arcs += [(h, n - 1) for h in hubs]
-    colors = tuple(range(n - 1)) + (t_color,)
-    return ColoredDigraph(n, colors, tuple(arcs), 0, n - 1)
 
 
 def test_walk_cells_prune_inside_solves(monkeypatch):
