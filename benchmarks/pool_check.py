@@ -12,6 +12,14 @@ radius-3 fans of ``tests/helpers.py`` (seeds 90,000-90,007, modes
 "atmost" and "exact") with the walk solver: their hub cells outgrow
 ``ordered_bound(3)``, so the walk prune fires. Fans are acyclic, so each
 fan answer is checked against ``oracle_path`` and each witness as a path.
+Those pools are YES-heavy, so a fifth pool, ``no``, asks path questions
+whose answers are mostly NO, through auto dispatch: the 16 tight-color
+DAGs ``tight_dag(random.Random(91_000 + trial), 40, 10, 4)`` of
+``tests/helpers.py`` at ``Query(3, dist + k, "exact")`` for k = 1, 2, 3,
+checked against ``oracle_walk`` (in a DAG every walk is a path), and the
+10 × 10 ``parity_grid`` at ``Query(2, ell, "exact")`` for ell = 19, 21,
+23, 25, NO by parity (the grid is bipartite and dist(s, t) = 18). Each
+witness is checked as a path.
 It prints one JSON line per pool on standard output: YES and NO counts,
 invalid witnesses, answers that differ from the record, the solver names
 that ran, the summed ``total_members``, ``total_windows`` and
@@ -25,7 +33,7 @@ pool. Two checkouts agree on a pool (the same instance bytes, answers
 and witnesses) exactly when their standard output is byte-identical, so
 ``diff`` checks it.
 
-Usage: python benchmarks/pool_check.py [walk] [path] [detour] [fan]
+Usage: python benchmarks/pool_check.py [walk] [path] [detour] [fan] [no]
 """
 from __future__ import annotations
 
@@ -44,11 +52,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solvebench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
-from helpers import fan  # noqa: E402
+from helpers import fan, parity_grid, tight_dag  # noqa: E402
 
-from rainbowpaths import Query, dispatch, oracle_path, parse_instance, verify_witness  # noqa: E402
+from rainbowpaths import Query, dispatch, oracle_path, oracle_walk, parse_instance, verify_witness  # noqa: E402
 
-POOLS = ("walk", "path", "detour", "fan")
+POOLS = ("walk", "path", "detour", "fan", "no")
 SEED = 0
 
 
@@ -64,10 +72,29 @@ def fan_pool() -> list[workloads.Instance]:
     return pool
 
 
+def no_pool() -> list[workloads.Instance]:
+    """Sixteen tight-color DAGs at exact budgets dist + 1..3, and a parity grid at odd exact lengths."""
+    pool = []
+    for trial in range(16):
+        g = tight_dag(random.Random(91_000 + trial), 40, 10, 4)
+        for k in (1, 2, 3):
+            q = Query(3, g.dist_to_t[g.s] + k, "exact")
+            oracle = functools.partial(oracle_walk, g, q)
+            pool.append(workloads.Instance(f"dag-{trial}-{k}", g, q, (), "path", oracle))
+    grid = parity_grid(10)
+    for ell in (19, 21, 23, 25):  # NO by parity: every s-t walk of the grid has even length
+        pool.append(workloads.Instance(f"grid-{ell}", grid, Query(2, ell, "exact"), (), "path", lambda: None))
+    return pool
+
+
+# the pools built here rather than in solvebench, whose answers come from their oracles
+BUILT = {"fan": fan_pool, "no": no_pool}
+
+
 def check_pool(workload: str) -> tuple[dict, dict]:
     """The summary line of one pool, and its parse and solve seconds."""
-    if workload == "fan":
-        pool = fan_pool()
+    if workload in BUILT:
+        pool = BUILT[workload]()
         wants = [inst.expected() for inst in pool]
     else:
         pool = workloads.build_pool(workload, SEED)

@@ -165,17 +165,16 @@ def is_locally_rainbow(colors: Sequence[int], r: int) -> bool:
 
     Every window of min(r + 1, len(colors)) consecutive entries must be
     pairwise distinct; sequences shorter than r + 1 must therefore be
-    entirely distinct. The empty sequence is vacuously fine.
+    entirely distinct. The empty sequence is vacuously fine. One pass
+    checks the equivalent rule: no color recurs within r positions.
     """
     if r < 0:
         raise ValueError("locality r must be non-negative")
-    seq = tuple(colors)
-    w = min(r + 1, len(seq))
-    if w <= 1:
-        return True
-    for i in range(len(seq) - w + 1):
-        if len(set(seq[i : i + w])) != w:
+    last: dict[int, int] = {}
+    for i, c in enumerate(colors):
+        if i - last.get(c, -r - 1) <= r:
             return False
+        last[c] = i
     return True
 
 

@@ -50,10 +50,10 @@ def _path_levels(
     vertices are bucketed by ``row`` once, and each level drops the ring
     ``row == ell - p``. A vertex that leaves ``near`` is refused by the
     gate at every later level, so the mask needs it no more. The DP stops
-    after level ``ell``, after an empty level, or, in mode "atmost", after
-    the first level holding g.t; ``mode`` is "atmost" or "exact". A budget
-    past n - 1, which no path fits, or a gate that refuses g.s yields no
-    level.
+    after level ``ell``, after an empty level, or, outside mode "exact",
+    after the first level holding g.t. No path has more than n - 1 arcs, so
+    mode "any" runs at budget n - 1 and "atmost" at ``min(ell, n - 1)``;
+    mode "exact" past n - 1, or a gate that refuses g.s, yields no level.
 
     ``stats`` receives ``levels``, ``max_cell``, and ``total_members``,
     the member count summed over levels; a DP that yields no level leaves
@@ -63,7 +63,9 @@ def _path_levels(
     stats = {} if stats is None else stats
     stats.setdefault("levels", 0)
     stats.setdefault("total_members", 0)
-    if ell >= g.n:
+    if mode != "exact":
+        ell = g.n - 1 if mode == "any" else min(ell, g.n - 1)
+    elif ell >= g.n:
         return
     row = rainbow_distances(g, r)
     if row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
@@ -120,13 +122,9 @@ def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
     Returns:
         A witness path, or None.
     """
-    if query.mode == "exact":
-        ell, mode = query.ell, "exact"
-    else:
-        ell, mode = (g.n - 1 if query.mode == "any" else min(query.ell, g.n - 1)), "atmost"
     # as in solve_walk, a radius past num_colors changes no answer
     level: dict[int, PathCell] = {}
-    for level in _path_levels(g, min(query.r, g.num_colors), ell, mode, stats):
+    for level in _path_levels(g, min(query.r, g.num_colors), query.ell, query.mode, stats):
         pass
     cell = level.get(g.t)
     return None if cell is None else unwind(g.t, next(iter(cell.values())))

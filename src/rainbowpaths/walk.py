@@ -79,7 +79,7 @@ def _new_entries(cell: WalkCell, old: WalkCell) -> WalkCell:
 
 
 def _last_level(
-    g: ColoredDigraph, r: int, ell: int | None, mode: str, stats: dict | None
+    g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None
 ) -> dict[int, WalkCell]:
     """The walk DP's last level: each vertex u it reaches, with u's cell.
 
@@ -87,8 +87,8 @@ def _last_level(
     its first color under its tail. At r <= 1 no color drops out of a
     step's window, so the tail is the whole window and the first color
     is ``_PAD``. An arc into u at level p extends a window when u's color
-    is not in it and ``dist_t[u] <= ell - p``; with ``ell`` None there is
-    no budget, and only vertices that cannot reach t are gated. Each
+    is not in it and ``dist_t[u] <= ell - p``; mode "any" ignores ``ell``
+    and sets no budget, so only vertices that cannot reach t are gated. Each
     window links to the walk before it, so the last level alone gives the
     witness.
 
@@ -121,7 +121,7 @@ def _last_level(
     stats = {} if stats is None else stats
     stats.setdefault("levels", 0)
     stats.setdefault("total_windows", 0)
-    last = math.inf if ell is None else ell
+    last = math.inf if mode == "any" else ell
     if dist_t[g.s] is None or dist_t[g.s] > last:  # type: ignore[operator]
         return level
     # u -> tail -> the first colors u's class took in at all levels; none in exact mode
@@ -211,11 +211,10 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
         A witness walk, or None. Outside mode "exact" the witness is a
         shortest locally rainbow walk, and at r <= 1 it is a path.
     """
-    ell = None if query.mode == "any" else query.ell
     # a radius past num_colors changes no answer: a walk of at most
     # num_colors vertices must be rainbow at either, and a longer one would
     # need num_colors + 1 distinct colors in one window
-    cell = _last_level(g, min(query.r, g.num_colors), ell, query.mode, stats).get(g.t)
+    cell = _last_level(g, min(query.r, g.num_colors), query.ell, query.mode, stats).get(g.t)
     if cell is None:
         return None
     return unwind(g.t, next(iter(next(iter(cell.values())).values())))

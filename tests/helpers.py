@@ -153,3 +153,53 @@ def fan(rng: random.Random, width: int, t_color: int) -> ColoredDigraph:
     arcs += [(h, n - 1) for h in hubs]
     colors = tuple(range(n - 1)) + (t_color,)
     return ColoredDigraph(n, colors, tuple(arcs), 0, n - 1)
+
+
+def tight_dag(rng: random.Random, width: int, layers: int, colors: int) -> ColoredDigraph:
+    """s, then ``layers`` layers of ``width`` vertices, then t, with arcs only forward.
+
+    s has arcs to 4 random vertices of layer 0. Each vertex has arcs to 4
+    random vertices of the next layer, or to t from the last layer, and to
+    2 random vertices two layers on, or to t from the second-to-last
+    layer. Colors are uniform over ``range(colors)``, redrawn until every
+    color occurs; at radius ``colors - 1`` each window must hold every
+    color, so many budgets have no path. The graph is acyclic, so every
+    walk is a path and ``oracle_walk`` answers the path question.
+    """
+    n = width * layers + 2
+    t = n - 1
+    layer = [range(1 + i * width, 1 + (i + 1) * width) for i in range(layers)]
+
+    def ahead(i: int, k: int) -> list[int]:
+        return rng.sample(layer[i], k) if i < layers else [t]
+
+    arcs = [(0, v) for v in ahead(0, 4)]
+    for i in range(layers):
+        for u in layer[i]:
+            arcs += [(u, v) for v in ahead(i + 1, 4)]
+            if i + 2 <= layers:
+                arcs += [(u, v) for v in ahead(i + 2, 2)]
+    while True:
+        palette = tuple(rng.randrange(colors) for _ in range(n))
+        if len(set(palette)) == colors:
+            return ColoredDigraph(n, palette, tuple(arcs), 0, t)
+
+
+def parity_grid(side: int) -> ColoredDigraph:
+    """The side × side two-way grid, vertex (i, j) colored (i + 2j) mod 5, s and t at opposite corners.
+
+    The grid is bipartite and dist(s, t) = 2(side - 1) is even, so no s-t
+    walk, and no path, has an odd length: those budgets are NO in mode
+    "exact", which only an exhaustive search proves. ``side`` is at least 3.
+    """
+    n = side * side
+    arcs = []
+    for i in range(side):
+        for j in range(side):
+            v = i * side + j
+            if j + 1 < side:
+                arcs += [(v, v + 1), (v + 1, v)]
+            if i + 1 < side:
+                arcs += [(v, v + side), (v + side, v)]
+    colors = tuple((i + 2 * j) % 5 for i in range(side) for j in range(side))
+    return ColoredDigraph(n, colors, tuple(arcs), 0, n - 1)

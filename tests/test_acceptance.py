@@ -362,7 +362,7 @@ def test_criterion_07_sat_reduction_round_trips(sat_runs):
     assert not failures, failures
 
 
-def test_criterion_08_special_case_solvers_match_walk_dp():
+def test_criterion_08_auto_walk_routes_match_path_oracle():
     """Auto dispatch agrees with the path oracle where it runs the walk DP for a path question.
 
     At r = 1 in mode "atmost", and at r = 2 on symmetric graphs at the
@@ -401,7 +401,7 @@ def test_criterion_08_special_case_solvers_match_walk_dp():
     assert not failures, failures[:5]
 
 
-def test_criterion_09_any_length_backends_agree():
+def test_criterion_09_walk_dp_matches_walk_oracle_in_every_mode():
     """The walk DP and product reachability give one answer, and one witness length outside "exact".
 
     Every radius 0-5, in modes "any", "atmost" and "exact"; at r <= 1

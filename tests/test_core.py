@@ -1,6 +1,7 @@
 """Window predicates, slot encodings, and graph plumbing."""
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from collections import deque
@@ -31,6 +32,14 @@ def test_locally_rainbow_windows_clamp_to_length():
     assert not is_locally_rainbow((1, 2, 1), 2)
     assert is_locally_rainbow((0, 1, 2, 0), 2)
     assert not is_locally_rainbow((0, 1, 1), 2)
+    # every sequence over 3 colors of length 0-6 at r = 0-4, against the
+    # definition: each window of min(r + 1, len) entries is distinct
+    for length in range(7):
+        for colors in itertools.product(range(3), repeat=length):
+            for r in range(5):
+                w = min(r + 1, length)
+                windows = (colors[i : i + w] for i in range(length - w + 1))
+                assert is_locally_rainbow(colors, r) == all(len(set(win)) == w for win in windows), (colors, r)
 
 
 def test_locally_rainbow_r_zero_accepts_anything():

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from helpers import parity_grid, tight_dag
 from rainbowpaths import (
     CnfInput,
     ColoredDigraph,
@@ -14,6 +15,7 @@ from rainbowpaths import (
     gen_3sat_instance,
     gen_random,
     oracle_path,
+    oracle_walk,
     solve_path,
     solve_walk,
     verify_witness,
@@ -39,11 +41,16 @@ def test_exact_beyond_simple_length_is_no():
 def test_any_mode_means_up_to_n_minus_one():
     g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
     assert solve_path(g, Query(2, 0, "any")) == Witness((0, 1, 2))
+    # the level loop reads mode "any" itself and runs at budget n - 1
+    assert g.t in list(_path_levels(g, 2, 0, "any"))[-1]
 
 
 def test_atmost_budget_clamps_to_n_minus_one():
     g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
     assert solve_path(g, Query(2, 99, "atmost")) == Witness((0, 1, 2))
+    # the level loop clamps the budget itself; exact past n - 1 yields no level
+    assert g.t in list(_path_levels(g, 2, 99, "atmost"))[-1]
+    assert list(_path_levels(g, 2, 3, "exact")) == []
 
 
 def test_path_matches_oracle_randomized():
@@ -267,3 +274,27 @@ def test_grid_detours_keep_cells_polynomial():
                     assert verify_witness(g, q, mine.vertices, require_path=True) == []
                 assert stats["max_cell"] <= 4 ** (max(k, q.r) - 1), (cols, k, seed, stats)
 
+
+def test_no_heavy_families_match_their_certificates():
+    """NO answers that only an exhausted DP proves, each certified without a path oracle.
+
+    In a tight-color DAG at radius 3 every window of four holds all four
+    colors, so many budgets past the distance have no path; the graph is
+    acyclic, so ``oracle_walk`` answers the path question. The parity
+    grid is bipartite with an even s-t distance, so no path has an odd
+    length.
+    """
+    no = 0
+    for trial in range(24):
+        g = tight_dag(random.Random(80_000 + trial), 20, 8, 4)
+        q = Query(3, g.dist_to_t[g.s] + 1 + trial % 3, "exact")
+        mine = solve_path(g, q)
+        assert (mine is None) == (oracle_walk(g, q) is None), trial
+        if mine is None:
+            no += 1
+        else:
+            assert verify_witness(g, q, mine.vertices, require_path=True) == [], trial
+    assert no >= 12, no
+    grid = parity_grid(6)
+    for ell in (11, 13, 15, 17):
+        assert solve_path(grid, Query(2, ell, "exact")) is None, ell

@@ -50,6 +50,8 @@ def test_any_mode_answers():
     assert solve_walk(chain((0, 1, 0)), Query(2, 0, "any")) is None
     # the budget is ignored: a bound of 0 arcs still finds the 2-arc walk
     assert solve_walk(chain((0, 1, 2)), Query(2, 0, "any")) == Witness((0, 1, 2))
+    # the level loop reads mode "any" itself and sets no budget
+    assert 2 in walk._last_level(chain((0, 1, 2)), 2, 0, "any", None)
 
 
 def test_walk_matches_oracle_randomized():
@@ -158,7 +160,7 @@ def test_prune_cell_keeps_its_cell_order():
         assert sorted(cell_windows(kept)) == sorted(windows[i] for i in keep_windows(windows, r, r - 1))
 
 
-def test_any_length_backends_agree():
+def test_any_length_matches_walk_oracle():
     rng = random.Random(31)
     for trial in range(120):
         g, _ = gen_random(rng.randint(2, 7), 0.35, rng.randint(1, 4), 0, 0, seed=7000 + trial)
