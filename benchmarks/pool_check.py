@@ -31,7 +31,9 @@ three pools. The seconds spent in ``parse_instance`` (``parse_s``) and in
 ``dispatch.solve`` (``solve_s``) go to standard error, one JSON line per
 pool. Two checkouts agree on a pool (the same instance bytes, answers
 and witnesses) exactly when their standard output is byte-identical, so
-``diff`` checks it.
+``diff`` checks it. After the last pool's lines it exits 1 if any pool
+reports a wrong answer or an invalid witness, and 0 otherwise, so a
+script can gate on it.
 
 Usage: python benchmarks/pool_check.py [walk] [path] [detour] [fan] [no]
 """
@@ -142,17 +144,20 @@ def check_pool(workload: str) -> tuple[dict, dict]:
     return summary, {"pool": workload, "parse_s": round(parse_seconds, 3), "solve_s": round(seconds, 3)}
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pools", nargs="*", help=f"any of {', '.join(POOLS)} (default: all)")
     pools = parser.parse_args().pools or POOLS
     for unknown in set(pools) - set(POOLS):
         parser.error(f"unknown pool {unknown!r}")
+    faults = 0
     for workload in pools:
         summary, seconds = check_pool(workload)
         print(json.dumps(summary), flush=True)
         print(json.dumps(seconds), file=sys.stderr, flush=True)
+        faults += summary["wrong"] + summary["invalid"]
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,7 +5,7 @@ Subcommands: solve (answer a query through ``dispatch.solve``), generate
 crosscheck (run a solver, replay its witness, and compare its answer with
 a brute-force oracle's). The default solve output is a single witness
 line that verify can read back, so the two commands compose through a
-pipe.
+pipe. ``main`` alone turns a failure into exit 2, never NO's exit 1.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .core import MODES, ColoredDigraph, Query, verify_witness
@@ -35,24 +36,17 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
-class CliError(Exception):
-    """Usage or input error; maps to exit code 2, as does a ValueError."""
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+    return Path(path).read_text()
 
 
 def _load_instance(path: str) -> tuple[ColoredDigraph, Query]:
     try:
         return parse_instance(_read_text(path))
     except ValueError as exc:
-        raise CliError(f"bad instance: {exc}") from None
+        raise ValueError(f"bad instance: {exc}") from None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -86,28 +80,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _parse_witness_tokens(tokens: list[str]) -> tuple[int, ...]:
     if not tokens:
-        raise CliError("empty witness")
+        raise ValueError("empty witness")
     if tokens[0].upper() == "NO":
-        raise CliError("answer line says NO; nothing to verify")
+        raise ValueError("answer line says NO; nothing to verify")
     stated = tokens[0].upper() == "YES"
     if stated:
         if len(tokens) < 3:
-            raise CliError("malformed witness line; want 'YES L v0 ... vL'")
+            raise ValueError("malformed witness line; want 'YES L v0 ... vL'")
         tokens = tokens[1:]
     try:
         numbers = _ints(tokens)
     except ValueError:
-        raise CliError("witness length and vertices must be integers") from None
+        raise ValueError("witness length and vertices must be integers") from None
     if stated:
         length, *numbers = numbers
         if length != len(numbers) - 1:
-            raise CliError(f"witness line says L = {length} but lists {len(numbers)} vertices")
+            raise ValueError(f"witness line says L = {length} but lists {len(numbers)} vertices")
     return tuple(numbers)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.instance == "-" and args.witness is None:
-        raise CliError("verify - reads the instance from stdin; pass the witness with --witness")
+        raise ValueError("verify - reads the instance from stdin; pass the witness with --witness")
     g, query = _load_instance(args.instance)
     raw = args.witness if args.witness is not None else sys.stdin.read()
     vertices = _parse_witness_tokens(raw.split())
@@ -153,7 +147,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     try:
         reference, oracle_name = solve(g, query, "oracle" if walk_semantics else "oracle-path")
     except ValueError as exc:
-        raise CliError(f"oracle refused: {exc}") from None
+        raise ValueError(f"oracle refused: {exc}") from None
     print(f"oracle {oracle_name}: {'YES' if reference else 'NO'}")
     if (witness is None) == (reference is None):
         print("AGREE")
@@ -226,9 +220,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception:  # a fault of the program: show where it happened
+        traceback.print_exc()
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -101,8 +101,7 @@ def _path_levels(
                     if mask & bit or c in window:
                         continue
                     member = ((mask | bit) & near, stem + added)
-                    if member not in cell:
-                        cell[member] = via
+                    cell.setdefault(member, via)
         level = {u: cell for u, (*_, cell) in heads_at.items() if cell}
         stats["levels"] = p
         stats["total_members"] += sum(map(len, level.values()))

@@ -38,9 +38,23 @@ def test_solve_no_exit_code(tmp_path):
 
 
 def test_solve_missing_file_is_error(tmp_path):
-    code, out, err = helpers.run_cli(["solve", str(tmp_path / "nope.rainbow")])
+    missing = str(tmp_path / "nope.rainbow")
+    code, out, err = helpers.run_cli(["solve", missing])
     assert code == EXIT_ERROR
-    assert "error" in err
+    assert out == "" and err.startswith("error: ") and missing in err, err
+
+
+def test_solve_that_raises_is_an_error_not_a_no(tmp_path, monkeypatch):
+    """A solve that fails, here for lack of memory, exits 2 with its traceback; 1 would read as NO."""
+    path = write_tmp(tmp_path, ColoredDigraph(3, (0, 1, 0), ((0, 1), (1, 2)), 0, 2), Query(1, 2, "atmost"))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve", out_of_memory)
+    code, out, err = helpers.run_cli(["solve", path])
+    assert code == EXIT_ERROR
+    assert out == "" and err.startswith("Traceback ") and err.endswith("MemoryError\n"), err
 
 
 def test_solve_verify_pipe(tmp_path):
@@ -285,6 +299,16 @@ def test_generate_then_solve(tmp_path):
     assert code == EXIT_YES
     code, out, _ = helpers.run_cli(["solve", str(out_file)])
     assert code in (EXIT_YES, EXIT_NO)
+    # a file that cannot be written is an error of one line, not a traceback
+    unwritable = str(tmp_path / "missing" / "gen.rainbow")
+    code, out, err = helpers.run_cli([
+        "generate", "random", "--n", "6", "--arc-probability", "0.5",
+        "--colors", "3", "--r", "1", "--ell", "5", "--seed", "4",
+        "--output", unwritable,
+    ])
+    assert code == EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and unwritable in err, err
+    assert "Traceback" not in err
 
 
 def test_generate_sat_rejects_imbalanced_cnf(tmp_path):
