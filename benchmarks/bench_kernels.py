@@ -1,11 +1,14 @@
 """Benchmark the representative-family prune.
 
-The pruner spends its time on the wedge minors of each set's Vandermonde
-columns and on a greedy row basis of them over a prime field. This script
-times two pruning workloads, best of N repeats: a family with no shared
-element, and the walk's own prune, ``prune_window_cell``, on the cell a
-radius-3 walk holds at the hub of a fan, whose windows all end in the
-hub's color, so the prune strips those shared slots first.
+The prune reads the sets in order and keeps a set when some obstruction
+of at most q elements avoids it and meets every set kept before it; its
+time goes to testing and extending those obstructions. This script times
+three pruning workloads, best of N repeats: a family with no shared
+element, and the walk's own prune, ``prune_window_cell``, on two radius-3
+cells whose windows all end in the hub's color, a core no obstruction
+needs. The first is the cell at the hub of a fan, whose tails share their
+two first colors. In the second each tail has two random first colors,
+the shape of a walk cell in a graph with many colors.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -42,6 +45,16 @@ def fan_cell(width: int) -> WalkCell:
     return {(m, hub): {0: None, 1: None} for m in range(2, width + 2)}
 
 
+def random_firsts_cell(seed: int, width: int) -> WalkCell:
+    """A radius-3 cell of windows (x, m, hub): two first colors x per tail, drawn from ``width`` colors.
+
+    2 * width above ordered_bound(3) = 542 makes the walk prune the cell.
+    """
+    rng = random.Random(seed)
+    hub = width
+    return {(m, hub): dict.fromkeys(rng.sample([x for x in range(width) if x != m], 2)) for m in range(width)}
+
+
 def timed(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -59,9 +72,11 @@ def main() -> None:
     universe = 14
     fam = make_family(11, universe, p=4, count=900)
     cell = fan_cell(276)
+    walk_cell = random_firsts_cell(5, 280)
     rows = [
         ("prune 900 sets, q=4", lambda: representative_keep(fam, 4)),
         ("prune 552-window cell, r=3", lambda: prune_window_cell(cell, 3)),
+        ("prune 560 random firsts, r=3", lambda: prune_window_cell(walk_cell, 3)),
     ]
     for label, fn in rows:
         print(f"{label:<28}{timed(fn, args.repeats) * 1000:>10.2f}ms")

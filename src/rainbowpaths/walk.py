@@ -38,22 +38,19 @@ def prune_window_cell(cell: WalkCell, r: int) -> WalkCell:
 
     Every window of a cell ends in its vertex's color, and position r of a
     continuation is blocked only by a window's last color, so those slots
-    are a core the prune strips and the windows are pruned at q = r - 1.
-    Its windows also share their length, so the stripped family's width is
-    at most C(r(r - 1)/2 + r - 1, r - 1), 15,504 at r = 6; from r = 7 on
-    only cells past ``ordered_bound(7)`` = 903,124,561 windows are pruned.
-    So no walk cell reaches ``repfam.WEDGE_WIDTH_LIMIT``.
+    are core, which no obstruction needs, and the windows are pruned at
+    q = r - 1. Their ``_PAD`` entries, the same in each window, give
+    negative slots that are core too. A cell's windows also share their
+    length, so at most C(r(r - 1)/2 + r - 1, r - 1) of them are kept.
 
-    A cell's windows are distinct, of equal length and rainbow past their
-    padding, so their slot sets are distinct and the kept set does not
-    depend on their order. Their ``_PAD`` entries, the same in each, give
-    negative slots in every set, stripped with the last color's. The kept
-    entries are filed back in cell order, links untouched.
+    The keep reads the windows in cell order, so which windows it keeps
+    follows that order. The kept entries are filed back in cell order,
+    links untouched.
     """
     entries = [(tail, first, link) for tail, firsts in cell.items() for first, link in firsts.items()]
     keep = representative_keep([slot_set((first,) + tail, r) for tail, first, _ in entries], r - 1)
     pruned: WalkCell = {}
-    for i in sorted(keep):
+    for i in keep:
         tail, first, link = entries[i]
         pruned.setdefault(tail, {})[first] = link
     return pruned

@@ -3,8 +3,9 @@
 Exhaustive and deliberately simple: window compatibility straight from
 the locality definition, the (color, position) slots a window blocks,
 which ``core.slot_set`` encodes, the definitional checks of a
-representative family of sets and of color windows, and the distance
-separators of a path (a short detour has one every 2k + 1 steps).
+representative family of sets and of color windows, the greedy keep rule
+the prune applies, and the distance separators of a path (a short detour
+has one every 2k + 1 steps).
 """
 from __future__ import annotations
 
@@ -79,6 +80,22 @@ def is_set_representative(
             ):
                 return False
     return True
+
+
+def greedy_keep(sets: Sequence[Sequence[int]], q: int, universe: int) -> list[int]:
+    """Keep set i iff some Y in [0, universe) of size <= q avoids it and meets each set kept earlier."""
+    kept: list[frozenset[int]] = []
+    keep = []
+    for i, s in enumerate(sets):
+        member = frozenset(s)
+        if any(
+            not (member & set(y)) and all(k & set(y) for k in kept)
+            for size in range(q + 1)
+            for y in combinations(range(universe), size)
+        ):
+            kept.append(member)
+            keep.append(i)
+    return keep
 
 
 def is_window_representative(

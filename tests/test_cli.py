@@ -391,6 +391,13 @@ def test_main_is_reusable_in_one_process(tmp_path, monkeypatch):
     assert probe.stdout.strip() == "0", probe.stderr
 
 
+def test_import_leaves_numpy_unloaded():
+    """The CLI and every solver it imports run on the standard library alone."""
+    done = run_fresh(["-c", "import sys, rainbowpaths.cli; print('numpy' in sys.modules)"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_solve_reports_a_malformed_instance(tmp_path):
     path = tmp_path / "bad.rainbow"
     path.write_text("rainbow 1\n2 x\n")

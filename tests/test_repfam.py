@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +17,7 @@ from rainbowpaths import (
     slot_set,
     unordered_bound,
 )
-from rainbowpaths.repfam import WEDGE_WIDTH_LIMIT
-from reference import is_set_representative, is_window_representative
+from reference import greedy_keep, is_set_representative, is_window_representative
 
 
 def test_bounds():
@@ -37,56 +39,65 @@ def test_family_validation():
     with pytest.raises(ValueError):
         representative_keep([(1, 1)], 1)
     assert representative_keep([], 1) == []
-    # elements need only be distinct ints: the union is relabelled densely
-    assert representative_keep([(5, 9), (-1, 0)], 1) == [1, 0]
+    # elements need only be distinct ints, negative ones included
+    assert representative_keep([(5, 9), (-1, 0)], 1) == [0, 1]
 
 
-def test_keep_refuses_families_too_wide_to_prune():
-    assert math.comb(20, 10) <= WEDGE_WIDTH_LIMIT < math.comb(21, 10)
-    # four disjoint 10-sets share no element, so nothing is stripped
+def test_keep_has_no_width_limit():
+    # four disjoint 10-sets share no element: set i avoids an i-element obstruction that
+    # takes one element of each set before it, so at q = 11 all are kept; at q = 1 only two
     disjoint = [tuple(range(i, i + 10)) for i in range(0, 40, 10)]
-    with pytest.raises(ValueError, match="too wide"):
-        representative_keep(disjoint, 11)
-    assert len(representative_keep(disjoint, 1)) >= 2
-    # a lone set is all core: stripped to the empty set, it is kept
+    assert representative_keep(disjoint, 11) == [0, 1, 2, 3]
+    assert representative_keep(disjoint, 1) == [0, 1]
+    # a lone set is all core: it is kept
     assert representative_keep([tuple(range(10))], 11) == [0]
-    # 10-sets sharing 8 elements strip to disjoint pairs over 16 elements: width C(13, 2)
+    # 10-sets sharing 8 elements are disjoint pairs less their core: up to C(13, 2) = 78 are kept
     shared = [tuple(range(8)) + (8 + 2 * i, 9 + 2 * i) for i in range(8)]
-    assert math.comb(13, 2) == 78
     assert representative_keep(shared, 11) == list(range(8))
 
 
 def test_walk_cell_widths_stay_within_the_limit():
-    """A walk cell's windows, stripped, never need more wedge coordinates than WEDGE_WIDTH_LIMIT.
+    """A walk cell's prune keeps at most C(r(r - 1)/2 + r - 1, r - 1) windows, its width after a prune.
 
-    Same-length rainbow windows that end in one color strip to slot sets of
-    at most r(r - 1)/2 elements, pruned at q = r - 1, so the width is at most
-    C(r(r - 1)/2 + r - 1, r - 1) through r = 6; from r = 7 on a cell must
-    first outgrow ordered_bound(7) windows. The widths are computed from
-    ``slot_set`` as ``representative_keep`` strips them, without pruning.
+    Same-length rainbow windows that end in one color share the slots of
+    that color, a core of the family, and the rest of a window's slots
+    number at most r(r - 1)/2, which the families here reach at each r.
+    The r = 6 families take most of the time: with up to 15 slots outside
+    the core and q = 5, ``hitting`` grows to about 230,000 sets.
     """
-    assert ordered_bound(7) == 903_124_561
     rng = random.Random(29)
     for r in range(1, 7):
         bound = math.comb(r * (r - 1) // 2 + r - 1, r - 1)
-        assert bound <= WEDGE_WIDTH_LIMIT
         widest = 0
         for _ in range(60):
             length = rng.randint(1, r)
             windows = core_windows(rng, length, 1, rng.randint(length, 3 * r + 2), rng.randint(1, 30))
             slots = [set(slot_set(w, r)) for w in windows]
-            core = set.intersection(*slots)
-            p = len(slots[0]) - len(core)
-            universe = len(set.union(*slots)) - len(core)
-            width = math.comb(p + min(r - 1, universe - p), p)
-            assert width <= bound, (r, windows)
-            widest = max(widest, width)
-        assert widest == bound, (r, widest)
+            widest = max(widest, len(slots[0]) - len(set.intersection(*slots)))
+            assert len(keep_windows(windows, r, r - 1)) <= bound, (r, windows)
+        assert widest == r * (r - 1) // 2, (r, widest)
 
 
 def test_keep_returns_input_indices_in_row_order():
-    # rows run (0, 1) #1, (0, 1) #2, (2, 3) #0; the duplicate is dropped
-    assert representative_keep([(3, 2), (0, 1), (1, 0)], 1) == [1, 0]
+    # rows are read in input order; (1, 0) repeats (0, 1) and is dropped
+    assert representative_keep([(3, 2), (0, 1), (1, 0)], 1) == [0, 1]
+
+
+def test_keep_matches_the_greedy_reference():
+    """The prune keeps exactly the sets ``reference.greedy_keep`` keeps, in input order."""
+    rng = random.Random(9)
+    families = []
+    for trial in range(40):
+        universe = rng.randint(3, 9)
+        p = rng.randint(1, min(4, universe))
+        fam = [rng.sample(range(universe), p) for _ in range(rng.randint(1, 20))]
+        families.append((fam + fam[:3], universe, rng.randint(0, 3)))
+    for trial in range(40):
+        universe, p = rng.randint(4, 9), rng.randint(2, 4)
+        fam = [rng.sample(s, len(s)) for s in core_sets(rng, universe, p, rng.randint(1, p - 1), 15)]
+        families.append((fam, universe, rng.randint(0, 3)))
+    for fam, universe, q in families:
+        assert representative_keep(fam, q) == greedy_keep(fam, q, universe), (fam, q)
 
 
 def test_unordered_singletons_both_kept():
@@ -223,3 +234,14 @@ def test_ordered_tags_follow_members():
     tags = ["b", "a"]
     kept = {windows[i]: tags[i] for i in keep_windows(windows, 2, 2)}
     assert kept == {(1, 2): "a", (2, 1): "b"}
+
+
+def test_bench_kernels_script_runs():
+    """The prune benchmark script runs on the current API and prints its three timing rows."""
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--repeats", "1"], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()
+    assert len(rows) == 3 and all(row.endswith("ms") for row in rows), done.stdout
