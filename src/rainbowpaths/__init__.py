@@ -2,13 +2,14 @@
 
 A walk is locally rainbow at radius r when every stretch of r+1
 consecutive vertices (or the whole walk, if shorter) shows pairwise
-distinct colors. The package bundles dynamic programs for walks and
-simple paths, representative-family pruning that keeps the walk DP's
-window cells small, brute-force oracles, hardness-construction
-generators, and a file format with a CLI around it all, on the standard
-library alone. Each DP links an entry back to its parent and keeps only
-its current level, except that in modes "atmost" and "any" the walk
-DP's classes keep their first colors across levels.
+distinct colors. The package bundles a dynamic program for walks, a
+depth-first search over the path DP's keys for simple paths,
+representative-family pruning for the walk DP's window cells,
+brute-force oracles, hardness-construction generators, and a file
+format with a CLI around it all, on the standard library alone. The
+walk DP links an entry back to its parent and keeps only its current
+level, apart from the first colors its classes keep in modes "atmost"
+and "any"; the path search's current branch is its witness.
 """
 
 from .core import (

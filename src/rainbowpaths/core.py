@@ -5,8 +5,8 @@ min(r + 1, length) consecutive vertices all colors are pairwise distinct.
 This module provides the instance substrate (graph, query, witness), the
 slot encoding that turns window compatibility into set disjointness for
 the walk DP's prunes, small shared graph utilities, and ``unwind``, which
-reads a witness back from the link chain that each entry of the walk and
-path DPs, and of the walk oracle's search, holds.
+reads a witness back from the link chain that each entry of the walk DP,
+and of the walk oracle's search, holds.
 """
 
 from __future__ import annotations
@@ -261,10 +261,10 @@ def dist_from_source(g: ColoredDigraph) -> list[int | None]:
 
 
 def unwind(v: int, link: Any) -> Witness:
-    """The walk a DP entry at ``v`` links back to.
+    """The walk an entry at ``v`` links back to.
 
-    Both DPs give each entry a link ``(parent vertex, parent's link)``,
-    or None at the source, so the chain holds the walk last vertex first.
+    The walk DP and ``oracle_walk`` link each entry as ``(parent vertex,
+    parent's link)``, or None at the source: the walk, last vertex first.
     """
     vertices = [v]
     while link is not None:

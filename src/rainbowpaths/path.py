@@ -1,115 +1,104 @@
-"""Locally rainbow path solvers.
+"""Locally rainbow path solver: a depth-first search over the path DP's keys.
 
-The path dynamic program gates on ``row = rainbow_distances(g, r)``:
-at r >= 2 the fewest arcs of a radius-2 locally rainbow walk from each
-vertex to t, and at r <= 1 the plain distance to t. Every completion of
-a member is a radius-r locally rainbow walk, so a completion from u has
-at least ``row[u]`` arcs, and u enters level p only if
-``row[u] <= ell - p``. Each member remembers only the near part of its
-visited set, as a vertex bitmask. A completion from level p
-takes at least one more step to reach any x, so it can visit x only if
-``row[x] < ell - p``; a member at level p stores ``visited & near`` for
-that level's ``near`` set. Members agreeing there admit the same
-completions, so they meet as one key when inserted, and the first one
-stays.
+The search gates on ``row = rainbow_distances(g, r)``: at r >= 2 the
+fewest arcs of a radius-2 locally rainbow walk from each vertex to t,
+and at r <= 1 the plain distance to t. Every completion of a path prefix
+is a radius-r locally rainbow walk, so a completion from u has at least
+``row[u]`` arcs, and u may end a prefix of p arcs only if
+``row[u] <= ell - p``. A completion from there takes at least one more
+step to reach any x, so it can visit x only if ``row[x] < ell - p``;
+those x form ``near[p]``, and a prefix keeps only ``visited & near[p]``.
+A vertex that leaves ``near`` is refused by the gate at every later
+level, so the mask needs it no more. Prefixes that agree there and in
+their last r colors admit the same completions, so they share one key.
 
 The row is never below dist_t, the plain distance to t, so each mask is
-a subset of the one a dist_t gate keeps, and the cell bound is that
+a subset of the one a dist_t gate keeps, and the key bound is that
 gate's. At a budget of dist(s, t) + k, a vertex at step i of a path has
 dist_t >= dist(s, t) - i, so it stays in the mask only while i > p - k:
-the mask holds at most the last k vertices, and a cell at most
-Δ^(max(k, r) - 1) members, Δ the largest in-degree. That is polynomial
-for fixed k and r. Measuring k from ``row[s]`` instead would need
-``row[s] <= i + row[x]``, which fails when x's shortest rainbow walk
+the mask holds at most the last k vertices, and one level and vertex
+hold at most Δ^(max(k, r) - 1) keys, Δ the largest in-degree. That is
+polynomial for fixed k and r. Measuring k from ``row[s]`` instead would
+need ``row[s] <= i + row[x]``, which fails when x's shortest rainbow walk
 clashes with the colors before x.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from collections import Counter
+from operator import itemgetter
 
-from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, rainbow_distances, unwind
-
-# (near part of the visited set as a vertex bitmask, last r colors padded to r) -> link,
-# where a link is (vertex, link) for the path before the member's vertex, or None at s
-PathCell = dict[tuple[int, ColorSeq], Any]
+from .core import _PAD, ColoredDigraph, Query, Witness, rainbow_distances
 
 
-def _path_levels(
+def _path_search(
     g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None = None
-) -> Iterator[dict[int, PathCell]]:
-    """The path DP's levels, each yielded once it is built: each vertex u reached, with u's cell.
+) -> tuple[Witness | None, set[tuple]]:
+    """Search the path keys depth-first in arc order: the first accepted path or None, and the keys entered.
 
-    Level p holds the paths of p arcs from g.s. A window holds a path's
-    last r colors, padded on the left with ``_PAD`` to r, so a step drops
-    its first color. An arc into u extends a member when u's bit is not in
-    its mask, u's color is not in its window, and ``row[u] <= ell - p``,
-    with ``row = rainbow_distances(g, r)`` built once per call; the new
-    member stores ``(mask | 1 << u) & near``, where ``near`` holds the x
-    with ``row[x] < ell - p``. ``near`` is one bitmask per level: the
-    vertices are bucketed by ``row`` once, and each level drops the ring
-    ``row == ell - p``. A vertex that leaves ``near`` is refused by the
-    gate at every later level, so the mask needs it no more. The DP stops
-    after level ``ell``, after an empty level, or, outside mode "exact",
-    after the first level holding g.t. No path has more than n - 1 arcs, so
-    mode "any" runs at budget n - 1 and "atmost" at ``min(ell, n - 1)``;
-    mode "exact" past n - 1, or a gate that refuses g.s, yields no level.
+    A key is (level p, vertex u, visited & near[p] as a bitmask, the last
+    r colors padded on the left with ``_PAD`` to r). An arc into v extends
+    a key when v is in ``near[p] ^ mask`` (v passes the gate and is not
+    visited) and v's color is not in the window. The keys entered are the
+    dead memo: a key left without an accepted path has no completion, and
+    none recurs on a branch, since p grows along it. The branch is the
+    witness. Mode "exact" accepts g.t only at level ``ell``, the other
+    modes at any level. No path has more than n - 1 arcs, so mode "any"
+    runs at budget n - 1 and "atmost" at ``min(ell, n - 1)``; mode "exact"
+    past n - 1, or a gate that refuses g.s, enters no key.
 
-    ``stats`` receives ``levels``, ``max_cell``, and ``total_members``,
-    the member count summed over levels; a DP that yields no level leaves
+    ``stats`` receives ``levels`` (the deepest level entered),
+    ``total_members`` (the keys entered) and ``max_cell`` (the most keys
+    at one level and vertex); a search that enters no key leaves
     ``levels`` and ``total_members`` at 0.
     """
-    colors, out_adj = g.colors, g.out_neighbors
+    colors, out_adj, t = g.colors, g.out_neighbors, g.t
     stats = {} if stats is None else stats
     stats.setdefault("levels", 0)
     stats.setdefault("total_members", 0)
     if mode != "exact":
         ell = g.n - 1 if mode == "any" else min(ell, g.n - 1)
-    elif ell >= g.n:
-        return
     row = rainbow_distances(g, r)
-    if row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
-        return
-    # rings[d] is the bitmask of the vertices whose row is d < ell
-    rings = [0] * ell
+    if ell >= g.n or row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
+        return None, set()
+    # x sits in near[p] for p < ell - row[x]; near[ell] and near[ell + 1] are empty
+    near = [0] * (ell + 2)
     for x, d in enumerate(row):
         if d is not None and d < ell:
-            rings[d] |= 1 << x
-    near = sum(rings)
-    start = ((_PAD,) * (r - 1) + (colors[g.s],))[:r]
-    level: dict[int, PathCell] = {g.s: {((1 << g.s) & near, start): None}}
-    yield level
-    for p in range(1, ell + 1):
-        near ^= rings[ell - p]
-        # u -> (bit, color, the colors u adds to a window, cell) for each u
-        # past the gate, built once per level; at r = 0 windows stay empty,
-        # and an empty window admits every color
-        heads_at: dict[int, tuple[int, int, ColorSeq, PathCell]] = {}
-        for v, members in level.items():
-            heads = []
-            for u in out_adj[v]:
-                head = heads_at.get(u)
-                if head is None:
-                    if row[u] is None or row[u] > ell - p:  # type: ignore[operator]
-                        continue
-                    head = heads_at[u] = (1 << u, colors[u], (colors[u],)[:r], {})
-                heads.append(head)
-            for (mask, window), link in members.items():
-                stem = window[1:]
-                via = (v, link)
-                for bit, c, added, cell in heads:
-                    if mask & bit or c in window:
-                        continue
-                    member = ((mask | bit) & near, stem + added)
-                    cell.setdefault(member, via)
-        level = {u: cell for u, (*_, cell) in heads_at.items() if cell}
-        stats["levels"] = p
-        stats["total_members"] += sum(map(len, level.values()))
-        if level:
-            stats["max_cell"] = max(stats.get("max_cell", 0), max(map(len, level.values())))
-        yield level
-        if not level or (mode != "exact" and g.t in level):
+            near[ell - 1 - d] |= 1 << x
+    for p in range(ell - 1, -1, -1):
+        near[p] |= near[p + 1]
+    # the colors u adds to a window; at r = 0 windows stay empty, and an
+    # empty window admits every color
+    added = [(c,)[:r] for c in colors]
+    start = (0, g.s, (1 << g.s) & near[0], ((_PAD,) * (r - 1) + (colors[g.s],))[:r])
+    seen: set[tuple] = set()
+    # path[p] is the vertex of the last key entered at level p; every key
+    # entered since a key's parent is deeper, so path[:p + 1] is its path
+    path = [g.s] * (ell + 1)
+    witness = None
+    stack = [start]
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        p, u, mask, window = key
+        path[p] = u
+        if u == t and (mode != "exact" or p == ell):
+            witness = Witness(tuple(path[: p + 1]))
             break
+        free, stem, near_next = near[p] ^ mask, window[1:], near[p + 1]
+        # pushed in reverse, so they pop in arc order
+        stack += [
+            (p + 1, v, (mask | 1 << v) & near_next, stem + added[v])
+            for v in reversed(out_adj[u])
+            if free >> v & 1 and colors[v] not in window
+        ]
+    stats["levels"] = max(map(itemgetter(0), seen))
+    stats["total_members"] += len(seen)
+    stats["max_cell"] = max(stats.get("max_cell", 0), *Counter(map(itemgetter(0, 1), seen)).values())
+    return witness, seen
 
 
 def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) -> Witness | None:
@@ -122,8 +111,4 @@ def solve_path(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
         A witness path, or None.
     """
     # as in solve_walk, a radius past num_colors changes no answer
-    level: dict[int, PathCell] = {}
-    for level in _path_levels(g, min(query.r, g.num_colors), query.ell, query.mode, stats):
-        pass
-    cell = level.get(g.t)
-    return None if cell is None else unwind(g.t, next(iter(cell.values())))
+    return _path_search(g, min(query.r, g.num_colors), query.ell, query.mode, stats)[0]

@@ -3,7 +3,7 @@
 A q-representative of a family of p-element sets preserves, for every
 obstruction set Y with |Y| <= q, the existence of a member disjoint from Y.
 The walk DP's ordered variant reduces to it through ``core.slot_set``;
-the path DP does not prune.
+the path search does not prune.
 ``representative_keep`` computes one greedily in plain Python: it keeps a
 set when some obstruction avoids it and meets every set kept before it.
 Frankl's skew version of Bollobás's theorem bounds what it keeps. The

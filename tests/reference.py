@@ -4,8 +4,9 @@ Exhaustive and deliberately simple: window compatibility straight from
 the locality definition, the (color, position) slots a window blocks,
 which ``core.slot_set`` encodes, the definitional checks of a
 representative family of sets and of color windows, the greedy keep rule
-the prune applies, and the distance separators of a path (a short detour
-has one every 2k + 1 steps).
+the prune applies, the gated simple prefixes the path search keys, and
+the distance separators of a path (a short detour has one every 2k + 1
+steps).
 """
 from __future__ import annotations
 
@@ -121,6 +122,34 @@ def is_window_representative(
             ):
                 return False
     return True
+
+
+def gated_prefixes(
+    g, r: int, ell: int, row: Sequence[int | None]
+) -> dict[tuple[int, int, int, ColorSeq], list[tuple[int, ...]]]:
+    """Every gated simple prefix in the graph ``g``, grouped by the key the path search gives it.
+
+    A gated simple prefix is a path from g.s of p <= ell arcs, each r + 1
+    consecutive vertices of it in distinct colors, whose vertex at step i
+    has ``row <= ell - i``. Its key is (p, its last vertex, the bitmask of
+    its vertices x with ``row[x] < ell - p``, its last min(r, p + 1) colors
+    padded on the left with -1 to r).
+    """
+    colors = g.colors
+    prefixes: dict[tuple[int, int, int, ColorSeq], list[tuple[int, ...]]] = {}
+
+    def visit(path: tuple[int, ...]) -> None:
+        p = len(path) - 1
+        mask = sum(1 << x for x in path if row[x] < ell - p)  # type: ignore[operator]
+        last = tuple(colors[x] for x in path[max(0, p + 1 - r) :])
+        prefixes.setdefault((p, path[-1], mask, (-1,) * (r - len(last)) + last), []).append(path)
+        for v in g.out_neighbors[path[-1]]:
+            if v not in path and colors[v] not in last and row[v] is not None and row[v] <= ell - p - 1:
+                visit(path + (v,))
+
+    if row[g.s] is not None and row[g.s] <= ell:  # type: ignore[operator]
+        visit((g.s,))
+    return prefixes
 
 
 def distance_separators(path: tuple[int, ...], d: Sequence[int | None]) -> list[int]:

@@ -165,7 +165,7 @@ def detour_runs() -> tuple[list, list[YesWitness], list[Detour]]:
 
 
 def test_criterion_03_detour_equals_path_at_shifted_budget(detour_runs):
-    """The path DP at ell = dist + k agrees with oracle_path for k in 1..3, solve_walk at k = 0."""
+    """The path search at ell = dist + k agrees with oracle_path for k in 1..3, solve_walk at k = 0."""
     failures, _, _ = detour_runs
     verdict(3, not failures, f"500 instances x k in 0..3, {len(failures)} mismatches")
     assert not failures, failures[:5]

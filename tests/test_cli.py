@@ -179,7 +179,7 @@ def test_json_stats_when_the_distance_gate_refuses_s(tmp_path):
         code, out, _ = helpers.run_cli(["solve", path, "--solver", solver, "--json"])
         assert code == EXIT_NO
         assert json.loads(out)["stats"] == {"levels": 0, total: 0}, solver
-    # no path has more than n - 1 arcs, so an exact budget of 5 on 3 vertices stops the path DP too
+    # no path has more than n - 1 arcs, so an exact budget of 5 on 3 vertices stops the path search too
     g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
     path = write_tmp(tmp_path, g, Query(2, 5, "exact"), name="long.rainbow")
     code, out, _ = helpers.run_cli(["solve", path, "--json"])

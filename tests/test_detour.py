@@ -1,4 +1,4 @@
-"""Detour queries: a budget of the s-t distance plus a small slack k, answered by the path DP."""
+"""Detour queries: a budget of the s-t distance plus a small slack k, answered by the path search."""
 from __future__ import annotations
 
 import random
@@ -186,7 +186,7 @@ def test_fan_graph_detours_match_oracle():
 def test_matches_oracle_on_sparse_graphs_at_distance_four():
     """G(60, 0.05) graphs at s-t distance 4 with r = 2 and k = 1..4, the benchmark's detour shape.
 
-    Auto dispatch sends each to the path DP.
+    Auto dispatch sends each to the path search.
     """
     seed = 25000
     yes = no = 0

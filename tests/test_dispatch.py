@@ -63,7 +63,7 @@ def test_an_auto_solve_runs_one_bfs(monkeypatch):
     """An auto solve runs one plain BFS; a path-dp solve at r >= 2 also searches for one rainbow row.
 
     Auto reads dist(s, t) from ``g.dist_to_t``, the row the walk DP gates
-    on, so a fresh graph runs one BFS over the plain graph. The path DP
+    on, so a fresh graph runs one BFS over the plain graph. The path search
     gates on ``rainbow_distances(g, r)``: at r <= 1 that is
     ``g.dist_to_t`` again, and at r >= 2 a search of its own.
     """

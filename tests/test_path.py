@@ -1,8 +1,9 @@
-"""Path DP and the near-set projection its members store."""
+"""Path search and the near-set projection its keys store."""
 from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,9 @@ from rainbowpaths import (
     solve_walk,
     verify_witness,
 )
-from rainbowpaths.core import _PAD, rainbow_distances, unwind
-from rainbowpaths.path import _path_levels
+from rainbowpaths.core import rainbow_distances
+from rainbowpaths.path import _path_search
+from reference import gated_prefixes
 
 
 def test_walk_yes_path_no():
@@ -41,16 +43,22 @@ def test_exact_beyond_simple_length_is_no():
 def test_any_mode_means_up_to_n_minus_one():
     g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
     assert solve_path(g, Query(2, 0, "any")) == Witness((0, 1, 2))
-    # the level loop reads mode "any" itself and runs at budget n - 1
-    assert g.t in list(_path_levels(g, 2, 0, "any"))[-1]
+    # the search reads mode "any" itself and runs at budget n - 1
+    witness, keys = _path_search(g, 2, 0, "any")
+    assert witness == Witness((0, 1, 2))
+    assert sorted(key[:2] for key in keys) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_atmost_budget_clamps_to_n_minus_one():
     g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
     assert solve_path(g, Query(2, 99, "atmost")) == Witness((0, 1, 2))
-    # the level loop clamps the budget itself; exact past n - 1 yields no level
-    assert g.t in list(_path_levels(g, 2, 99, "atmost"))[-1]
-    assert list(_path_levels(g, 2, 3, "exact")) == []
+    # the search clamps the budget itself; exact past n - 1 enters no key
+    witness, keys = _path_search(g, 2, 99, "atmost")
+    assert witness == Witness((0, 1, 2))
+    assert max(p for p, *_ in keys) == 2
+    stats: dict = {}
+    assert _path_search(g, 2, 3, "exact", stats) == (None, set())
+    assert stats == {"levels": 0, "total_members": 0}
 
 
 def test_path_matches_oracle_randomized():
@@ -97,6 +105,12 @@ def test_path_matches_oracle_randomized():
         )
         for trial in range(150)
     ]
+    # vertex 2 is entered at level 1 by 0 -> 2 and at level 2 by 0 -> 3 -> 2,
+    # both with near mask {0, 2} and window (0,); only the second has the
+    # two arcs 2 -> 1 -> 4 left that exact length 4 needs, so a key that
+    # failed at one level says nothing about another
+    arcs = ((0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 1), (2, 3), (2, 4), (3, 2), (4, 0))
+    instances.append((ColoredDigraph(5, (1, 1, 0, 2, 0), arcs, 0, 4), Query(1, 4, "exact")))
     longer = 0
     for trial, (g, q) in enumerate(instances):
         mine = solve_path(g, q)
@@ -110,54 +124,72 @@ def test_path_matches_oracle_randomized():
 
 
 def test_large_cells_are_left_whole():
-    """The near-set projection is the path DP's only cell reducer, however large a cell grows."""
-    g, q = gen_random(24, 0.3, 5, 2, 13, seed=0, mode="exact")
+    """The near-set projection is the path search's only key reducer, however many keys one cell holds.
+
+    Two sides of 8 vertices with arcs both ways between them, in distinct
+    colors, and t entered from side A only: s is on side A, so every s-t
+    path has odd length and exact length 10 is NO, which only an
+    exhausted search proves. Far from t every visited vertex stays in the
+    mask, so one level and vertex hold thousands of keys.
+    """
+    a, t = 8, 16
+    arcs = [(x, y) for x in range(a) for y in range(a, 2 * a)]
+    arcs += [(y, x) for x, y in arcs] + [(x, t) for x in range(1, a)]
+    g = ColoredDigraph(2 * a + 1, tuple(range(2 * a + 1)), tuple(arcs), 0, t)
     stats: dict = {}
-    mine = solve_path(g, q, stats=stats)
-    assert mine is not None
-    assert verify_witness(g, q, mine.vertices, require_path=True) == []
+    witness, keys = _path_search(g, 2, 10, "exact", stats)
+    assert witness is None
+    cells = Counter((p, u) for p, u, *_ in keys)
     # 4096 was the old prune threshold
-    assert stats["max_cell"] > 4096, stats["max_cell"]
-    assert "rep_calls" not in stats
+    assert max(cells.values()) > 4096, max(cells.values())
+    assert stats == {"levels": 9, "total_members": len(keys), "max_cell": max(cells.values())}
+    mine = solve_path(g, Query(2, 11, "exact"))
+    assert mine is not None
+    assert verify_witness(g, Query(2, 11, "exact"), mine.vertices, require_path=True) == []
 
 
 def test_cells_hold_one_member_per_forward_projection():
-    """Each member links to its path and stores the part a gated completion can still reach.
+    """Each key the search enters is the key of a gated simple prefix, and a NO enters all of them.
 
-    A member of u's cell at level p unwinds to a path of p arcs from s to
-    u, and its window holds that path's last min(r, p + 1) colors, padded
-    on the left with ``_PAD`` to r. Its mask keeps the vertices x of the
-    path whose rainbow row is below ell - p. The row is never below
-    dist(x, t), so with k = ell - dist(s, t) each of them sits at step
-    p - k + 1 or later, and a mask holds at most the last k vertices.
-    Members are dict keys, so a cell holds one member per mask and window.
+    ``reference.gated_prefixes`` lists the paths from s whose vertex at
+    step i has a rainbow row of at most ell - i, by key: the level p, the
+    last vertex u, the mask of the path's x whose row is below ell - p,
+    and the last min(r, p + 1) colors padded on the left with -1 (the
+    package's ``_PAD``) to r. The row is never below dist(x, t), so with k = ell - dist(s, t)
+    each masked vertex sits at step p - k + 1 or later, and a mask holds
+    at most the last k vertices. A YES stops the search early, so its
+    keys are a subset; a NO exhausts it, so its keys are all of them.
+    Some cells hold several keys, and some keys stand for several
+    prefixes, which the search entered once.
     """
     rng = random.Random(47)
-    shared = tight = 0
+    shared = merged = tight = no = 0
     for trial in range(90):
         n = rng.randint(4, 9)
         g, _ = gen_random(n, 0.45, rng.randint(2, 5), 0, 0, seed=23000 + trial)
         ell = rng.randint(2, n - 1)
         r = rng.randint(1, 3)
         row = rainbow_distances(g, r)
-        for p, level in enumerate(_path_levels(g, r, ell, "exact")):
+        prefixes = gated_prefixes(g, r, ell, row)
+        witness, keys = _path_search(g, r, ell, "exact")
+        if witness is None:
+            no += 1
+            assert keys == set(prefixes), trial
+        else:
+            assert keys <= set(prefixes), trial
+            assert verify_witness(g, Query(r, ell, "exact"), witness.vertices, require_path=True) == []
+        for p, u, mask, window in keys:
             k = ell - g.dist_to_t[g.s]
-            for u, cell in level.items():
-                for (mask, window), link in cell.items():
-                    path = unwind(u, link).vertices
-                    assert len(set(path)) == len(path) == p + 1, (trial, p, u, path)
-                    assert path[0] == g.s and path[-1] == u, (trial, p, u, path)
-                    assert all(b in g.out_neighbors[a] for a, b in zip(path, path[1:])), (trial, p, u, path)
-                    last = path[-min(r, p + 1) :]
-                    pad = (_PAD,) * (r - len(last))
-                    assert window == pad + tuple(g.colors[x] for x in last), (trial, p, u)
-                    kept = [i for i, x in enumerate(path) if row[x] < ell - p]
-                    assert mask == sum(1 << path[i] for i in kept), (trial, p, u)
-                    assert all(i >= p - k + 1 for i in kept), (trial, p, u, path, k)
-                    # the bound is met with equality by a vertex other than u
-                    tight += p - k + 1 in kept and p - k + 1 < p
-                shared += len(cell) > 1
-    assert shared >= 40, shared
+            for path in prefixes[p, u, mask, window]:
+                kept = [i for i, x in enumerate(path) if row[x] < ell - p]
+                assert all(i >= p - k + 1 for i in kept), (trial, p, u, path, k)
+                # the bound is met with equality by a vertex other than u
+                tight += p - k + 1 in kept and p - k + 1 < p
+            merged += len(prefixes[p, u, mask, window]) > 1
+        shared += sum(size > 1 for size in Counter((p, u) for p, u, *_ in keys).values())
+    assert no >= 70, no
+    assert shared >= 25, shared
+    assert merged >= 20, merged
     assert tight >= 100, tight
 
 
@@ -165,30 +197,31 @@ def test_sat_levels_follow_the_rainbow_row():
     """The 3-SAT reduction's gate and near sets read the rainbow row, which its shortcuts lengthen.
 
     Its clause bypasses give s-t routes of 4 arcs whose colors repeat
-    within radius 2, while every rainbow route has ell = 32 arcs. The DP
-    is exact under a dist_t gate too, so only its levels show which row
-    it read: each vertex u at level p has ``row[u] <= ell - p``, some
-    member's successor passes the dist_t gate and fails the row, and a
-    member's mask holds exactly its path's x with ``row[x] < ell - p``,
-    which drops path vertices that a dist_t near set would keep.
+    within radius 2, while every rainbow route has ell = 32 arcs, so exact
+    length 33 is NO and exhausts the search. The search is exact under a
+    dist_t gate too, so only its keys show which row it read: each vertex
+    u at level p has ``row[u] <= ell - p``, some key's successor passes the
+    dist_t gate and fails the row, and the keys are those of the gated
+    simple prefixes under the row, whose masks hold exactly the path's x
+    with ``row[x] < ell - p`` and so drop path vertices that a dist_t near
+    set would keep.
     """
     g, q = gen_3sat_instance(CnfInput(((1, 2, 3), (1, -2, -3), (-1, 2, -3), (-1, -2, 3))))
     mine = solve_path(g, q)
     assert mine is not None
     assert verify_witness(g, q, mine.vertices, require_path=True) == []
+    ell = q.ell + 1
     row, dist_t = rainbow_distances(g, q.r), g.dist_to_t
+    witness, keys = _path_search(g, q.r, ell, "exact")
+    prefixes = gated_prefixes(g, q.r, ell, row)
+    assert witness is None and keys == set(prefixes)
     refused = dropped = 0
-    for p, level in enumerate(_path_levels(g, q.r, q.ell, "atmost")):
-        gate = q.ell - p - 1
-        for v, cell in level.items():
-            assert row[v] is not None and row[v] <= q.ell - p, (p, v, row[v])
-            refused += sum(
-                dist_t[u] <= gate and (row[u] is None or row[u] > gate) for u in g.out_neighbors[v]
-            )
-            for (mask, _), link in cell.items():
-                path = unwind(v, link).vertices
-                assert mask == sum(1 << x for x in path if row[x] < q.ell - p), (p, v, path)
-                dropped += any(dist_t[x] < q.ell - p <= row[x] for x in path)
+    for p, v, mask, window in keys:
+        gate = ell - p - 1
+        assert row[v] is not None and row[v] <= ell - p, (p, v, row[v])
+        refused += sum(dist_t[u] <= gate and (row[u] is None or row[u] > gate) for u in g.out_neighbors[v])
+        for path in prefixes[p, v, mask, window]:
+            dropped += any(dist_t[x] < ell - p <= row[x] for x in path)
     assert refused > 0 and dropped > 0, (refused, dropped)
 
 
@@ -266,13 +299,13 @@ def test_grid_detours_keep_cells_polynomial():
             for seed in range(3):
                 g = symmetric_grid(4, cols, 16, 1000 * cols + 10 * k + seed)
                 q = Query(2, g.dist_to_t[g.s] + k, "atmost")
-                stats: dict = {}
-                mine = solve_path(g, q, stats=stats)
+                mine, keys = _path_search(g, q.r, q.ell, q.mode)
                 ref = oracle_path(g, q)
                 assert (mine is None) == (ref is None), (cols, k, seed)
                 if mine is not None:
                     assert verify_witness(g, q, mine.vertices, require_path=True) == []
-                assert stats["max_cell"] <= 4 ** (max(k, q.r) - 1), (cols, k, seed, stats)
+                biggest = max(Counter((p, u) for p, u, *_ in keys).values())
+                assert biggest <= 4 ** (max(k, q.r) - 1), (cols, k, seed, biggest)
 
 
 def test_no_heavy_families_match_their_certificates():
