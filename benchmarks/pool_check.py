@@ -19,7 +19,12 @@ DAGs ``tight_dag(random.Random(91_000 + trial), 40, 10, 4)`` of
 checked against ``oracle_walk`` (in a DAG every walk is a path), and the
 10 × 10 ``parity_grid`` at ``Query(2, ell, "exact")`` for ell = 19, 21,
 23, 25, NO by parity (the grid is bipartite and dist(s, t) = 18). Each
-witness is checked as a path.
+witness is checked as a path. A sixth pool, ``walkno``, asks exact walk
+questions whose answers are NO with the walk solver: the same 16 DAGs at
+dist + 1..3, checked against ``oracle_walk``; the grid at ell = 19, 21,
+..., 29; and the eight fans at ``Query(3, 5, "exact")``, NO since every
+fan path has 4 arcs, checked against ``oracle_path``. Their memos at the
+hubs and at t outgrow ``ordered_bound(3)``, so the search's filter fires.
 It prints one JSON line per pool on standard output: YES and NO counts,
 invalid witnesses, answers that differ from the record, the solver names
 that ran, the summed ``total_members``, ``total_windows`` and
@@ -35,7 +40,7 @@ and witnesses) exactly when their standard output is byte-identical, so
 reports a wrong answer or an invalid witness, and 0 otherwise, so a
 script can gate on it.
 
-Usage: python benchmarks/pool_check.py [walk] [path] [detour] [fan] [no]
+Usage: python benchmarks/pool_check.py [walk] [path] [detour] [fan] [no] [walkno]
 """
 from __future__ import annotations
 
@@ -58,7 +63,7 @@ from helpers import fan, parity_grid, tight_dag  # noqa: E402
 
 from rainbowpaths import Query, dispatch, oracle_path, oracle_walk, parse_instance, verify_witness  # noqa: E402
 
-POOLS = ("walk", "path", "detour", "fan", "no")
+POOLS = ("walk", "path", "detour", "fan", "no", "walkno")
 SEED = 0
 
 
@@ -89,8 +94,22 @@ def no_pool() -> list[workloads.Instance]:
     return pool
 
 
+def walkno_pool() -> list[workloads.Instance]:
+    """Exact walk questions, mostly NO, for the walk solver: DAGs at dist + 1..3, the grid at odd lengths, fans at 5."""
+    walk = ("--solver", "walk")
+    pool = [workloads.Instance(inst.name, inst.graph, inst.query, walk, "walk", inst.oracle) for inst in no_pool()]
+    grid = parity_grid(10)
+    for ell in (27, 29):
+        pool.append(workloads.Instance(f"grid-{ell}", grid, Query(2, ell, "exact"), walk, "walk", lambda: None))
+    for trial in range(8):
+        g = fan(random.Random(90_000 + trial), 300, (1, 2, 306)[trial % 3])
+        q = Query(3, 5, "exact")
+        pool.append(workloads.Instance(f"fan-{trial}", g, q, walk, "walk", functools.partial(oracle_path, g, q)))
+    return pool
+
+
 # the pools built here rather than in solvebench, whose answers come from their oracles
-BUILT = {"fan": fan_pool, "no": no_pool}
+BUILT = {"fan": fan_pool, "no": no_pool, "walkno": walkno_pool}
 
 
 def check_pool(workload: str) -> tuple[dict, dict]:

@@ -2,14 +2,15 @@
 
 A walk is locally rainbow at radius r when every stretch of r+1
 consecutive vertices (or the whole walk, if shorter) shows pairwise
-distinct colors. The package bundles a dynamic program for walks, a
-depth-first search over the path DP's keys for simple paths,
-representative-family pruning for the walk DP's window cells,
-brute-force oracles, hardness-construction generators, and a file
-format with a CLI around it all, on the standard library alone. The
-walk DP links an entry back to its parent and keeps only its current
-level, apart from the first colors its classes keep in modes "atmost"
-and "any"; the path search's current branch is its witness.
+distinct colors. The package bundles a depth-first search over the
+path DP's keys, which answers path questions and exact walk questions
+of fewer than n arcs, a layered dynamic program for the other walk
+questions, representative-family pruning for the walk DP's window cells
+and the search's walk memos, brute-force oracles, hardness-construction
+generators, and a file format with a CLI around it all, on the standard
+library alone. The walk DP links an entry back to its parent and keeps
+only its current level, apart from the first colors its classes keep in
+modes "atmost" and "any"; the search's current branch is its witness.
 """
 
 from .core import (

@@ -193,9 +193,9 @@ def slot_set(window: Sequence[int], r: int) -> tuple[int, ...]:
         return ()
     if not window:
         raise ValueError("window must be nonempty")
-    # window[k] blocks positions 1..r - (len - 1 - k); a repeated color blocks the most at its last k
-    reach = {c: r - (len(window) - 1 - k) for k, c in enumerate(window)}
-    return tuple(c * r + i for c in sorted(reach) for i in range(reach[c]))
+    # window[k] blocks positions 1..r - (len - 1 - k), the count enumerate gives it; a
+    # repeated color blocks the most at its last k, whose slots hold the others'
+    return tuple(sorted({c * r + i for k, c in enumerate(window, r + 1 - len(window)) for i in range(k)}))
 
 
 def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int | None]:

@@ -1,11 +1,14 @@
 """Solver dispatch: one entry point that answers a query with a named solver.
 
 ``solve(g, query)`` picks the cheapest sound solver for the path question:
-the walk DP when walks and paths give one answer, which is at r <= 1 in
-modes "atmost" and "any" (where its shortest witness is a path) and when
-the budget equals the s-t distance, and otherwise the path search, whose
-near-set projection keeps the keys at one level and vertex polynomial at
-small slack. Any solver in ``SOLVERS`` can also be forced by name.
+the walk solver when walks and paths give one answer, and otherwise the
+path search, whose near-set projection keeps the keys at one level and
+vertex polynomial at small slack. Walks and paths agree when the budget
+equals the s-t distance, where the walk solver is asked the exact
+question (no walk is shorter, and a walk of exactly that length is a
+path), and at r <= 1 in modes "atmost" and "any", where the walk BFS's
+shortest witness is a path. Any solver in ``SOLVERS`` can also be forced
+by name.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ def solve(
         dist = g.dist_to_t[g.s]
         if dist is None:
             return None, "unreachable"
-        # at ell == dist on the seed-0 walk pool (best of 5 passes, 2-vCPU Xeon VM) the walk
-        # DP beats the path search 10-17x on walk-r2 and walk-r3, and loses on walk-phs
-        # (0.058 against 0.022 s a pass of 120 files); ROADMAP item 5 replaces this rule
-        at_distance = query.ell == dist and query.mode != "any"
-        solver = "walk" if (query.r <= 1 and query.mode != "exact") or at_distance else "path"
+        if query.ell == dist and query.mode != "any":
+            # no walk is shorter than dist, and a walk of exactly dist arcs is a path
+            query = Query(query.r, dist, "exact")
+            solver = "walk"
+        else:
+            solver = "walk" if query.r <= 1 and query.mode != "exact" else "path"
     if solver == "walk":
         return solve_walk(g, query, stats=stats), "walk-dp"
     if solver == "path":

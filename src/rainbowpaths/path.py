@@ -21,18 +21,27 @@ hold at most Δ^(max(k, r) - 1) keys, Δ the largest in-degree. That is
 polynomial for fixed k and r. Measuring k from ``row[s]`` instead would
 need ``row[s] <= i + row[x]``, which fails when x's shortest rainbow walk
 clashes with the colors before x.
+
+``walk.solve_walk`` asks the same search its exact questions shorter
+than n arcs, with the mask held at 0 and the plain ``g.dist_to_t`` as
+the row: a key is then the walk DP's state, (level, vertex, window). Its
+memos are kept small as the walk DP's cells are, by at most two first
+colors per tail class and then the walk prune's keep, so the windows
+entered at one level and vertex stay bounded by a function of r alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from operator import itemgetter
+from typing import Callable
 
-from .core import _PAD, ColoredDigraph, Query, Witness, rainbow_distances
+from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, rainbow_distances
+from .repfam import ordered_bound, window_keep
 
 
 def _path_search(
-    g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None = None
+    g: ColoredDigraph, r: int, ell: int, mode: str, stats: dict | None = None, *, walk: bool = False
 ) -> tuple[Witness | None, set[tuple]]:
     """Search the path keys depth-first in arc order: the first accepted path or None, and the keys entered.
 
@@ -47,18 +56,36 @@ def _path_search(
     runs at budget n - 1 and "atmost" at ``min(ell, n - 1)``; mode "exact"
     past n - 1, or a gate that refuses g.s, enters no key.
 
+    With ``walk`` set it answers the walk question in mode "exact": the
+    mask stays 0 and the gate reads ``g.dist_to_t``, which every walk
+    respects, so a key is the walk's state (level, vertex, window). The
+    memo files a walk key by (level, vertex) and by its tail, the window
+    less its first color, and a window is entered only while its tail's
+    class holds fewer than two first colors, as in the walk DP's cells:
+    two distinct first colors admit every next color the tail does. Once
+    a memo holds ``ordered_bound(r)`` windows, a new window is entered
+    there only if ``window_keep`` keeps it after the memo's windows. A
+    window dropped either way admits no continuation that an entered one
+    does not, and the entered ones are dead: a key at level p is popped
+    only once the keys entered before it at level p are exhausted, since
+    keys pushed after them come from their descendants, all deeper.
+
     ``stats`` receives ``levels`` (the deepest level entered),
-    ``total_members`` (the keys entered) and ``max_cell`` (the most keys
-    at one level and vertex); a search that enters no key leaves
-    ``levels`` and ``total_members`` at 0.
+    ``total_members`` (the keys entered; ``total_windows`` on a walk,
+    whose keys are its windows), ``max_cell`` (the most keys at one level
+    and vertex) and, once a memo's filter switches on, ``rep_calls`` (the
+    memos filtered); a search that enters no key leaves ``levels`` and
+    that count at 0. The keys returned are the path keys entered; a walk
+    search returns none.
     """
     colors, out_adj, t = g.colors, g.out_neighbors, g.t
     stats = {} if stats is None else stats
+    members = "total_windows" if walk else "total_members"
     stats.setdefault("levels", 0)
-    stats.setdefault("total_members", 0)
+    stats.setdefault(members, 0)
     if mode != "exact":
         ell = g.n - 1 if mode == "any" else min(ell, g.n - 1)
-    row = rainbow_distances(g, r)
+    row = g.dist_to_t if walk else rainbow_distances(g, r)
     if ell >= g.n or row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
         return None, set()
     # x sits in near[p] for p < ell - row[x]; near[ell] and near[ell + 1] are empty
@@ -71,8 +98,17 @@ def _path_search(
     # the colors u adds to a window; at r = 0 windows stay empty, and an
     # empty window admits every color
     added = [(c,)[:r] for c in colors]
-    start = (0, g.s, (1 << g.s) & near[0], ((_PAD,) * (r - 1) + (colors[g.s],))[:r])
+    # the bit u sets in a visited mask; none on a walk
+    bit = [0] * g.n if walk else [1 << u for u in range(g.n)]
+    start = (0, g.s, bit[g.s] & near[0], ((_PAD,) * (r - 1) + (colors[g.s],))[:r])
     seen: set[tuple] = set()
+    # a walk's memo instead: (level, vertex) -> tail -> the first colors
+    # its class took in, as 1-tuples; the windows entered at each (level,
+    # vertex); and, once there are bound of them, the keep after them
+    cells: defaultdict[tuple[int, int], dict[ColorSeq, list[ColorSeq]]] = defaultdict(dict)
+    sizes: dict[tuple[int, int], int] = defaultdict(int)
+    keeps: dict[tuple[int, int], Callable[[ColorSeq], bool]] = {}
+    bound = ordered_bound(r)
     # path[p] is the vertex of the last key entered at level p; every key
     # entered since a key's parent is deeper, so path[:p + 1] is its path
     path = [g.s] * (ell + 1)
@@ -80,24 +116,47 @@ def _path_search(
     stack = [start]
     while stack:
         key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
         p, u, mask, window = key
+        if walk:
+            pu, stem = (p, u), window[1:]
+            firsts = cells[pu].setdefault(stem, [])
+            first = window[:1]
+            if len(firsts) == 2 or first in firsts:
+                continue
+            if sizes[pu] >= bound:
+                keep = keeps.get(pu)
+                if keep is None:
+                    keep = keeps[pu] = window_keep(window, r)
+                    for tail, fs in cells[pu].items():
+                        for f in fs:
+                            keep(f + tail)
+                if not keep(window):
+                    continue
+            firsts.append(first)
+            sizes[pu] += 1
+        elif key in seen:
+            continue
+        else:
+            seen.add(key)
+            stem = window[1:]
         path[p] = u
         if u == t and (mode != "exact" or p == ell):
             witness = Witness(tuple(path[: p + 1]))
             break
-        free, stem, near_next = near[p] ^ mask, window[1:], near[p + 1]
+        free, near_next = near[p] ^ mask, near[p + 1]
         # pushed in reverse, so they pop in arc order
         stack += [
-            (p + 1, v, (mask | 1 << v) & near_next, stem + added[v])
+            (p + 1, v, (mask | bit[v]) & near_next, stem + added[v])
             for v in reversed(out_adj[u])
             if free >> v & 1 and colors[v] not in window
         ]
-    stats["levels"] = max(map(itemgetter(0), seen))
-    stats["total_members"] += len(seen)
-    stats["max_cell"] = max(stats.get("max_cell", 0), *Counter(map(itemgetter(0, 1), seen)).values())
+    if not walk:
+        sizes = Counter(map(itemgetter(0, 1), seen))
+    stats["levels"] = max(p for p, _ in sizes)
+    stats[members] += sum(sizes.values())
+    stats["max_cell"] = max(stats.get("max_cell", 0), *sizes.values())
+    if keeps:
+        stats["rep_calls"] = stats.get("rep_calls", 0) + len(keeps)
     return witness, seen
 
 

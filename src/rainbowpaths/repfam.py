@@ -1,20 +1,25 @@
-"""Representative set families, the pruning engine behind the walk DP.
+"""Representative set families, the pruning engine behind the walk solvers.
 
 A q-representative of a family of p-element sets preserves, for every
 obstruction set Y with |Y| <= q, the existence of a member disjoint from Y.
-The walk DP's ordered variant reduces to it through ``core.slot_set``;
-the path search does not prune.
-``representative_keep`` computes one greedily in plain Python: it keeps a
-set when some obstruction avoids it and meets every set kept before it.
-Frankl's skew version of Bollobás's theorem bounds what it keeps. The
-definitional checks the tests hold a prune to live in ``tests/reference.py``.
+``RepresentativeFamily`` grows one greedily, online: ``offer`` keeps a set
+when some obstruction avoids it and meets every set kept before it.
+Frankl's skew version of Bollobás's theorem bounds what it keeps.
+``representative_keep`` runs it over a whole family, and ``window_keep``
+over walk windows through ``core.slot_set``: the walk DP prunes its
+cells with it, and the exact walk search tests each (level, vertex)
+memo's new windows against its dead ones. The path question does not
+prune. The definitional checks the tests hold a prune to live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
+
+from .core import ColorSeq, slot_set
 
 
 def unordered_bound(p: int, q: int) -> int:
@@ -34,21 +39,46 @@ def ordered_bound(r: int) -> int:
         return math.floor(sys.float_info.max)
 
 
+class RepresentativeFamily:
+    """A q-representative subfamily, grown online from the sets offered to it.
+
+    ``offer`` keeps a set iff some obstruction Y of at most q elements
+    avoids it and meets every set kept before it. This is exact: a
+    dropped set has no such Y, so every Y it avoids also avoids a kept
+    set. Of equal sets only the first is kept.
+
+    The sets offered must be equally sized and all contain ``core``; such
+    a Y misses the core. ``hitting`` holds Ys of at most q elements
+    outside the core that meet every kept set, among them every minimal
+    one, so a set is kept iff one of them avoids it. The kept sets less
+    the core, each with a Y that avoids it and meets every set kept
+    before it, form a skew Bollobás system, so at most
+    unordered_bound(p - |core|, q) sets are kept.
+    """
+
+    def __init__(self, q: int, core: Iterable[int] = ()):
+        self.q = q
+        self.core = frozenset(core)
+        self.hitting = {frozenset()}
+
+    def offer(self, s: Iterable[int]) -> bool:
+        """Keep ``s`` if some obstruction avoids it and every set kept so far; say whether it was kept."""
+        row, hitting, q = frozenset(s), self.hitting, self.q
+        if not any(y.isdisjoint(row) for y in hitting):
+            return False
+        fresh = row - self.core
+        self.hitting = {y for y in hitting if not y.isdisjoint(row)} | {
+            y | {x} for y in hitting if len(y) < q and y.isdisjoint(row) for x in fresh
+        }
+        return True
+
+
 def representative_keep(sets: Sequence[Sequence[int]], q: int) -> list[int]:
     """Indices of a q-representative subfamily of ``sets``, in input order.
 
-    The sets must be equally sized sets of integers. They are read in
-    input order, and a set is kept iff some obstruction Y of at most q
-    elements avoids it and meets every set kept before it. This is exact:
-    a dropped set has no such Y, so every Y it avoids also avoids a kept
-    set. Of equal sets only the first is kept.
-
-    Such a Y misses the core C of elements every set contains. ``hitting``
-    holds Ys of at most q elements outside C that meet every kept set,
-    among them every minimal one, so a set is kept iff one of them avoids
-    it. The kept sets less C, each with a Y that avoids it and meets
-    every set kept before it, form a skew Bollobás system, so at most
-    unordered_bound(p - |C|, q) sets are kept.
+    The sets must be equally sized sets of integers. They are offered in
+    input order to a ``RepresentativeFamily`` whose core is the elements
+    every set contains, so at most unordered_bound(p - |core|, q) are kept.
 
     Raises:
         ValueError: if q < 0, or the sets differ in size or repeat an
@@ -63,14 +93,21 @@ def representative_keep(sets: Sequence[Sequence[int]], q: int) -> list[int]:
     rows = [frozenset(s) for s in sets]
     if any(len(row) < len(s) for row, s in zip(rows, sets)):
         raise ValueError("a set repeats an element")
-    core = frozenset.intersection(*rows)
-    hitting = {frozenset()}
-    keep = []
-    for i, row in enumerate(rows):
-        if not any(y.isdisjoint(row) for y in hitting):
-            continue
-        keep.append(i)
-        hitting = {y for y in hitting if not y.isdisjoint(row)} | {
-            y | {x} for y in hitting if len(y) < q and y.isdisjoint(row) for x in row - core
-        }
-    return keep
+    family = RepresentativeFamily(q, frozenset.intersection(*rows))
+    return [i for i, row in enumerate(rows) if family.offer(row)]
+
+
+def window_keep(window: ColorSeq, r: int) -> Callable[[ColorSeq], bool]:
+    """The online ordered keep, at r >= 1, for the windows of one walk cell, ``window`` among them.
+
+    Every window of a cell ends in its vertex's color, and position r of
+    a continuation is blocked only by a window's last color, so those
+    slots are core, which no obstruction needs, and the windows are kept
+    at q = r - 1. Their ``_PAD`` entries, the same in each window, give
+    negative slots that are core too. A cell's windows also share their
+    length, so at most C(r(r - 1)/2 + r - 1, r - 1) of them are kept.
+    The keep answers, for each window offered in turn, whether it is kept.
+    """
+    core = [x for x in slot_set(window, r) if x < 0 or x // r == window[-1]]
+    offer = RepresentativeFamily(r - 1, core).offer
+    return lambda w: offer(slot_set(w, r))

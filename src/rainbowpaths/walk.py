@@ -1,23 +1,29 @@
 """Locally rainbow walk solver.
 
-``solve_walk`` answers every walk query, in all three modes and at every
-radius, with one layered dynamic program over trailing color windows,
-with no visited set. A window of r colors blocks the next color with its
-first color and with its (r - 1)-color tail, and the successors it steps
-to depend on the tail alone. So a cell maps each tail to at most two
-first colors: two distinct first colors admit every next color outside
-the tail, one admits all of those but itself, and a third adds nothing.
-A successor's tail is its predecessor's stem (the tail less its first
-color) plus its own color, so tails that share a stem feed one class at
-each successor; the expansion groups a cell's tails by stem, looks that
-class up once per group and feeds it until it holds two first colors. In
-modes "atmost" and "any" a class also keeps its first colors across
-levels, so the DP is a breadth-first search over (vertex, window) states
-that finds a shortest walk, and at radius 0 and 1 a path. Every window
-of a cell ends in the cell's color, so at r = 2 a cell holds at most two
-windows. Cells that still outgrow ``ordered_bound(r)`` are pruned with
-ordered representative families at q = r - 1, the shared color's slots
-stripped, which bounds cell sizes by a function of the radius alone.
+``solve_walk`` answers walk queries over (level, vertex, trailing color
+window) states, with no visited set, by one of two engines. An exact
+question of fewer than n arcs goes to the depth-first search of
+``path._path_search``, which stops at its first accepted walk. Every
+other question goes to a layered dynamic program that holds one level at
+a time: an exact one of n arcs or more, where the search would keep a
+memo of ell levels, and modes "atmost" and "any". A window of r colors
+blocks the next color with its first color and with its (r - 1)-color
+tail, and the successors it steps to depend on the tail alone. So a cell
+maps each tail to at most two first colors: two distinct first colors
+admit every next color outside the tail, one admits all of those but
+itself, and a third adds nothing. A successor's tail is its
+predecessor's stem (the tail less its first color) plus its own color,
+so tails that share a stem feed one class at each successor; the
+expansion groups a cell's tails by stem, looks that class up once per
+group and feeds it until it holds two first colors. In modes "atmost"
+and "any" a class also keeps its first colors across levels, so the DP
+is a breadth-first search over (vertex, window) states that finds a
+shortest walk, and at radius 0 and 1 a path. Every window of a cell ends
+in the cell's color, so at r = 2 a cell holds at most two windows. Cells
+that still outgrow ``ordered_bound(r)`` are pruned with ordered
+representative families at q = r - 1, the shared color's slots stripped,
+which bounds cell sizes by a function of the radius alone. The search
+keeps its memos small by the same two rules.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, slot_set, unwind
-from .repfam import ordered_bound, representative_keep
+from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, unwind
+from .path import _path_search
+from .repfam import ordered_bound, window_keep
 
 # tail -> first color -> link, where a link is (vertex, link) for the walk
 # before the window's vertex, or None at s
@@ -36,23 +43,16 @@ WalkCell = dict[ColorSeq, dict[int, Any]]
 def prune_window_cell(cell: WalkCell, r: int) -> WalkCell:
     """Replace a walk cell by an ordered representative of its windows, at r >= 1.
 
-    Every window of a cell ends in its vertex's color, and position r of a
-    continuation is blocked only by a window's last color, so those slots
-    are core, which no obstruction needs, and the windows are pruned at
-    q = r - 1. Their ``_PAD`` entries, the same in each window, give
-    negative slots that are core too. A cell's windows also share their
-    length, so at most C(r(r - 1)/2 + r - 1, r - 1) of them are kept.
-
-    The keep reads the windows in cell order, so which windows it keeps
-    follows that order. The kept entries are filed back in cell order,
-    links untouched.
+    ``window_keep`` reads the windows in cell order, so which windows it
+    keeps follows that order. The kept entries are filed back in cell
+    order, links untouched.
     """
-    entries = [(tail, first, link) for tail, firsts in cell.items() for first, link in firsts.items()]
-    keep = representative_keep([slot_set((first,) + tail, r) for tail, first, _ in entries], r - 1)
+    entries = [((first,) + tail, tail, first, link) for tail, firsts in cell.items() for first, link in firsts.items()]
+    keep = window_keep(entries[0][0], r)
     pruned: WalkCell = {}
-    for i in keep:
-        tail, first, link = entries[i]
-        pruned.setdefault(tail, {})[first] = link
+    for window, tail, first, link in entries:
+        if keep(window):
+            pruned.setdefault(tail, {})[first] = link
     return pruned
 
 
@@ -199,10 +199,13 @@ def _last_level(
 def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) -> Witness | None:
     """Decide existence of a locally rainbow s-t walk within a length bound.
 
+    Mode "exact" below n arcs runs the search, whose first accepted walk
+    is the witness; everything else runs the layered program.
+
     Args:
         g: the colored digraph.
         query: radius, length bound, and mode; mode "any" ignores the bound.
-        stats: optional dict populated with DP size counters.
+        stats: optional dict populated with the engine's size counters.
 
     Returns:
         A witness walk, or None. Outside mode "exact" the witness is a
@@ -211,7 +214,12 @@ def solve_walk(g: ColoredDigraph, query: Query, *, stats: dict | None = None) ->
     # a radius past num_colors changes no answer: a walk of at most
     # num_colors vertices must be rainbow at either, and a longer one would
     # need num_colors + 1 distinct colors in one window
-    cell = _last_level(g, min(query.r, g.num_colors), query.ell, query.mode, stats).get(g.t)
+    r = min(query.r, g.num_colors)
+    # below n arcs the search's memo spans fewer than n levels; from n on it
+    # would grow with ell, and the program keeps one level
+    if query.mode == "exact" and query.ell < g.n:
+        return _path_search(g, r, query.ell, "exact", stats, walk=True)[0]
+    cell = _last_level(g, r, query.ell, query.mode, stats).get(g.t)
     if cell is None:
         return None
     return unwind(g.t, next(iter(next(iter(cell.values())).values())))

@@ -6,7 +6,7 @@ import io
 import random
 import sys
 
-from rainbowpaths import ColoredDigraph, ordered_bound, representative_keep, slot_set
+from rainbowpaths import ColoredDigraph, ordered_bound, path, representative_keep, slot_set
 from rainbowpaths.cli import main as cli_main
 from rainbowpaths.core import _PAD
 from reference import is_window_representative
@@ -98,41 +98,69 @@ def cell_windows(cell) -> list[tuple[int, ...]]:
 
 
 class PruneChecker:
-    """Stands in for ``module.prune_window_cell`` and checks what the prunes it passes on keep.
+    """Stands in for ``module.prune_window_cell`` and ``path.window_keep``, and checks what their prunes keep.
 
     Every cell it is given must hold more than ``ordered_bound(r)``
     windows, the walk DP's one prune trigger, all ending in one color, as
-    the prune's q = r - 1 assumes; ``calls`` counts them.
+    the prune's q = r - 1 assumes. The search switches a memo's filter on
+    when a window arrives at a memo of ``ordered_bound(r)`` windows, so a
+    filter is offered the memo's windows and then every later one.
+    ``calls`` counts the prunes and the filters.
     Each prune is checked against the definition of an ordered
-    representative, up to ``per_trial`` of them between calls to
-    ``next_trial``, since the exhaustive check costs far more than the prune.
+    representative, up to ``per_trial`` of them before ``end_trial``,
+    since the exhaustive check costs far more than the prune. A filter is
+    checked at ``end_trial``: the windows it kept against all it was offered.
     The check draws continuations from the kept windows' colors and r
     colors outside the cell: a color no kept window holds blocks no kept
     window, so renaming it to an outside color keeps any counterexample one.
     """
 
     def __init__(self, monkeypatch, module, per_trial: int):
-        self.prune = module.prune_window_cell
+        self.prune, self.keep = module.prune_window_cell, path.window_keep
         self.per_trial = self.left = per_trial
         self.checked = self.calls = 0
+        # (r, windows offered, windows kept) of each filter yet to be checked
+        self.filters: list[tuple[int, list, list]] = []
         monkeypatch.setattr(module, "prune_window_cell", self)
+        monkeypatch.setattr(path, "window_keep", self.window_keep)
 
     def __call__(self, cell, r):
         self.calls += 1
         assert sum(map(len, cell.values())) > ordered_bound(r), "a cell within the bound was pruned"
-        windows = cell_windows(cell)
-        assert len({w[-1] for w in windows}) == 1, "a cell's windows end in several colors"
         kept = self.prune(cell, r)
+        self.check(cell_windows(kept), cell_windows(cell), r)
+        return kept
+
+    def window_keep(self, window, r):
+        self.calls += 1
+        keep = self.keep(window, r)
+        offered: list = []
+        kept: list = []
+        self.filters.append((r, offered, kept))
+
+        def recorded(w):
+            offered.append(w[w.count(_PAD):])
+            if keep(w):
+                kept.append(offered[-1])
+                return True
+            return False
+
+        return recorded
+
+    def check(self, kept_windows, windows, r) -> None:
+        assert len({w[-1] for w in windows}) == 1, "a cell's windows end in several colors"
         if self.left:
             self.left -= 1
             self.checked += 1
-            kept_windows = cell_windows(kept)
             outside = max(c for w in windows for c in w) + 1
             palette = sorted({c for w in kept_windows for c in w}) + list(range(outside, outside + r))
             assert is_window_representative(kept_windows, windows, r, palette), (len(kept_windows), len(windows))
-        return kept
 
-    def next_trial(self) -> None:
+    def end_trial(self) -> None:
+        for r, offered, kept in self.filters:
+            assert len(offered) > ordered_bound(r), "a filter switched on within the bound"
+            self.check(kept, offered, r)
+        self.filters.clear()
         self.left = self.per_trial
 
 

@@ -54,7 +54,7 @@ def test_auto_dispatch_matches_path_oracle():
         if dist is None:
             continue
         symmetric += 1
-        # at the distance, r = 2 goes to the walk DP like every larger radius
+        # at the distance, r = 2 goes to the walk solver like every larger radius
         assert check_auto(g, Query(2, dist, rng.choice(("atmost", "exact"))), names) == "walk-dp"
     assert set(names) == AUTO_NAMES, names
 
@@ -62,9 +62,9 @@ def test_auto_dispatch_matches_path_oracle():
 def test_an_auto_solve_runs_one_bfs(monkeypatch):
     """An auto solve runs one plain BFS; a path-dp solve at r >= 2 also searches for one rainbow row.
 
-    Auto reads dist(s, t) from ``g.dist_to_t``, the row the walk DP gates
-    on, so a fresh graph runs one BFS over the plain graph. The path search
-    gates on ``rainbow_distances(g, r)``: at r <= 1 that is
+    Auto reads dist(s, t) from ``g.dist_to_t``, the row both walk engines
+    gate on, so a fresh graph runs one BFS over the plain graph. The path
+    question gates on ``rainbow_distances(g, r)``: at r <= 1 that is
     ``g.dist_to_t`` again, and at r >= 2 a search of its own.
     """
     calls = []

@@ -16,7 +16,7 @@ from rainbowpaths import (
     solve_walk,
     verify_witness,
 )
-from rainbowpaths import walk
+from rainbowpaths import path, repfam, walk
 from rainbowpaths.core import _PAD
 from rainbowpaths.walk import prune_window_cell
 from reference import is_window_representative
@@ -106,18 +106,29 @@ def test_walk_matches_oracle_at_radius_4_to_6():
 
 
 def test_prune_cell_keeps_small_cells_verbatim(monkeypatch):
-    """Cells within ordered_bound(r) never reach the prune, and one with nothing to cut comes back equal.
+    """Cells and memos within ordered_bound(r) are never filtered, and a cell with nothing to cut comes back equal.
 
-    ``PruneChecker`` checks that the cells that do reach it are past the bound.
+    ``PruneChecker`` checks that the cells and memos that do reach a
+    filter are past the bound. Radius-3 fans of width 250 at exact ell 5
+    are NO, and their memos hold about 470 windows, below
+    ordered_bound(3) = 542, so the search enters every window whole.
     """
     checker = PruneChecker(monkeypatch, walk, per_trial=0)
     biggest = 0
     for trial in range(40):
-        g, q = gen_random(9, 0.5, 5, 2 + trial % 2, 6, seed=6000 + trial, mode="exact")
-        stats: dict = {}
-        solve_walk(g, q, stats=stats)
-        biggest = max(biggest, stats.get("max_cell", 0))
-    assert checker.calls == 0 and biggest >= 8, biggest
+        for mode in ("atmost", "exact"):
+            g, q = gen_random(9, 0.5, 5, 2 + trial % 2, 6, seed=6000 + trial, mode=mode)
+            stats: dict = {}
+            solve_walk(g, q, stats=stats)
+            assert "rep_calls" not in stats, (trial, mode)
+    for trial in range(4):
+        g = fan(random.Random(90_000 + trial), 250, (1, 2, 256)[trial % 3])
+        stats = {}
+        assert solve_walk(g, Query(3, 5, "exact"), stats=stats) is None
+        assert "rep_calls" not in stats, trial
+        biggest = max(biggest, stats["max_cell"])
+    checker.end_trial()
+    assert checker.calls == 0 and 400 <= biggest <= ordered_bound(3), biggest
     # two windows of one tail at r = 2: each alone avoids the other's first color
     cell = {(9,): {0: "a", 1: "b"}}
     assert prune_window_cell(cell, 2) == cell
@@ -260,23 +271,23 @@ def test_stats_are_recorded():
 
 
 def test_walk_cells_prune_inside_solves(monkeypatch):
-    """Radius-3 fans make walk cells outgrow ordered_bound(3) mid-solve.
+    """Radius-3 fans make walk cells and memos outgrow ordered_bound(3) mid-solve.
 
     A hub's windows (x, m, hub) have one (r - 1)-color tail per middle
     vertex m and one of two first colors x, so the tail dedupe keeps them
     all: about 2 * 0.96^2 * 300 > ordered_bound(3) = 542 of them, which
-    the ordered prune must cut. The graphs are acyclic, so answers and
-    witnesses are checked against the path oracle, and the first prunes of
-    each trial keep an ordered representative of their cell.
+    the ordered prune must cut. Every s-t path has 4 arcs, so exact ell 5
+    is NO, and the search passes the hubs' and t's memos through their
+    filters. The graphs are acyclic, so answers and witnesses are checked
+    against the path oracle, and the first prunes and filters of each
+    trial keep an ordered representative of their windows.
     """
     width = 300
     rep_calls = 0
-    checker = PruneChecker(monkeypatch, walk, per_trial=3)
+    checker = PruneChecker(monkeypatch, walk, per_trial=4)
     for trial in range(4):
-        checker.next_trial()
         g = fan(random.Random(90_000 + trial), width, (1, 2, width + 6)[trial % 3])
-        for mode in ("atmost", "exact"):
-            q = Query(3, 4, mode)
+        for q in (Query(3, 4, "atmost"), Query(3, 4, "exact"), Query(3, 5, "exact")):
             stats: dict = {}
             mine = solve_walk(g, q, stats=stats)
             ref = oracle_path(g, q)
@@ -285,8 +296,9 @@ def test_walk_cells_prune_inside_solves(monkeypatch):
                 assert verify_witness(g, q, mine.vertices) == []
             assert stats["max_cell"] <= ordered_bound(3), (trial, q)
             rep_calls += stats.get("rep_calls", 0)
+        checker.end_trial()
     assert rep_calls >= 22, rep_calls
-    assert checker.checked >= 12, checker.checked
+    assert checker.checked >= 16, checker.checked
 
 
 def test_radius2_walk_cells_hold_two_windows():
@@ -386,6 +398,88 @@ def test_a_stem_run_skips_blocked_tails_and_fills_a_class_to_two():
     assert walk._last_level(g, 3, 4, "exact", None) == {
         8: {(4, 5): {2: (7, (5, (2, (0, None)))), 3: (7, (6, (3, (0, None))))}}
     }
+
+
+def test_exact_walks_go_round_a_cycle_past_n_minus_one_arcs():
+    """Exact walks of up to 1,001 arcs around a 3-cycle, YES exactly when ell is 2 mod 3 and at least 5.
+
+    The exit color 0 clashes with s's window at vertex 1, so a walk must
+    lap the cycle 1 -> 2 -> 3 -> 1 at least once, and each lap adds 3
+    arcs. Seven isolated vertices make n = 12, so the search answers up to
+    ell = 11, meeting one (vertex, window) at levels 3 apart, which its
+    memo must tell apart, and the level DP answers from ell = 12 on.
+    """
+    g = ColoredDigraph(12, (0, 1, 2, 3, 0) + tuple(range(4, 11)), ((0, 1), (1, 2), (2, 3), (3, 1), (1, 4)), 0, 4)
+    for ell in list(range(18)) + [1_000, 1_001]:
+        q = Query(2, ell, "exact")
+        mine = solve_walk(g, q)
+        assert (mine is not None) == (ell >= 5 and ell % 3 == 2), ell
+        if ell < 18:
+            assert (mine is None) == (oracle_walk(g, q) is None), ell
+        if mine is not None:
+            assert verify_witness(g, q, mine.vertices) == [], ell
+    assert solve_walk(g, Query(2, 8, "exact")) == Witness((0, 1, 2, 3, 1, 2, 3, 1, 4))
+
+
+def test_an_exact_walk_far_past_n_arcs_on_a_dag_answers_at_once():
+    """Exact ell = 10**9 on a 5-vertex chain is NO as soon as the DP's levels empty.
+
+    No walk of a DAG has n arcs, so nothing the solve allocates may grow
+    with ell; the level DP stops at its first empty level.
+    """
+    stats: dict = {}
+    assert solve_walk(chain((0, 1, 2, 3, 4)), Query(2, 10**9, "exact"), stats=stats) is None
+    assert stats["levels"] == 5, stats
+
+def test_exact_walk_filters_switched_on_early_match_oracle(monkeypatch):
+    """With the memo filter's trigger forced down to 1 or 2 windows, exact walk answers still match the oracle.
+
+    A filter then switches on at most memos, padded ones among them, and
+    admits windows past the trigger. Each filter's core holds the slots
+    every window of its memo shares as u's color or as padding: r slots
+    of one color and the negative slots of the ``_PAD`` entries.
+    """
+    families = []
+
+    class Recorded(repfam.RepresentativeFamily):
+        def __init__(self, q, core=()):
+            super().__init__(q, core)
+            self.rows, self.kept = [], []
+            families.append(self)
+
+        def offer(self, s):
+            self.rows.append(frozenset(s))
+            self.kept.append(super().offer(s))
+            return self.kept[-1]
+
+    monkeypatch.setattr(repfam, "RepresentativeFamily", Recorded)
+    rng = random.Random(77)
+    admitted = padded = yes = 0
+    for trial in range(300):
+        bound = rng.randint(1, 2)
+        monkeypatch.setattr(path, "ordered_bound", lambda r: bound)
+        g, q = gen_random(
+            rng.randint(7, 11), 0.6, rng.randint(5, 8), rng.randint(3, 4), rng.randint(2, 8), seed=14_000 + trial, mode="exact"
+        )
+        families.clear()
+        stats: dict = {}
+        mine = solve_walk(g, q, stats=stats)
+        ref = oracle_walk(g, q)
+        assert (mine is None) == (ref is None), (trial, q)
+        if mine is not None:
+            yes += 1
+            assert verify_witness(g, q, mine.vertices) == [], (trial, q)
+        r = min(q.r, g.num_colors)
+        assert stats.get("rep_calls", 0) == len(families), trial
+        for family in families:
+            for row in family.rows:
+                assert family.core <= row and {x for x in row if x < 0} <= family.core, trial
+            assert len({x // r for x in family.core if x >= 0}) == 1, trial
+            assert len([x for x in family.core if x >= 0]) == r, trial
+            padded += min(family.core) < 0
+            # the first bound rows are the memo's dead windows, the rest arrived at the filter
+            admitted += any(family.kept[bound:])
+    assert yes >= 150 and padded >= 45 and admitted >= 280, (yes, padded, admitted)
 
 
 def test_exact_walk_keeps_the_second_window_of_a_tail_around_a_cycle():
