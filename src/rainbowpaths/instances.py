@@ -10,7 +10,6 @@ Random instances and a small line-oriented file format round things out.
 from __future__ import annotations
 
 import logging
-import operator
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -20,6 +19,8 @@ from .core import ColoredDigraph, Query, _check_ints
 logger = logging.getLogger(__name__)
 
 FORMAT_HEADER = "rainbow 1"
+# deletes the characters of an integer token, leaving a canonical arc line's one space
+_ID_CHARS = str.maketrans("", "", "0123456789-")
 
 
 @dataclass(frozen=True)
@@ -306,20 +307,38 @@ def _ints(tokens: list[str]) -> list[int]:
 def _arcs(n: int, arc_lines: list[str]) -> tuple[tuple[int, int], ...] | None:
     """The arcs of the arc lines, each at its first line; None if any line is at fault.
 
-    Each fact is checked once over all lines: two tokens per line, the
-    integer grammar, ids in [0, n) and no self-loops.
+    Each fact is checked once over all lines. Lines that are two runs of
+    ASCII digits and '-' around one space, the shape ``write_instance``
+    emits, are split in one pass over their join; any other line shape
+    takes a split per line and a two-token check. Each token is looked up
+    in a table of the ids "0" .. str(n - 1), which checks the integer
+    grammar and the range together; a token outside it ('01', '-0', a
+    fault) sends all tokens through ``_ints`` and a range check. The n
+    self-loops are looked up in the arcs, not the arcs in the self-loops.
     """
-    pairs = list(map(str.split, arc_lines))
-    if not set(map(len, pairs)) <= {2}:
-        return None
+    block = "\n".join(arc_lines)
+    if block.translate(_ID_CHARS) == "\n".join([" "] * len(arc_lines)):
+        tokens = block.split()
+    else:
+        pairs = list(map(str.split, arc_lines))
+        if not set(map(len, pairs)) <= {2}:
+            return None
+        tokens = list(chain.from_iterable(pairs))
+    ids = {str(i): i for i in range(n)}
     try:
-        ends = _ints(list(chain.from_iterable(pairs)))
-    except ValueError:
+        ends = list(map(ids.__getitem__, tokens))
+    except KeyError:
+        try:
+            ends = _ints(tokens)
+        except ValueError:
+            return None
+        if ends and (min(ends) < 0 or max(ends) >= n):
+            return None
+    it = iter(ends)
+    arcs = dict.fromkeys(zip(it, it))
+    if not arcs.keys().isdisjoint(zip(range(n), range(n))):
         return None
-    tails, heads = ends[0::2], ends[1::2]
-    if ends and (min(ends) < 0 or max(ends) >= n or any(map(operator.eq, tails, heads))):
-        return None
-    return tuple(dict.fromkeys(zip(tails, heads)))
+    return tuple(arcs)
 
 
 def _walk_arc_lines(n: int, numbered: list[tuple[int, str]]) -> None:
@@ -354,8 +373,13 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
 
     The colors and arcs are checked once, in bulk: the integer grammar,
     dense colors, two ids per arc line, ids in range and no self-loops; a
-    repeated arc keeps its first line, with a warning. The graph is built
-    through ``ColoredDigraph._checked``, which checks only the terminals.
+    repeated arc keeps its first line, with a warning. Arc lines in the
+    shape ``write_instance`` emits ("u v", one space, ids as written by
+    ``str``) take the bulk route of ``_arcs``; other whitespace and
+    spellings such as '01' are read alike, at the cost of a split or an
+    ``int`` per token. A fault sends the arc lines to ``_walk_arc_lines``,
+    which names it. The graph is built through ``ColoredDigraph._checked``,
+    which checks only the terminals.
     """
     lines = text.splitlines()
     if "#" in text:

@@ -4,14 +4,17 @@ Exhaustive and deliberately simple: window compatibility straight from
 the locality definition, the (color, position) slots a window blocks,
 which ``core.slot_set`` encodes, the definitional checks of a
 representative family of sets and of color windows, the greedy keep rule
-the prune applies, the gated simple prefixes the path search keys, and
-the distance separators of a path (a short detour has one every 2k + 1
-steps).
+the prune applies, the gated simple prefixes the path search keys, the
+distance separators of a path (a short detour has one every 2k + 1
+steps), and a line-by-line reader of the instance file format.
 """
 from __future__ import annotations
 
+import re
 from itertools import combinations, product
 from typing import Iterable, Sequence
+
+from rainbowpaths import ColoredDigraph, Query
 
 ColorSeq = tuple[int, ...]
 
@@ -164,3 +167,81 @@ def distance_separators(path: tuple[int, ...], d: Sequence[int | None]) -> list[
         if before and after:
             separators.append(i)
     return separators
+
+
+def read_instance_lines(text: str, warnings: list[str]) -> tuple[ColoredDigraph, Query]:
+    """Read an instance file one line at a time, checking each fact where its line is read.
+
+    Each content line (text before '#', stripped, not blank) is split on
+    whitespace, and every integer is an optional '-' then ASCII digits.
+    The faults are looked for in line order, and the first one raises
+    ValueError with its 1-based line number. Returns the graph (built by
+    the public constructor, each arc at its first line) and the query; the
+    warning of each repeated arc line read is appended to ``warnings``.
+    """
+
+    def integers(tokens: list[str]) -> list[int]:
+        if not all(re.fullmatch("-?[0-9]+", tok) for tok in tokens):
+            raise ValueError(tokens)
+        return [int(tok) for tok in tokens]
+
+    content = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            content.append((lineno, line))
+    if not content:
+        raise ValueError("empty instance")
+    lineno, line = content[0]
+    if line != "rainbow 1":
+        raise ValueError(f"line {lineno}: expected header 'rainbow 1', got {line!r}")
+    if len(content) < 2:
+        raise ValueError("missing size line")
+    lineno, line = content[1]
+    try:
+        n, m = integers(line.split())
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected 'n m', got {line!r}") from None
+    if n < 0 or m < 0:
+        raise ValueError(f"line {lineno}: n and m must be non-negative, got {line!r}")
+    if n < 2:
+        raise ValueError(f"line {lineno}: graph needs at least two vertices")
+    if len(content) != m + 4:
+        raise ValueError(f"expected {m + 4} content lines for n={n}, m={m}, got {len(content)}")
+    lineno, line = content[2]
+    if len(line.split()) != n:
+        raise ValueError(f"line {lineno}: expected {n} colors, got {len(line.split())}")
+    try:
+        colors = integers(line.split())
+    except ValueError:
+        raise ValueError(f"line {lineno}: colors must be integers") from None
+    if min(colors) < 0:
+        raise ValueError(f"line {lineno}: colors must be non-negative")
+    if set(colors) != set(range(max(colors) + 1)):
+        raise ValueError(f"line {lineno}: colors must form a dense range starting at 0")
+    arcs: list[tuple[int, int]] = []
+    for lineno, line in content[3:-1]:
+        try:
+            u, v = integers(line.split())
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected arc 'u v', got {line!r}") from None
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {lineno}: arc ({u}, {v}) out of range")
+        if (u, v) in arcs:
+            warnings.append(f"line {lineno}: duplicate arc {(u, v)} collapsed")
+        else:
+            arcs.append((u, v))
+    lineno, line = content[-1]
+    parts = line.split()
+    if len(parts) != 5:
+        raise ValueError(f"line {lineno}: expected 's t r ell mode', got {line!r}")
+    try:
+        s, t, r, ell = integers(parts[:4])
+    except ValueError:
+        raise ValueError(f"line {lineno}: s, t, r, ell must be integers") from None
+    try:
+        return ColoredDigraph(n, tuple(colors), tuple(arcs), s, t), Query(r, ell, parts[4])
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None

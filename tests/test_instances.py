@@ -6,6 +6,8 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from rainbowpaths import (
@@ -29,6 +31,7 @@ from rainbowpaths import (
     verify_witness,
     write_instance,
 )
+from reference import read_instance_lines
 
 
 def test_phs_input_canonicalizes():
@@ -392,6 +395,115 @@ def test_parse_builds_the_graph_the_public_constructor_builds(caplog):
         assert g.out_neighbors == want.out_neighbors, trial
         assert g.in_neighbors == want.in_neighbors, trial
     assert duplicated > 20
+
+
+# rewrites of one end of one arc line of a ``write_instance`` file
+TOKEN_MUTATIONS = {
+    "leading zero": lambda tok, n: "0" + tok,
+    "minus": lambda tok, n: "-" + tok,  # '-0' at id 0, a negative id elsewhere
+    "plus": lambda tok, n: "+" + tok,
+    "underscore": lambda tok, n: tok + "_0",
+    "arabic-indic digits": lambda tok, n: tok.translate(dict(zip(range(0x30, 0x3A), range(0x660, 0x66A)))),
+    "double minus": lambda tok, n: "--" + tok,
+    "id n": lambda tok, n: str(n),
+}
+# rewrites of one arc line "u v", given the file's arc lines
+LINE_MUTATIONS = {
+    "self-loop": lambda u, v, other: f"{u} {u}",
+    "repeated line": lambda u, v, other: other,
+    "tab": lambda u, v, other: f"{u}\t{v}",
+    "double space": lambda u, v, other: f"{u}  {v}",
+    "third token": lambda u, v, other: f"{u} {v} {v}",
+    "tab and third token": lambda u, v, other: f"{u}\t{v} {v}",
+    "missing token": lambda u, v, other: f"{u}",
+}
+MUTATION = st.one_of(
+    st.tuples(st.sampled_from(sorted(TOKEN_MUTATIONS)), st.integers(0, 999), st.integers(0, 1)),
+    st.tuples(st.sampled_from(sorted(LINE_MUTATIONS)), st.integers(0, 999), st.integers(0, 999)),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 12),
+    colors=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    mutations=st.lists(MUTATION, min_size=1, max_size=3),
+)
+def test_parse_agrees_with_the_line_by_line_reference(caplog, n, colors, seed, mutations):
+    # one to three arc lines are rewritten, so the first fault in line
+    # order and the warnings before it are compared too
+    g, q = gen_random(n, 0.4, colors, 2, 5, seed=seed)
+    assume(g.arcs)
+    lines = write_instance(g, q).splitlines()
+    canonical = lines[3:-1]
+    for kind, index, which in mutations:
+        at = index % len(g.arcs)
+        u, v = canonical[at].split()
+        if kind in TOKEN_MUTATIONS:
+            ends = [u, v]
+            ends[which] = TOKEN_MUTATIONS[kind](ends[which], n)
+            lines[3 + at] = " ".join(ends)
+        else:
+            lines[3 + at] = LINE_MUTATIONS[kind](u, v, canonical[which % len(g.arcs)])
+    text = "\n".join(lines) + "\n"
+    want_warnings: list[str] = []
+    try:
+        want = read_instance_lines(text, want_warnings)
+    except ValueError as exc:
+        want = str(exc)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rainbowpaths.instances"):
+        try:
+            got = parse_instance(text)
+        except ValueError as exc:
+            got = str(exc)
+    assert got == want
+    assert [rec.getMessage() for rec in caplog.records] == want_warnings
+
+
+def test_parse_reads_a_file_with_no_arc_lines():
+    g, q = parse_instance("rainbow 1\n2 0\n0 1\n0 1 1 1 atmost\n")
+    assert g.arcs == () and g.n == 2 and q == Query(1, 1, "atmost")
+
+
+def test_parse_reads_canonical_and_tab_separated_arc_lines_alike():
+    g, q = gen_random(9, 0.5, 3, 2, 6, seed=5)
+    lines = write_instance(g, q).splitlines()
+    for at in range(3, len(lines) - 1, 2):
+        lines[at] = lines[at].replace(" ", "\t")
+    assert parse_instance("\n".join(lines) + "\n") == (g, q)
+
+
+def test_parse_collapses_a_zero_padded_repeat_at_its_later_line(caplog):
+    with caplog.at_level(logging.WARNING, logger="rainbowpaths.instances"):
+        g, q = parse_instance("rainbow 1\n3 3\n0 1 2\n0 1\n00 01\n1 2\n0 2 2 2 atmost\n")
+    assert g.arcs == ((0, 1), (1, 2))
+    assert [rec.getMessage() for rec in caplog.records] == ["line 5: duplicate arc (0, 1) collapsed"]
+
+
+def _canonical_file(n, arcs):
+    body = ["rainbow 1", f"{n} {len(arcs)}", " ".join(str(v % 3) for v in range(n))]
+    return "\n".join(body + [f"{u} {v}" for u, v in arcs] + [f"0 {n - 1} 2 5 atmost"]) + "\n"
+
+
+def test_parse_names_a_canonical_fault_deep_in_a_large_file():
+    n = 40
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v][:1000]
+    assert parse_instance(_canonical_file(n, arcs))[0].arcs == tuple(arcs)
+    # arc 900 sits on line 903: the header, sizes and colors come first
+    for arc, message in (((17, 17), "self-loop at vertex 17"), ((3, n), f"arc (3, {n}) out of range")):
+        faulty = arcs[:899] + [arc] + arcs[900:]
+        with pytest.raises(ValueError, match=rf"^line 903: {re.escape(message)}$"):
+            parse_instance(_canonical_file(n, faulty))
+
+
+def test_parse_refuses_a_line_whose_tokens_another_line_would_balance():
+    # each pair of arc lines holds four tokens, and the first two as many
+    # spaces as lines, but the first line of each pair is at fault
+    for first, second in (("0\t1 2", "1 2"), ("0\t1\t2", "1 2"), ("0 1 2", "1")):
+        with pytest.raises(ValueError, match=rf"^line 4: expected arc 'u v', got {re.escape(repr(first))}$"):
+            parse_instance(f"rainbow 1\n3 2\n0 1 2\n{first}\n{second}\n0 2 2 2 atmost\n")
 
 
 def test_parse_allows_comments():
