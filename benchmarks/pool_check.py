@@ -10,7 +10,7 @@ with the oracle answer recorded in ``solvebench/expected.json``. No
 solve in those pools prunes, so a fourth pool, ``fan``, solves the
 radius-3 fans of ``tests/helpers.py`` (seeds 90,000-90,007, modes
 "atmost" and "exact") with the walk solver: their hub cells outgrow
-``ordered_bound(3)``, so the walk prune fires. Fans are acyclic, so each
+``ordered_bound(3)``, so the walk filter switches on. Fans are acyclic, so each
 fan answer is checked against ``oracle_path`` and each witness as a path.
 Those pools are YES-heavy, so a fifth pool, ``no``, asks path questions
 whose answers are mostly NO, through auto dispatch: the 16 tight-color
@@ -23,12 +23,13 @@ witness is checked as a path. A sixth pool, ``walkno``, asks exact walk
 questions whose answers are NO with the walk solver: the same 16 DAGs at
 dist + 1..3, checked against ``oracle_walk``; the grid at ell = 19, 21,
 ..., 29; and the eight fans at ``Query(3, 5, "exact")``, NO since every
-fan path has 4 arcs, checked against ``oracle_path``. Their memos at the
-hubs and at t outgrow ``ordered_bound(3)``, so the search's filter fires.
+fan path has 4 arcs, checked against ``oracle_path``. Their cells at the
+hubs and at t outgrow ``ordered_bound(3)``, so the search's filter switches on.
 It prints one JSON line per pool on standard output: YES and NO counts,
 invalid witnesses, answers that differ from the record, the solver names
 that ran, the summed ``total_members``, ``total_windows`` and
-``rep_calls`` (walk prunes), the largest ``max_cell``, an answer digest
+``rep_calls`` (the cells whose ``WindowMemo`` filter switched on, in
+either walk engine), the largest ``max_cell``, an answer digest
 over (name, answer, solver), a witness digest over (name, witness
 vertices) and an input digest, ``workloads.pool_digest`` over the files'
 names and texts, which ``solvebench/expected.json`` pins for the first

@@ -5,12 +5,12 @@ consecutive vertices (or the whole walk, if shorter) shows pairwise
 distinct colors. The package bundles a depth-first search over the
 path DP's keys, which answers path questions and exact walk questions
 of fewer than n arcs, a layered dynamic program for the other walk
-questions, representative-family pruning for the walk DP's window cells
-and the search's walk memos, brute-force oracles, hardness-construction
-generators, and a file format with a CLI around it all, on the standard
-library alone. The walk DP links an entry back to its parent and keeps
-only its current level, apart from the first colors its classes keep in
-modes "atmost" and "any"; the search's current branch is its witness.
+questions, one window memo with representative-family pruning for both
+walk engines, brute-force oracles, hardness-construction generators,
+and a file format with a CLI around it all, on the standard library
+alone. The walk DP links a window back to its parent and keeps only its
+current level, apart from its memo in modes "atmost" and "any"; the
+search's current branch is its witness.
 """
 
 from .core import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from itertools import chain
 
 from .core import ColoredDigraph, Query, _check_ints
 
@@ -305,35 +304,23 @@ def _ints(tokens: list[str]) -> list[int]:
 
 
 def _arcs(n: int, arc_lines: list[str]) -> tuple[tuple[int, int], ...] | None:
-    """The arcs of the arc lines, each at its first line; None if any line is at fault.
+    """The arcs of arc lines in the shape ``write_instance`` emits, each at its first line; None otherwise.
 
-    Each fact is checked once over all lines. Lines that are two runs of
-    ASCII digits and '-' around one space, the shape ``write_instance``
-    emits, are split in one pass over their join; any other line shape
-    takes a split per line and a two-token check. Each token is looked up
-    in a table of the ids "0" .. str(n - 1), which checks the integer
-    grammar and the range together; a token outside it ('01', '-0', a
-    fault) sends all tokens through ``_ints`` and a range check. The n
-    self-loops are looked up in the arcs, not the arcs in the self-loops.
+    Each fact is checked once over all lines. The lines must be two runs
+    of ASCII digits and '-' around one space, and are split in one pass
+    over their join. Each token is looked up in a table of the ids "0" ..
+    str(n - 1), which checks the integer grammar and the range together.
+    Any other line shape or spelling ('01', '-0', a fault) gives None. The
+    n self-loops are looked up in the arcs, not the arcs in the self-loops.
     """
     block = "\n".join(arc_lines)
-    if block.translate(_ID_CHARS) == "\n".join([" "] * len(arc_lines)):
-        tokens = block.split()
-    else:
-        pairs = list(map(str.split, arc_lines))
-        if not set(map(len, pairs)) <= {2}:
-            return None
-        tokens = list(chain.from_iterable(pairs))
+    if block.translate(_ID_CHARS) != "\n".join([" "] * len(arc_lines)):
+        return None
     ids = {str(i): i for i in range(n)}
     try:
-        ends = list(map(ids.__getitem__, tokens))
+        ends = list(map(ids.__getitem__, block.split()))
     except KeyError:
-        try:
-            ends = _ints(tokens)
-        except ValueError:
-            return None
-        if ends and (min(ends) < 0 or max(ends) >= n):
-            return None
+        return None
     it = iter(ends)
     arcs = dict.fromkeys(zip(it, it))
     if not arcs.keys().isdisjoint(zip(range(n), range(n))):
@@ -341,14 +328,14 @@ def _arcs(n: int, arc_lines: list[str]) -> tuple[tuple[int, int], ...] | None:
     return tuple(arcs)
 
 
-def _walk_arc_lines(n: int, numbered: list[tuple[int, str]]) -> None:
-    """Read numbered arc lines in order: warn of each duplicate and raise at the first fault.
+def _walk_arc_lines(n: int, numbered: list[tuple[int, str]]) -> tuple[tuple[int, int], ...]:
+    """Read numbered arc lines in order: the arcs, each at its first line, with a warning for each duplicate.
 
-    ``parse_instance`` checks the arc lines in bulk and comes here only
-    when a bulk check fails or an arc repeats, to name the fault and the
-    line of each duplicate.
+    ``parse_instance`` comes here when the arc lines are not all in the
+    shape ``_arcs`` reads, or an arc repeats. Raises ValueError at the
+    first fault, naming its line.
     """
-    seen: set[tuple[int, int]] = set()
+    seen: dict[tuple[int, int], None] = {}
     for lineno, arc_line in numbered:
         try:
             u, v = arc = tuple(_ints(arc_line.split()))
@@ -360,7 +347,8 @@ def _walk_arc_lines(n: int, numbered: list[tuple[int, str]]) -> None:
             raise ValueError(f"line {lineno}: arc ({u}, {v}) out of range")
         if arc in seen:
             logger.warning("line %d: duplicate arc %s collapsed", lineno, arc)
-        seen.add(arc)
+        seen[arc] = None
+    return tuple(seen)
 
 
 def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
@@ -371,15 +359,15 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
     blank lines are ignored. Every integer is an optional '-' then ASCII
     digits. Errors carry the 1-based line number.
 
-    The colors and arcs are checked once, in bulk: the integer grammar,
-    dense colors, two ids per arc line, ids in range and no self-loops; a
-    repeated arc keeps its first line, with a warning. Arc lines in the
-    shape ``write_instance`` emits ("u v", one space, ids as written by
-    ``str``) take the bulk route of ``_arcs``; other whitespace and
-    spellings such as '01' are read alike, at the cost of a split or an
-    ``int`` per token. A fault sends the arc lines to ``_walk_arc_lines``,
-    which names it. The graph is built through ``ColoredDigraph._checked``,
-    which checks only the terminals.
+    The colors are checked once, in bulk: the integer grammar and dense
+    colors. Arc lines in the shape ``write_instance`` emits ("u v", one
+    space, ids as written by ``str``) are checked in bulk by ``_arcs``:
+    two ids per line, ids in range and no self-loops. Other whitespace and
+    spellings such as '01', a repeated arc or a fault send the arc lines
+    to ``_walk_arc_lines``, which reads them alike line by line, keeps a
+    repeated arc at its first line with a warning, and names a fault. The
+    graph is built through ``ColoredDigraph._checked``, which checks only
+    the terminals.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -425,7 +413,7 @@ def parse_instance(text: str) -> tuple[ColoredDigraph, Query]:
         raise fail(2, "colors must form a dense range starting at 0")
     arcs = _arcs(n, content[3:-1])
     if arcs is None or len(arcs) < m:
-        _walk_arc_lines(n, numbered()[3:-1])
+        arcs = _walk_arc_lines(n, numbered()[3:-1])
     query_line = content[-1]
     parts = query_line.split()
     if len(parts) != 5:

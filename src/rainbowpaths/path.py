@@ -24,20 +24,19 @@ clashes with the colors before x.
 
 ``walk.solve_walk`` asks the same search its exact questions shorter
 than n arcs, with the mask held at 0 and the plain ``g.dist_to_t`` as
-the row: a key is then the walk DP's state, (level, vertex, window). Its
-memos are kept small as the walk DP's cells are, by at most two first
-colors per tail class and then the walk prune's keep, so the windows
-entered at one level and vertex stay bounded by a function of r alone.
+the row: a key is then the walk DP's state, (level, vertex, window). A
+``repfam.WindowMemo`` keyed by (level, vertex) keeps its memo small, as
+it keeps the walk DP's cells, so the windows entered at one level and
+vertex stay bounded by a function of r alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from operator import itemgetter
-from typing import Callable
 
-from .core import _PAD, ColoredDigraph, ColorSeq, Query, Witness, rainbow_distances
-from .repfam import ordered_bound, window_keep
+from .core import _PAD, ColoredDigraph, Query, Witness, rainbow_distances
+from .repfam import WindowMemo
 
 
 def _path_search(
@@ -58,17 +57,12 @@ def _path_search(
 
     With ``walk`` set it answers the walk question in mode "exact": the
     mask stays 0 and the gate reads ``g.dist_to_t``, which every walk
-    respects, so a key is the walk's state (level, vertex, window). The
-    memo files a walk key by (level, vertex) and by its tail, the window
-    less its first color, and a window is entered only while its tail's
-    class holds fewer than two first colors, as in the walk DP's cells:
-    two distinct first colors admit every next color the tail does. Once
-    a memo holds ``ordered_bound(r)`` windows, a new window is entered
-    there only if ``window_keep`` keeps it after the memo's windows. A
-    window dropped either way admits no continuation that an entered one
-    does not, and the entered ones are dead: a key at level p is popped
-    only once the keys entered before it at level p are exhausted, since
-    keys pushed after them come from their descendants, all deeper.
+    respects, so a key is the walk's state (level, vertex, window). A
+    ``WindowMemo`` keyed by (level, vertex) decides which windows are
+    entered. A window it refuses admits no continuation that an entered
+    one does not, and the entered ones are dead: a key at level p is
+    popped only once the keys entered before it at level p are exhausted,
+    since keys pushed after them come from their descendants, all deeper.
 
     ``stats`` receives ``levels`` (the deepest level entered),
     ``total_members`` (the keys entered; ``total_windows`` on a walk,
@@ -102,13 +96,8 @@ def _path_search(
     bit = [0] * g.n if walk else [1 << u for u in range(g.n)]
     start = (0, g.s, bit[g.s] & near[0], ((_PAD,) * (r - 1) + (colors[g.s],))[:r])
     seen: set[tuple] = set()
-    # a walk's memo instead: (level, vertex) -> tail -> the first colors
-    # its class took in, as 1-tuples; the windows entered at each (level,
-    # vertex); and, once there are bound of them, the keep after them
-    cells: defaultdict[tuple[int, int], dict[ColorSeq, list[ColorSeq]]] = defaultdict(dict)
-    sizes: dict[tuple[int, int], int] = defaultdict(int)
-    keeps: dict[tuple[int, int], Callable[[ColorSeq], bool]] = {}
-    bound = ordered_bound(r)
+    # a walk's memo instead, keyed by (level, vertex)
+    memo = WindowMemo(r)
     # path[p] is the vertex of the last key entered at level p; every key
     # entered since a key's parent is deeper, so path[:p + 1] is its path
     path = [g.s] * (ell + 1)
@@ -118,45 +107,29 @@ def _path_search(
         key = stack.pop()
         p, u, mask, window = key
         if walk:
-            pu, stem = (p, u), window[1:]
-            firsts = cells[pu].setdefault(stem, [])
-            first = window[:1]
-            if len(firsts) == 2 or first in firsts:
+            if not memo.enter((p, u), window):
                 continue
-            if sizes[pu] >= bound:
-                keep = keeps.get(pu)
-                if keep is None:
-                    keep = keeps[pu] = window_keep(window, r)
-                    for tail, fs in cells[pu].items():
-                        for f in fs:
-                            keep(f + tail)
-                if not keep(window):
-                    continue
-            firsts.append(first)
-            sizes[pu] += 1
         elif key in seen:
             continue
         else:
             seen.add(key)
-            stem = window[1:]
         path[p] = u
         if u == t and (mode != "exact" or p == ell):
             witness = Witness(tuple(path[: p + 1]))
             break
-        free, near_next = near[p] ^ mask, near[p + 1]
+        free, near_next, stem = near[p] ^ mask, near[p + 1], window[1:]
         # pushed in reverse, so they pop in arc order
         stack += [
             (p + 1, v, (mask | bit[v]) & near_next, stem + added[v])
             for v in reversed(out_adj[u])
             if free >> v & 1 and colors[v] not in window
         ]
-    if not walk:
-        sizes = Counter(map(itemgetter(0, 1), seen))
+    sizes = memo.sizes if walk else Counter(map(itemgetter(0, 1), seen))
     stats["levels"] = max(p for p, _ in sizes)
     stats[members] += sum(sizes.values())
     stats["max_cell"] = max(stats.get("max_cell", 0), *sizes.values())
-    if keeps:
-        stats["rep_calls"] = stats.get("rep_calls", 0) + len(keeps)
+    if memo.keeps:
+        stats["rep_calls"] = stats.get("rep_calls", 0) + len(memo.keeps)
     return witness, seen
 
 

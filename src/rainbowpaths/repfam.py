@@ -6,18 +6,19 @@ obstruction set Y with |Y| <= q, the existence of a member disjoint from Y.
 when some obstruction avoids it and meets every set kept before it.
 Frankl's skew version of Bollobás's theorem bounds what it keeps.
 ``representative_keep`` runs it over a whole family, and ``window_keep``
-over walk windows through ``core.slot_set``: the walk DP prunes its
-cells with it, and the exact walk search tests each (level, vertex)
-memo's new windows against its dead ones. The path question does not
-prune. The definitional checks the tests hold a prune to live in
-``tests/reference.py``.
+over walk windows through ``core.slot_set``. ``WindowMemo`` is the one
+memo of both walk engines: it enters a window into its cell by the tail
+class rule and, once the cell is full, by ``window_keep``. The path
+question does not prune. The definitional checks the tests hold a prune
+to live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from collections import defaultdict
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import ColorSeq, slot_set
 
@@ -111,3 +112,51 @@ def window_keep(window: ColorSeq, r: int) -> Callable[[ColorSeq], bool]:
     core = [x for x in slot_set(window, r) if x < 0 or x // r == window[-1]]
     offer = RepresentativeFamily(r - 1, core).offer
     return lambda w: offer(slot_set(w, r))
+
+
+class WindowMemo:
+    """The windows entered into each cell of a walk engine, and the rule that admits a new one.
+
+    A window of r colors blocks the next color with its first color and
+    with its tail, the r - 1 colors after it, and its successors depend
+    on the tail alone. So a cell takes at most two distinct first colors
+    per tail: two admit every next color outside the tail, one admits all
+    of those but itself, and a third adds nothing. Once a cell holds
+    ``ordered_bound(r)`` windows, a new window is entered only if
+    ``window_keep`` keeps it after the cell's earlier windows, which it is
+    fed first when the cell's filter switches on. A window refused either
+    way admits no continuation that an entered one does not.
+
+    ``sizes`` maps each cell to the count of windows it entered, and ``keeps`` each
+    cell whose filter switched on to its keep. Cells are any hashable
+    key: (level, vertex) in the search, a vertex in the level DP.
+    """
+
+    def __init__(self, r: int):
+        self.r, self.bound = r, ordered_bound(r)
+        # cell -> tail -> the windows its class took in, in arrival order
+        self.classes: defaultdict[Hashable, dict[ColorSeq, list[ColorSeq]]] = defaultdict(dict)
+        self.sizes: defaultdict[Hashable, int] = defaultdict(int)
+        self.keeps: dict[Hashable, Callable[[ColorSeq], bool]] = {}
+
+    def enter(self, cell: Hashable, window: ColorSeq) -> bool:
+        """Enter ``window`` into ``cell`` if the cell's rules admit it; say whether it was entered."""
+        classes, tail = self.classes[cell], window[1:]
+        kept = classes.get(tail)
+        if kept is None:
+            kept = classes[tail] = []
+        elif len(kept) == 2 or window in kept:
+            return False
+        size = self.sizes[cell]
+        if size >= self.bound:
+            keep = self.keeps.get(cell)
+            if keep is None:
+                keep = self.keeps[cell] = window_keep(window, self.r)
+                for windows in classes.values():
+                    for w in windows:
+                        keep(w)
+            if not keep(window):
+                return False
+        kept.append(window)
+        self.sizes[cell] = size + 1
+        return True

@@ -6,7 +6,7 @@ import io
 import random
 import sys
 
-from rainbowpaths import ColoredDigraph, ordered_bound, path, representative_keep, slot_set
+from rainbowpaths import ColoredDigraph, ordered_bound, repfam, representative_keep, slot_set
 from rainbowpaths.cli import main as cli_main
 from rainbowpaths.core import _PAD
 from reference import is_window_representative
@@ -92,44 +92,33 @@ def keep_windows(windows: list[tuple[int, ...]], r: int, q: int) -> list[int]:
 
 
 def cell_windows(cell) -> list[tuple[int, ...]]:
-    """The windows of a walk cell (tail -> first color -> link), padding dropped."""
-    windows = [(first,) + tail for tail, firsts in cell.items() for first in firsts]
-    return [w[w.count(_PAD):] for w in windows]
+    """The windows of a walk cell (window -> link), padding dropped."""
+    return [w[w.count(_PAD):] for w in cell]
 
 
 class PruneChecker:
-    """Stands in for ``module.prune_window_cell`` and ``path.window_keep``, and checks what their prunes keep.
+    """Stands in for ``repfam.window_keep``, and checks what the filters it makes keep.
 
-    Every cell it is given must hold more than ``ordered_bound(r)``
-    windows, the walk DP's one prune trigger, all ending in one color, as
-    the prune's q = r - 1 assumes. The search switches a memo's filter on
-    when a window arrives at a memo of ``ordered_bound(r)`` windows, so a
-    filter is offered the memo's windows and then every later one.
-    ``calls`` counts the prunes and the filters.
-    Each prune is checked against the definition of an ordered
-    representative, up to ``per_trial`` of them before ``end_trial``,
-    since the exhaustive check costs far more than the prune. A filter is
-    checked at ``end_trial``: the windows it kept against all it was offered.
-    The check draws continuations from the kept windows' colors and r
-    colors outside the cell: a color no kept window holds blocks no kept
-    window, so renaming it to an outside color keeps any counterexample one.
+    A ``WindowMemo`` switches a cell's filter on when a window arrives at
+    a cell of ``ordered_bound(r)`` windows, so a filter is offered the
+    cell's windows and then every later one: more than ``ordered_bound(r)``
+    windows, all ending in one color, as the keep's q = r - 1 assumes.
+    ``calls`` counts the filters. At ``end_trial`` up to ``per_trial`` of
+    the trial's filters are checked against the definition of an ordered
+    representative, the windows each kept against all it was offered,
+    since the exhaustive check costs far more than the filter. The check
+    draws continuations from the kept windows' colors and r colors
+    outside the cell: a color no kept window holds blocks no kept window,
+    so renaming it to an outside color keeps any counterexample one.
     """
 
-    def __init__(self, monkeypatch, module, per_trial: int):
-        self.prune, self.keep = module.prune_window_cell, path.window_keep
-        self.per_trial = self.left = per_trial
+    def __init__(self, monkeypatch, per_trial: int):
+        self.keep = repfam.window_keep
+        self.per_trial = per_trial
         self.checked = self.calls = 0
         # (r, windows offered, windows kept) of each filter yet to be checked
         self.filters: list[tuple[int, list, list]] = []
-        monkeypatch.setattr(module, "prune_window_cell", self)
-        monkeypatch.setattr(path, "window_keep", self.window_keep)
-
-    def __call__(self, cell, r):
-        self.calls += 1
-        assert sum(map(len, cell.values())) > ordered_bound(r), "a cell within the bound was pruned"
-        kept = self.prune(cell, r)
-        self.check(cell_windows(kept), cell_windows(cell), r)
-        return kept
+        monkeypatch.setattr(repfam, "window_keep", self.window_keep)
 
     def window_keep(self, window, r):
         self.calls += 1
@@ -147,21 +136,16 @@ class PruneChecker:
 
         return recorded
 
-    def check(self, kept_windows, windows, r) -> None:
-        assert len({w[-1] for w in windows}) == 1, "a cell's windows end in several colors"
-        if self.left:
-            self.left -= 1
-            self.checked += 1
-            outside = max(c for w in windows for c in w) + 1
-            palette = sorted({c for w in kept_windows for c in w}) + list(range(outside, outside + r))
-            assert is_window_representative(kept_windows, windows, r, palette), (len(kept_windows), len(windows))
-
     def end_trial(self) -> None:
-        for r, offered, kept in self.filters:
+        for i, (r, offered, kept) in enumerate(self.filters):
             assert len(offered) > ordered_bound(r), "a filter switched on within the bound"
-            self.check(kept, offered, r)
+            assert len({w[-1] for w in offered}) == 1, "a cell's windows end in several colors"
+            if i < self.per_trial:
+                self.checked += 1
+                outside = max(c for w in offered for c in w) + 1
+                palette = sorted({c for w in kept for c in w}) + list(range(outside, outside + r))
+                assert is_window_representative(kept, offered, r, palette), (len(kept), len(offered))
         self.filters.clear()
-        self.left = self.per_trial
 
 
 def fan(rng: random.Random, width: int, t_color: int) -> ColoredDigraph:

@@ -17,6 +17,8 @@ from rainbowpaths import (
     slot_set,
     unordered_bound,
 )
+from rainbowpaths import repfam
+from rainbowpaths.repfam import WindowMemo
 from reference import greedy_keep, is_set_representative, is_window_representative
 
 
@@ -234,6 +236,33 @@ def test_ordered_tags_follow_members():
     tags = ["b", "a"]
     kept = {windows[i]: tags[i] for i in keep_windows(windows, 2, 2)}
     assert kept == {(1, 2): "a", (2, 1): "b"}
+
+
+def test_window_memo_refuses_a_third_or_repeated_first_color_and_filters_from_the_bound(monkeypatch):
+    """A tail takes two distinct first colors in arrival order, and the filter switches on at exactly ordered_bound(r).
+
+    Cells are independent: a window refused in one cell is entered in
+    another. At r = 1 every window is its own first color, so a cell
+    holds one window.
+    """
+    memo = WindowMemo(3)
+    assert [memo.enter("a", w) for w in ((1, 5, 9), (1, 5, 9), (2, 5, 9), (3, 5, 9), (3, 6, 9))] == [
+        True, False, True, False, True,
+    ]
+    assert memo.classes["a"] == {(5, 9): [(1, 5, 9), (2, 5, 9)], (6, 9): [(3, 6, 9)]}
+    assert memo.enter("b", (3, 5, 9)) and memo.sizes == {"a": 3, "b": 1} and not memo.keeps
+    one = WindowMemo(1)
+    assert one.enter(0, (4,)) and not one.enter(0, (4,))
+    for bound in (1, 2, 4, 7):
+        monkeypatch.setattr(repfam, "ordered_bound", lambda r: bound)
+        memo = WindowMemo(3)
+        # distinct tails, so the class rule refuses none of them
+        windows = [(0, m, 99) for m in range(1, 12)]
+        for i, w in enumerate(windows):
+            entered = memo.enter("u", w)
+            assert (i < bound) <= entered, (bound, i)
+            assert ("u" in memo.keeps) == (i >= bound), (bound, i)
+        assert memo.sizes["u"] <= bound + 10
 
 
 def test_bench_kernels_script_runs():

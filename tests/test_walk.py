@@ -16,9 +16,9 @@ from rainbowpaths import (
     solve_walk,
     verify_witness,
 )
-from rainbowpaths import path, repfam, walk
-from rainbowpaths.core import _PAD
-from rainbowpaths.walk import prune_window_cell
+from rainbowpaths import repfam, walk
+from rainbowpaths.core import _PAD, bfs_distances, unwind
+from rainbowpaths.repfam import WindowMemo, window_keep
 from reference import is_window_representative
 
 
@@ -74,13 +74,14 @@ def test_walk_matches_oracle_randomized():
 
 
 def test_walk_matches_oracle_at_radius_4_to_6():
-    """At r >= 4 a cell can hold tails with different stems; answers and witnesses still match.
+    """At r >= 4 a cell can hold windows whose tails differ past their first color; answers and witnesses still match.
 
-    A tail's stem is all of it but its first color, and tails that share a
-    stem feed one successor class at each head. Up to r = 3 every cell has
-    one stem, so only these radii expand several stems per cell. A trial
-    counts as reaching such a cell when the exact-mode DP, run to each
-    length up to the query's, has a level holding one.
+    A window's successor class at a head is its tail less the tail's first
+    color, plus the head's color. Up to r = 3 every window of a cell feeds
+    one class at each head, so only these radii feed several classes of
+    one head from one cell. A trial counts as reaching such a cell when
+    the exact-mode DP, run to each length up to the query's, has a level
+    holding one.
     """
     rng = random.Random(44)
     several = 0
@@ -101,19 +102,19 @@ def test_walk_matches_oracle_at_radius_4_to_6():
         for level in levels:
             for u, cell in level.items():
                 assert {w[-1] for w in cell_windows(cell)} == {g.colors[u]}, (trial, u)
-        several += any(len({tail[1:] for tail in cell}) >= 2 for level in levels for cell in level.values())
+        several += any(len({w[2:] for w in cell}) >= 2 for level in levels for cell in level.values())
     assert several >= 150, several
 
 
 def test_prune_cell_keeps_small_cells_verbatim(monkeypatch):
-    """Cells and memos within ordered_bound(r) are never filtered, and a cell with nothing to cut comes back equal.
+    """Cells within ordered_bound(r) are never filtered, and a filter with nothing to cut keeps every window.
 
-    ``PruneChecker`` checks that the cells and memos that do reach a
-    filter are past the bound. Radius-3 fans of width 250 at exact ell 5
-    are NO, and their memos hold about 470 windows, below
-    ordered_bound(3) = 542, so the search enters every window whole.
+    ``PruneChecker`` checks that the cells that do reach a filter are past
+    the bound. Radius-3 fans of width 250 at exact ell 5 are NO, and their
+    cells hold about 470 windows, below ordered_bound(3) = 542, so the
+    search enters every window whole.
     """
-    checker = PruneChecker(monkeypatch, walk, per_trial=0)
+    checker = PruneChecker(monkeypatch, per_trial=0)
     biggest = 0
     for trial in range(40):
         for mode in ("atmost", "exact"):
@@ -130,45 +131,55 @@ def test_prune_cell_keeps_small_cells_verbatim(monkeypatch):
     checker.end_trial()
     assert checker.calls == 0 and 400 <= biggest <= ordered_bound(3), biggest
     # two windows of one tail at r = 2: each alone avoids the other's first color
-    cell = {(9,): {0: "a", 1: "b"}}
-    assert prune_window_cell(cell, 2) == cell
+    keep = window_keep((0, 9), 2)
+    assert keep((0, 9)) and keep((1, 9))
 
 
-def test_prune_cell_output_is_representative():
-    """The kept entries are a tail-class cell whose windows represent the cell's, links untouched."""
-    rng = random.Random(17)
-    for _ in range(3):
-        cell: dict = {}
-        for w in core_windows(rng, 3, 1, 9, 60):
-            firsts = cell.setdefault(w[1:], {})
-            if len(firsts) < 2:
-                firsts[w[0]] = w
-        kept = prune_window_cell(cell, 3)
-        assert sum(map(len, kept.values())) <= ordered_bound(3)
-        for tail, firsts in kept.items():
-            for first, link in firsts.items():
-                assert cell[tail][first] == link
-        assert is_window_representative(cell_windows(kept), cell_windows(cell), 3)
+def test_prune_cell_output_is_representative(monkeypatch):
+    """A cell's entered windows represent every window offered to it, whenever its filter switches on.
 
-
-def test_prune_cell_keeps_its_cell_order():
-    """The prune is a filter: the entries it keeps stay in cell order, links untouched.
-
-    Its windows are those ``keep_windows`` keeps of the cell's windows,
-    in cell order and padding dropped, at q = r - 1. The cells list their
-    tails in descending order, and the second pads its windows.
+    Each family is offered in one order to one memo cell, with the bound
+    forced to 1, 3 and 5 windows: the class rule refuses a third first
+    color of a tail, and the filter refuses the windows that the windows
+    entered before them represent. At most C(5, 2) = 10 windows are kept
+    past the bound, the width of an r = 3 keep.
     """
-    descending = {(m, 9): {0: ("a", m), 1: ("b", m)} for m in range(8, 1, -1)}
-    padded = {(5, m, 9): {_PAD: m} for m in range(40, 9, -1)}
-    for cell, r, dropped in ((descending, 3, 9), (padded, 4, 27)):
-        entries = [(tail, first) for tail, firsts in cell.items() for first in firsts]
-        kept = prune_window_cell(cell, r)
-        kept_entries = [(tail, first) for tail, firsts in kept.items() for first in firsts]
-        assert len(entries) - len(kept_entries) == dropped
-        assert kept_entries == [e for e in entries if e in kept_entries]
-        assert all(kept[tail][first] == cell[tail][first] for tail, first in kept_entries)
-        windows = cell_windows(cell)
-        assert cell_windows(kept) == [windows[i] for i in keep_windows(windows, r, r - 1)]
+    rng = random.Random(17)
+    for bound in (1, 3, 5):
+        monkeypatch.setattr(repfam, "ordered_bound", lambda r: bound)
+        for _ in range(3):
+            windows = core_windows(rng, 3, 1, 9, 60)
+            rng.shuffle(windows)
+            # the windows the class rule alone admits, in offer order
+            admitted: list = []
+            for w in windows:
+                if sum(v[1:] == w[1:] for v in admitted) < 2:
+                    admitted.append(w)
+            memo = WindowMemo(3)
+            entered = [w for w in windows if memo.enter("u", w)]
+            assert entered[:bound] == admitted[:bound] and set(entered) <= set(admitted)
+            assert bound <= len(entered) <= bound + 10 and len(memo.keeps) == 1
+            assert is_window_representative(entered, windows, 3)
+
+
+def test_prune_cell_keeps_its_cell_order(monkeypatch):
+    """The filter enters windows in offer order: with the bound at 1 it enters what ``keep_windows`` keeps.
+
+    The first window enters before the filter switches on, and the keep is
+    then fed it and offered each later window, so the windows entered are
+    those ``keep_windows`` keeps of all of them, in order, padding dropped,
+    at q = r - 1. The first family lists its tails in descending order,
+    two first colors each, and the second pads its windows.
+    """
+    monkeypatch.setattr(repfam, "ordered_bound", lambda r: 1)
+    descending = [(x, m, 9) for m in range(8, 1, -1) for x in (0, 1)]
+    padded = [(_PAD, 5, m, 9) for m in range(40, 9, -1)]
+    for windows, r, dropped in ((descending, 3, 9), (padded, 4, 27)):
+        memo = WindowMemo(r)
+        entered = cell_windows([w for w in windows if memo.enter(0, w)])
+        assert len(windows) - len(entered) == dropped
+        stripped = cell_windows(windows)
+        assert entered == [stripped[i] for i in keep_windows(stripped, r, r - 1)]
 
 
 def test_any_length_matches_walk_oracle():
@@ -271,20 +282,21 @@ def test_stats_are_recorded():
 
 
 def test_walk_cells_prune_inside_solves(monkeypatch):
-    """Radius-3 fans make walk cells and memos outgrow ordered_bound(3) mid-solve.
+    """Radius-3 fans make walk cells outgrow ordered_bound(3) mid-solve, in both engines.
 
     A hub's windows (x, m, hub) have one (r - 1)-color tail per middle
-    vertex m and one of two first colors x, so the tail dedupe keeps them
+    vertex m and one of two first colors x, so the class rule keeps them
     all: about 2 * 0.96^2 * 300 > ordered_bound(3) = 542 of them, which
-    the ordered prune must cut. Every s-t path has 4 arcs, so exact ell 5
-    is NO, and the search passes the hubs' and t's memos through their
-    filters. The graphs are acyclic, so answers and witnesses are checked
-    against the path oracle, and the first prunes and filters of each
-    trial keep an ordered representative of their windows.
+    the ordered filter must cut. The level DP answers mode "atmost", and
+    every s-t path has 4 arcs, so exact ell 5 is NO, and the search passes
+    the hubs' and t's cells through their filters. The graphs are acyclic,
+    so answers and witnesses are checked against the path oracle, and the
+    first filters of each trial keep an ordered representative of the
+    windows offered to them.
     """
     width = 300
     rep_calls = 0
-    checker = PruneChecker(monkeypatch, walk, per_trial=4)
+    checker = PruneChecker(monkeypatch, per_trial=4)
     for trial in range(4):
         g = fan(random.Random(90_000 + trial), width, (1, 2, width + 6)[trial % 3])
         for q in (Query(3, 4, "atmost"), Query(3, 4, "exact"), Query(3, 5, "exact")):
@@ -330,14 +342,14 @@ def test_radius2_walk_cells_hold_two_windows():
 
 
 def test_dedupe_keeps_two_windows_per_tail_and_a_representative():
-    """t's cell keeps at most two first colors per tail, and its windows are an ordered representative.
+    """t's cell keeps two first colors per tail in arrival order, and its windows are an ordered representative.
 
     Each window of a random family reaches t along a chain of its own from
     s, whose color no window holds, and the chains leave s in random
-    order. So t's cell at level r is the family with each tail class cut
-    to two first colors, the first two to arrive; every kept window links
-    back to a walk whose last r colors it is. Classes are cut at every
-    radius tried.
+    order. So t's cell at level r is the family in that order with each
+    tail class cut to its first two windows; every kept window links back
+    to a walk whose last r colors it is. Classes are cut at every radius
+    tried.
     """
     rng = random.Random(61)
     cut_at = set()
@@ -348,7 +360,8 @@ def test_dedupe_keeps_two_windows_per_tail_and_a_representative():
         dense = {c: i for i, c in enumerate(sorted({c for w in windows for c in w}))}
         windows = [tuple(dense[c] for c in w) for w in windows]
         colors, arcs = [len(dense), windows[0][-1]], []
-        for w in rng.sample(windows, len(windows)):
+        arrivals = rng.sample(windows, len(windows))
+        for w in arrivals:
             prev = 0
             for c in w[:-1]:
                 arcs.append((prev, len(colors)))
@@ -357,30 +370,27 @@ def test_dedupe_keeps_two_windows_per_tail_and_a_representative():
             arcs.append((prev, 1))
         g = ColoredDigraph(len(colors), tuple(colors), tuple(arcs), 0, 1)
         cell = walk._last_level(g, r, r, "exact", None)[1]
-        kept = []
-        for tail, firsts in cell.items():
-            arrived = sum(w[1:] == tail for w in windows)
-            assert len(firsts) == min(2, arrived), (trial, r)
-            if arrived > 2:
+        expected: list = []
+        for w in arrivals:
+            if sum(v[1:] == w[1:] for v in expected) < 2:
+                expected.append(w)
+            else:
                 cut_at.add(r)
-            for first, link in firsts.items():
-                kept.append((first,) + tail)
-                vertices = [1]
-                while link is not None:
-                    v, link = link
-                    vertices.append(v)
-                assert tuple(colors[v] for v in reversed(vertices))[-r:] == kept[-1], trial
-        assert is_window_representative(kept, windows, r), (trial, r, windows)
+        assert list(cell) == expected, (trial, r)
+        for window, link in cell.items():
+            assert tuple(g.colors[v] for v in unwind(1, link).vertices)[-r:] == window, trial
+        assert is_window_representative(expected, windows, r), (trial, r, windows)
     assert cut_at == {2, 3, 4}, cut_at
 
 
-def test_a_stem_run_skips_blocked_tails_and_fills_a_class_to_two():
-    """A successor class passes over a tail that blocks u's color and takes the next two leads.
+def test_a_class_skips_blocked_windows_and_fills_to_two():
+    """A successor class passes over a window that blocks u's color and takes the next two, in arrival order.
 
-    At r = 3, v (color 4) holds three tails with stem (4,): (1, 4), (2, 4)
-    and (3, 4), reached through p1, p2 and p3 from a1, a2 and a3. The
-    first has first color 5, u's color, so it cannot step to u; the other
-    two can, and u's class (4, 5) takes both of their leads with their links.
+    At r = 3, v (color 4) holds three windows, (5, 1, 4), (6, 2, 4) and
+    (7, 3, 4), reached through p1, p2 and p3 from a1, a2 and a3, whose
+    successors at u fall in one class, tail (4, 5). The first holds 5,
+    u's color, so it cannot step to u; the other two can, and the class
+    takes both of their first colors, 2 and 3, with their links.
     """
     g = ColoredDigraph(
         9,
@@ -391,12 +401,12 @@ def test_a_stem_run_skips_blocked_tails_and_fills_a_class_to_two():
     )
     at_v = ColoredDigraph(g.n, g.colors, g.arcs, 0, 7)
     assert walk._last_level(at_v, 3, 3, "exact", None)[7] == {
-        (1, 4): {5: (4, (1, (0, None)))},
-        (2, 4): {6: (5, (2, (0, None)))},
-        (3, 4): {7: (6, (3, (0, None)))},
+        (5, 1, 4): (4, (1, (0, None))),
+        (6, 2, 4): (5, (2, (0, None))),
+        (7, 3, 4): (6, (3, (0, None))),
     }
     assert walk._last_level(g, 3, 4, "exact", None) == {
-        8: {(4, 5): {2: (7, (5, (2, (0, None)))), 3: (7, (6, (3, (0, None))))}}
+        8: {(2, 4, 5): (7, (5, (2, (0, None)))), (3, 4, 5): (7, (6, (3, (0, None))))}
     }
 
 
@@ -434,10 +444,11 @@ def test_an_exact_walk_far_past_n_arcs_on_a_dag_answers_at_once():
 def test_exact_walk_filters_switched_on_early_match_oracle(monkeypatch):
     """With the memo filter's trigger forced down to 1 or 2 windows, exact walk answers still match the oracle.
 
-    A filter then switches on at most memos, padded ones among them, and
-    admits windows past the trigger. Each filter's core holds the slots
-    every window of its memo shares as u's color or as padding: r slots
-    of one color and the negative slots of the ``_PAD`` entries.
+    A filter then switches on at most cells of the search, padded ones
+    among them, and admits windows past the trigger. Each filter's core
+    holds the slots every window of its cell shares as u's color or as
+    padding: r slots of one color and the negative slots of the ``_PAD``
+    entries.
     """
     families = []
 
@@ -457,7 +468,7 @@ def test_exact_walk_filters_switched_on_early_match_oracle(monkeypatch):
     admitted = padded = yes = 0
     for trial in range(300):
         bound = rng.randint(1, 2)
-        monkeypatch.setattr(path, "ordered_bound", lambda r: bound)
+        monkeypatch.setattr(repfam, "ordered_bound", lambda r: bound)
         g, q = gen_random(
             rng.randint(7, 11), 0.6, rng.randint(5, 8), rng.randint(3, 4), rng.randint(2, 8), seed=14_000 + trial, mode="exact"
         )
@@ -480,6 +491,47 @@ def test_exact_walk_filters_switched_on_early_match_oracle(monkeypatch):
             # the first bound rows are the memo's dead windows, the rest arrived at the filter
             admitted += any(family.kept[bound:])
     assert yes >= 150 and padded >= 45 and admitted >= 280, (yes, padded, admitted)
+
+
+def test_level_dp_filters_switched_on_early_match_oracle(monkeypatch):
+    """With the filter's trigger forced down to 1-5 windows, the level DP's answers and shortest lengths still match the oracle.
+
+    Modes "atmost" and "any" keep one memo across levels, so a filter there
+    is fed windows of earlier levels too; exact questions of n arcs or
+    more take a fresh memo each level. Each filter switched on counts in
+    ``rep_calls``.
+    """
+    calls = []
+
+    def counted(window, r, keep=repfam.window_keep):
+        calls.append(r)
+        return keep(window, r)
+
+    monkeypatch.setattr(repfam, "window_keep", counted)
+    rng = random.Random(78)
+    filtered = {"atmost": 0, "any": 0, "exact": 0}
+    yes = 0
+    for trial in range(900):
+        bound = rng.randint(1, 5)
+        monkeypatch.setattr(repfam, "ordered_bound", lambda r: bound)
+        g, _ = gen_random(rng.randint(10, 14), 0.3, rng.randint(4, 7), 0, 0, seed=15_000 + trial)
+        # t is a vertex farthest from s, so the DP runs several levels before it answers
+        dist = bfs_distances(g.out_neighbors, g.s)
+        g = ColoredDigraph(g.n, g.colors, g.arcs, g.s, max(range(1, g.n), key=lambda v: (dist[v] is not None, dist[v] or 0)))
+        mode = ("atmost", "any", "exact")[trial % 3]
+        q = Query(rng.randint(3, 4), rng.randint(g.n, g.n + 3) if mode == "exact" else rng.randint(2, g.n + 3), mode)
+        calls.clear()
+        stats: dict = {}
+        mine = solve_walk(g, q, stats=stats)
+        ref = oracle_walk(g, q)
+        assert (mine is None) == (ref is None), (trial, q)
+        assert stats.get("rep_calls", 0) == len(calls), trial
+        filtered[mode] += bool(calls)
+        if mine is not None:
+            yes += 1
+            assert verify_witness(g, q, mine.vertices) == [], (trial, q)
+            assert mode == "exact" or mine.length == ref.length, (trial, q)
+    assert yes >= 300 and min(filtered.values()) >= 80, (yes, filtered)
 
 
 def test_exact_walk_keeps_the_second_window_of_a_tail_around_a_cycle():
