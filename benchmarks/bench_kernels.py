@@ -1,14 +1,16 @@
 """Benchmark the representative-family prune.
 
-The prune reads the sets in order and keeps a set when some obstruction
-of at most q elements avoids it and meets every set kept before it; its
-time goes to testing and extending those obstructions. This script times
-three pruning workloads, best of N repeats: a family with no shared
-element, and the walk's own keep, ``window_keep``, offered the windows of
-two radius-3 cells in order, whose windows all end in the hub's color, a
-core no obstruction needs. The first is the cell at the hub of a fan,
-whose tails share their two first colors. In the second each tail has two
-random first colors, the shape of a walk cell in a graph with many colors.
+``RepresentativeFamily(q, core).offer`` reads the sets in order and keeps
+a set when some obstruction of at most q elements avoids it and meets
+every set kept before it; its time goes to testing and extending those
+obstructions. This script times three pruning workloads, best of N
+repeats: 900 sets with no shared element, offered in order through the
+tests' ``offered_keep`` with an empty core, and the walk's own keep,
+``window_keep``, offered the windows of two radius-3 cells in order,
+whose windows all end in the hub's color, a core no obstruction needs.
+The first is the cell at the hub of a fan, whose tails share their two
+first colors. In the second each tail has two random first colors, the
+shape of a walk cell in a graph with many colors.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -21,10 +23,11 @@ import time
 from itertools import combinations
 from pathlib import Path
 
-# run from a bare checkout: the package source sits beside this directory
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# run from a bare checkout: the package source and the tests sit beside this directory
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rainbowpaths import representative_keep
+from helpers import offered_keep
 from rainbowpaths.core import ColorSeq
 from rainbowpaths.repfam import window_keep
 
@@ -81,7 +84,7 @@ def main() -> None:
     cell = fan_cell(276)
     walk_cell = random_firsts_cell(5, 280)
     rows = [
-        ("prune 900 sets, q=4", lambda: representative_keep(fam, 4)),
+        ("prune 900 sets, q=4", lambda: offered_keep(fam, 4)),
         ("keep 552-window cell, r=3", lambda: keep_cell(cell)),
         ("keep 560 random firsts, r=3", lambda: keep_cell(walk_cell)),
     ]

@@ -5,12 +5,12 @@ consecutive vertices (or the whole walk, if shorter) shows pairwise
 distinct colors. The package bundles a depth-first search over the
 path DP's keys, which answers path questions and exact walk questions
 of fewer than n arcs, a layered dynamic program for the other walk
-questions, one window memo with representative-family pruning for both
-walk engines, brute-force oracles, hardness-construction generators,
-and a file format with a CLI around it all, on the standard library
-alone. The walk DP links a window back to its parent and keeps only its
-current level, apart from its memo in modes "atmost" and "any"; the
-search's current branch is its witness.
+questions, one window memo for both walk engines, which prunes a full
+cell through one online representative family, brute-force oracles,
+hardness-construction generators, and a file format with a CLI around
+it all, on the standard library alone. The walk DP links a window back
+to its parent and keeps only its current level, apart from its memo in
+modes "atmost" and "any"; the search's current branch is its witness.
 """
 
 from .core import (
@@ -45,7 +45,7 @@ from .oracle import (
     oracle_walk,
 )
 from .path import solve_path
-from .repfam import ordered_bound, representative_keep, unordered_bound
+from .repfam import ordered_bound
 from .walk import solve_walk
 
 __version__ = "0.1.0"
@@ -72,13 +72,11 @@ __all__ = [
     "phs_layout",
     "read_dimacs",
     "read_phs_sets",
-    "representative_keep",
     "sat_layout",
     "slot_set",
     "solve",
     "solve_path",
     "solve_walk",
-    "unordered_bound",
     "verify_witness",
     "write_instance",
 ]

@@ -68,19 +68,18 @@ def _path_search(
     ``total_members`` (the keys entered; ``total_windows`` on a walk,
     whose keys are its windows), ``max_cell`` (the most keys at one level
     and vertex) and, once a memo's filter switches on, ``rep_calls`` (the
-    memos filtered); a search that enters no key leaves ``levels`` and
-    that count at 0. The keys returned are the path keys entered; a walk
+    memos filtered); a search that enters no key sets ``levels`` and
+    that count to 0. The keys returned are the path keys entered; a walk
     search returns none.
     """
     colors, out_adj, t = g.colors, g.out_neighbors, g.t
     stats = {} if stats is None else stats
     members = "total_windows" if walk else "total_members"
-    stats.setdefault("levels", 0)
-    stats.setdefault(members, 0)
     if mode != "exact":
         ell = g.n - 1 if mode == "any" else min(ell, g.n - 1)
     row = g.dist_to_t if walk else rainbow_distances(g, r)
     if ell >= g.n or row[g.s] is None or row[g.s] > ell:  # type: ignore[operator]
+        stats["levels"] = stats[members] = 0
         return None, set()
     # x sits in near[p] for p < ell - row[x]; near[ell] and near[ell + 1] are empty
     near = [0] * (ell + 2)
@@ -126,10 +125,10 @@ def _path_search(
         ]
     sizes = memo.sizes if walk else Counter(map(itemgetter(0, 1), seen))
     stats["levels"] = max(p for p, _ in sizes)
-    stats[members] += sum(sizes.values())
-    stats["max_cell"] = max(stats.get("max_cell", 0), *sizes.values())
+    stats[members] = sum(sizes.values())
+    stats["max_cell"] = max(sizes.values())
     if memo.keeps:
-        stats["rep_calls"] = stats.get("rep_calls", 0) + len(memo.keeps)
+        stats["rep_calls"] = len(memo.keeps)
     return witness, seen
 
 

@@ -2,15 +2,15 @@
 
 A q-representative of a family of p-element sets preserves, for every
 obstruction set Y with |Y| <= q, the existence of a member disjoint from Y.
-``RepresentativeFamily`` grows one greedily, online: ``offer`` keeps a set
-when some obstruction avoids it and meets every set kept before it.
-Frankl's skew version of Bollobás's theorem bounds what it keeps.
-``representative_keep`` runs it over a whole family, and ``window_keep``
-over walk windows through ``core.slot_set``. ``WindowMemo`` is the one
-memo of both walk engines: it enters a window into its cell by the tail
-class rule and, once the cell is full, by ``window_keep``. The path
-question does not prune. The definitional checks the tests hold a prune
-to live in ``tests/reference.py``.
+``RepresentativeFamily(q, core)`` grows one greedily, online: ``offer``
+keeps a set when some obstruction avoids it and meets every set kept
+before it. Frankl's skew version of Bollobás's theorem bounds what it
+keeps. Its one caller is ``window_keep``, which offers walk windows
+through ``core.slot_set`` with a cell's shared slots as core.
+``WindowMemo`` is the one memo of both walk engines: it enters a window
+into its cell by the tail class rule and, once the cell is full, by
+``window_keep``. The path question does not prune. The definitional
+checks the tests hold a prune to live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -18,14 +18,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 from .core import ColorSeq, slot_set
-
-
-def unordered_bound(p: int, q: int) -> int:
-    """Guaranteed size bound of a q-representative of p-sets."""
-    return math.comb(p + q, p)
 
 
 def ordered_bound(r: int) -> int:
@@ -53,11 +48,11 @@ class RepresentativeFamily:
     outside the core that meet every kept set, among them every minimal
     one, so a set is kept iff one of them avoids it. The kept sets less
     the core, each with a Y that avoids it and meets every set kept
-    before it, form a skew Bollobás system, so at most
-    unordered_bound(p - |core|, q) sets are kept.
+    before it, form a skew Bollobás system, so by Frankl's theorem at
+    most C(p - |core| + q, q) sets of p elements are kept.
     """
 
-    def __init__(self, q: int, core: Iterable[int] = ()):
+    def __init__(self, q: int, core: Iterable[int]):
         self.q = q
         self.core = frozenset(core)
         self.hitting = {frozenset()}
@@ -72,30 +67,6 @@ class RepresentativeFamily:
             y | {x} for y in hitting if len(y) < q and y.isdisjoint(row) for x in fresh
         }
         return True
-
-
-def representative_keep(sets: Sequence[Sequence[int]], q: int) -> list[int]:
-    """Indices of a q-representative subfamily of ``sets``, in input order.
-
-    The sets must be equally sized sets of integers. They are offered in
-    input order to a ``RepresentativeFamily`` whose core is the elements
-    every set contains, so at most unordered_bound(p - |core|, q) are kept.
-
-    Raises:
-        ValueError: if q < 0, or the sets differ in size or repeat an
-            element.
-    """
-    if q < 0:
-        raise ValueError("obstruction budget q must be non-negative")
-    if not sets:
-        return []
-    if len(set(map(len, sets))) > 1:
-        raise ValueError("sets must all have the same size")
-    rows = [frozenset(s) for s in sets]
-    if any(len(row) < len(s) for row, s in zip(rows, sets)):
-        raise ValueError("a set repeats an element")
-    family = RepresentativeFamily(q, frozenset.intersection(*rows))
-    return [i for i, row in enumerate(rows) if family.offer(row)]
 
 
 def window_keep(window: ColorSeq, r: int) -> Callable[[ColorSeq], bool]:

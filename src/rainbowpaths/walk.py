@@ -57,8 +57,7 @@ def _last_level(
     start = ((_PAD,) * (r - 1) + (colors[g.s],))[:r]
     level: dict[int, dict[ColorSeq, Any]] = {g.s: {start: None}}
     stats = {} if stats is None else stats
-    stats.setdefault("levels", 0)
-    stats.setdefault("total_windows", 0)
+    stats["levels"] = stats["total_windows"] = 0
     last = math.inf if mode == "any" else ell
     if dist_t[g.s] is None or dist_t[g.s] > last:  # type: ignore[operator]
         return level
@@ -90,7 +89,7 @@ def _last_level(
             break
     filters += len(memo.keeps)
     if filters:
-        stats["rep_calls"] = stats.get("rep_calls", 0) + filters
+        stats["rep_calls"] = filters
     return level
 
 

@@ -5,10 +5,12 @@ import contextlib
 import io
 import random
 import sys
+from typing import Iterable, Sequence
 
-from rainbowpaths import ColoredDigraph, ordered_bound, repfam, representative_keep, slot_set
+from rainbowpaths import ColoredDigraph, ordered_bound, repfam, slot_set
 from rainbowpaths.cli import main as cli_main
 from rainbowpaths.core import _PAD
+from rainbowpaths.repfam import RepresentativeFamily
 from reference import is_window_representative
 
 
@@ -83,12 +85,23 @@ def core_windows(rng: random.Random, length: int, core: int, num_colors: int, co
     return sorted({tuple(rng.sample(rest, length - core)) + suffix for _ in range(count)})
 
 
+def offered_keep(sets: Sequence[Iterable[int]], q: int) -> list[int]:
+    """Kept indices of the sets, offered in input order to a ``RepresentativeFamily`` at q.
+
+    The core is the elements every set contains, as ``repfam.window_keep``
+    passes a walk cell's shared slots.
+    """
+    rows = [frozenset(s) for s in sets]
+    family = RepresentativeFamily(q, frozenset.intersection(*rows))
+    return [i for i, row in enumerate(rows) if family.offer(row)]
+
+
 def keep_windows(windows: list[tuple[int, ...]], r: int, q: int) -> list[int]:
     """Kept indices of a q-representative of the windows' slot sets at radius r.
 
     q = r holds for any family; q = r - 1 suffices when every window ends in one color.
     """
-    return representative_keep([slot_set(w, r) for w in windows], q)
+    return offered_keep([slot_set(w, r) for w in windows], q)
 
 
 def cell_windows(cell) -> list[tuple[int, ...]]:

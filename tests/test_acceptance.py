@@ -8,6 +8,7 @@ fixtures, so any subset of the criteria runs alone, in any order.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from itertools import combinations, product
@@ -30,12 +31,10 @@ from rainbowpaths import (
     oracle_walk,
     ordered_bound,
     phs_layout,
-    representative_keep,
     slot_set,
     solve,
     solve_path,
     solve_walk,
-    unordered_bound,
     verify_witness,
     write_instance,
 )
@@ -177,8 +176,8 @@ def test_criterion_04_representative_families_pass_definitional_checks():
     rng = random.Random(30_000)
 
     def check_sets(trial, fam, universe, p, q):
-        kept = [fam[i] for i in representative_keep(fam, q)]
-        if len(kept) > unordered_bound(p, q):
+        kept = [fam[i] for i in helpers.offered_keep(fam, q)]
+        if len(kept) > math.comb(p + q, q):
             failures.append((trial, "size"))
         if not is_set_representative(kept, fam, universe, q):
             failures.append((trial, "definition"))

@@ -35,6 +35,19 @@ def test_walk_yes_path_no():
     assert solve_path(g, Query(2, 4, "atmost")) == Witness((0, 3))
 
 
+def test_a_key_dead_at_one_level_lives_at_another():
+    """The memo is keyed by the level: a key with no completion at level 1 has one at level 2.
+
+    The search tries 0 -> 3 first and finds no 3-arc completion from 3,
+    so the key (1, 3, mask {0, 3}, window) dies. Then 0 -> 1 -> 3 reaches
+    3 at level 2 with the same mask, since 1 has left the near mask, and,
+    at r <= 1, the same window; 3 -> 2 -> 4 completes the one 4-arc path.
+    """
+    g = ColoredDigraph(5, (0, 1, 2, 3, 4), ((0, 3), (0, 4), (0, 1), (1, 3), (2, 4), (3, 2), (3, 4)), 0, 4)
+    for r in (0, 1):
+        assert solve_path(g, Query(r, 4, "exact")) == Witness((0, 1, 3, 2, 4)), r
+
+
 def test_exact_beyond_simple_length_is_no():
     g = ColoredDigraph(3, (0, 1, 2), ((0, 1), (1, 2)), 0, 2)
     assert solve_path(g, Query(2, 3, "exact")) is None

@@ -8,23 +8,14 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-import pytest
-
-from helpers import core_sets, core_windows, keep_windows
-from rainbowpaths import (
-    ordered_bound,
-    representative_keep,
-    slot_set,
-    unordered_bound,
-)
+from helpers import core_sets, core_windows, keep_windows, offered_keep
+from rainbowpaths import ordered_bound, slot_set
 from rainbowpaths import repfam
 from rainbowpaths.repfam import WindowMemo
 from reference import greedy_keep, is_set_representative, is_window_representative
 
 
 def test_bounds():
-    assert unordered_bound(1, 1) == 2
-    assert unordered_bound(2, 3) == 10
     assert ordered_bound(1) == 2
     assert ordered_bound(0) == 1
     assert ordered_bound(2) == 29
@@ -33,29 +24,17 @@ def test_bounds():
     assert ordered_bound(122) < ordered_bound(123) == ordered_bound(10**20)
 
 
-def test_family_validation():
-    with pytest.raises(ValueError):
-        representative_keep([(0, 1)], -1)
-    with pytest.raises(ValueError):
-        representative_keep([(0,), (1, 2)], 1)
-    with pytest.raises(ValueError):
-        representative_keep([(1, 1)], 1)
-    assert representative_keep([], 1) == []
-    # elements need only be distinct ints, negative ones included
-    assert representative_keep([(5, 9), (-1, 0)], 1) == [0, 1]
-
-
 def test_keep_has_no_width_limit():
     # four disjoint 10-sets share no element: set i avoids an i-element obstruction that
     # takes one element of each set before it, so at q = 11 all are kept; at q = 1 only two
     disjoint = [tuple(range(i, i + 10)) for i in range(0, 40, 10)]
-    assert representative_keep(disjoint, 11) == [0, 1, 2, 3]
-    assert representative_keep(disjoint, 1) == [0, 1]
+    assert offered_keep(disjoint, 11) == [0, 1, 2, 3]
+    assert offered_keep(disjoint, 1) == [0, 1]
     # a lone set is all core: it is kept
-    assert representative_keep([tuple(range(10))], 11) == [0]
+    assert offered_keep([tuple(range(10))], 11) == [0]
     # 10-sets sharing 8 elements are disjoint pairs less their core: up to C(13, 2) = 78 are kept
     shared = [tuple(range(8)) + (8 + 2 * i, 9 + 2 * i) for i in range(8)]
-    assert representative_keep(shared, 11) == list(range(8))
+    assert offered_keep(shared, 11) == list(range(8))
 
 
 def test_walk_cell_widths_stay_within_the_limit():
@@ -82,7 +61,9 @@ def test_walk_cell_widths_stay_within_the_limit():
 
 def test_keep_returns_input_indices_in_row_order():
     # rows are read in input order; (1, 0) repeats (0, 1) and is dropped
-    assert representative_keep([(3, 2), (0, 1), (1, 0)], 1) == [0, 1]
+    assert offered_keep([(3, 2), (0, 1), (1, 0)], 1) == [0, 1]
+    # elements need only be distinct ints, negative ones included, as the _PAD slots are
+    assert offered_keep([(5, 9), (-1, 0)], 1) == [0, 1]
 
 
 def test_keep_matches_the_greedy_reference():
@@ -99,25 +80,25 @@ def test_keep_matches_the_greedy_reference():
         fam = [rng.sample(s, len(s)) for s in core_sets(rng, universe, p, rng.randint(1, p - 1), 15)]
         families.append((fam, universe, rng.randint(0, 3)))
     for fam, universe, q in families:
-        assert representative_keep(fam, q) == greedy_keep(fam, q, universe), (fam, q)
+        assert offered_keep(fam, q) == greedy_keep(fam, q, universe), (fam, q)
 
 
 def test_unordered_singletons_both_kept():
     sets = [(0,), (1,)]
-    kept = representative_keep(sets, 1)
+    kept = offered_keep(sets, 1)
     assert sorted(sets[i] for i in kept) == [(0,), (1,)]
 
 
 def test_unordered_pairs_all_needed():
     # Each pair misses a different singleton obstruction.
-    kept = representative_keep([(0, 1), (0, 2), (1, 2)], 1)
+    kept = offered_keep([(0, 1), (0, 2), (1, 2)], 1)
     assert len(kept) == 3
 
 
 def test_unordered_duplicates_collapse():
-    kept = representative_keep([(0, 1), (0, 1)], 1)
+    kept = offered_keep([(0, 1), (0, 1)], 1)
     assert len(kept) == 1
-    assert len(representative_keep([(), ()], 1)) == 1
+    assert len(offered_keep([(), ()], 1)) == 1
 
 
 def test_unordered_prune_is_idempotent():
@@ -125,13 +106,13 @@ def test_unordered_prune_is_idempotent():
     universe = 8
     members = [tuple(sorted(rng.sample(range(universe), 3))) for _ in range(40)]
     unique = list(dict.fromkeys(members))
-    once = [unique[i] for i in representative_keep(unique, 2)]
-    twice = [once[i] for i in representative_keep(once, 2)]
+    once = [unique[i] for i in offered_keep(unique, 2)]
+    twice = [once[i] for i in offered_keep(once, 2)]
     assert sorted(once) == sorted(twice)
 
 
 def test_partial_representative_budget_zero_keeps_one():
-    kept = representative_keep([(0, 1), (2, 3), (0, 2)], 0)
+    kept = offered_keep([(0, 1), (2, 3), (0, 2)], 0)
     assert len(kept) == 1
 
 
@@ -166,9 +147,9 @@ def test_unordered_random_families_pass_definition():
         fam = core_sets(core_rng, universe, p, core, core_rng.randint(2, 25))
         families.append((fam, universe, p, core_rng.randint(0, 3), core))
     for fam, universe, p, q, core in families:
-        kept = [fam[i] for i in representative_keep(fam, q)]
+        kept = [fam[i] for i in offered_keep(fam, q)]
         # a shared core leaves only p - core elements per set to represent
-        assert len(kept) <= unordered_bound(p - core, q)
+        assert len(kept) <= math.comb(p - core + q, q)
         assert is_set_representative(kept, fam, universe, q)
 
 
@@ -227,7 +208,7 @@ def test_walk_cell_windows_keep_the_stripped_bound():
     for trial in range(6):
         fam = core_windows(rng, 2, 1, rng.randint(5, 12), 20)
         kept = [fam[i] for i in keep_windows(fam, 2, 1)]
-        assert len(kept) <= unordered_bound(1, 1) == 2
+        assert len(kept) <= math.comb(1 + 1, 1) == 2
         assert is_window_representative(kept, fam, 2)
 
 
