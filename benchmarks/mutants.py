@@ -14,7 +14,7 @@ the row stale rather than silently testing nothing.
 
 It prints one block per row and exits 1 if tier-1 fails unmutated, a
 mutant survives, a row is stale, or a tier-1 run exceeds ``TIMEOUT``
-seconds. A full run takes about eight tier-1 runs.
+seconds. A full run takes about nine tier-1 runs.
 
 Usage: python benchmarks/mutants.py
 """
@@ -50,6 +50,12 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "            continue\n"
         "        else:\n"
         "            seen.add((p, u, window))\n",
+    ),
+    (
+        "search key linked without its parent's link",
+        "src/rainbowpaths/path.py",
+        "window[1:], (u, link)\n",
+        "window[1:], (u, None)\n",
     ),
     (
         "rainbow row without its second announcement",

@@ -8,9 +8,10 @@ of fewer than n arcs, a layered dynamic program for the other walk
 questions, one window memo for both walk engines, which prunes a full
 cell through one online representative family, brute-force oracles,
 hardness-construction generators, and a file format with a CLI around
-it all, on the standard library alone. The walk DP links a window back
-to its parent and keeps only its current level, apart from its memo in
-modes "atmost" and "any"; the search's current branch is its witness.
+it all, on the standard library alone. Both engines link each window
+or key back to its parent, and ``core.unwind`` reads the witness from
+the link; the walk DP keeps only its current level, apart from its memo
+in modes "atmost" and "any".
 """
 
 from .core import (

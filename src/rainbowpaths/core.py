@@ -6,7 +6,7 @@ This module provides the instance substrate (graph, query, witness), the
 slot encoding that turns window compatibility into set disjointness for
 the walk DP's prunes, small shared graph utilities, and ``unwind``, which
 reads a witness back from the link chain that each entry of the walk DP,
-and of the walk oracle's search, holds.
+of the path search and of the walk oracle's search holds.
 """
 
 from __future__ import annotations
@@ -263,8 +263,9 @@ def dist_from_source(g: ColoredDigraph) -> list[int | None]:
 def unwind(v: int, link: Any) -> Witness:
     """The walk an entry at ``v`` links back to.
 
-    The walk DP and ``oracle_walk`` link each entry as ``(parent vertex,
-    parent's link)``, or None at the source: the walk, last vertex first.
+    The walk DP, the path search and ``oracle_walk`` link each entry as
+    ``(parent vertex, parent's link)``, or None at the source: the walk,
+    last vertex first.
     """
     vertices = [v]
     while link is not None:

@@ -27,7 +27,9 @@ than n arcs, with the mask held at 0 and the plain ``g.dist_to_t`` as
 the row: a key is then the walk DP's state, (level, vertex, window). A
 ``repfam.WindowMemo`` keyed by (level, vertex) keeps its memo small, as
 it keeps the walk DP's cells, so the windows entered at one level and
-vertex stay bounded by a function of r alone.
+vertex stay bounded by a function of r alone. Each key on the stack
+carries its link back to s, which ``core.unwind`` reads into the
+witness, as it reads the walk DP's.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import itemgetter
 
-from .core import _PAD, ColoredDigraph, Query, Witness, rainbow_distances
+from .core import _PAD, ColoredDigraph, Query, Witness, rainbow_distances, unwind
 from .repfam import WindowMemo
 
 
@@ -49,9 +51,11 @@ def _path_search(
     a key when v is in ``near[p] ^ mask`` (v passes the gate and is not
     visited) and v's color is not in the window. The keys entered are the
     dead memo: a key left without an accepted path has no completion, and
-    none recurs on a branch, since p grows along it. The branch is the
-    witness. Mode "exact" accepts g.t only at level ``ell``, the other
-    modes at any level. No path has more than n - 1 arcs, so mode "any"
+    none recurs on a branch, since p grows along it. A key is pushed
+    with the link (its parent's vertex, its parent's link), and the
+    witness is ``core.unwind`` of the accepted key's vertex and link.
+    Mode "exact" accepts g.t only at level ``ell``, the other modes at
+    any level. No path has more than n - 1 arcs, so mode "any"
     runs at budget n - 1 and "atmost" at ``min(ell, n - 1)``; mode "exact"
     past n - 1, or a gate that refuses g.s, enters no key.
 
@@ -65,9 +69,10 @@ def _path_search(
     since keys pushed after them come from their descendants, all deeper.
 
     ``stats`` receives ``levels`` (the deepest level entered),
-    ``total_members`` (the keys entered; ``total_windows`` on a walk,
-    whose keys are its windows), ``max_cell`` (the most keys at one level
-    and vertex) and, once a memo's filter switches on, ``rep_calls`` (the
+    ``total_members`` (the keys entered, the start's included;
+    ``total_windows`` on a walk, whose keys are its windows, as
+    ``walk._last_level`` counts them), ``max_cell`` (the most keys at one
+    level and vertex) and, once a memo's filter switches on, ``rep_calls`` (the
     memos filtered); a search that enters no key sets ``levels`` and
     that count to 0. The keys returned are the path keys entered; a walk
     search returns none.
@@ -97,13 +102,10 @@ def _path_search(
     seen: set[tuple] = set()
     # a walk's memo instead, keyed by (level, vertex)
     memo = WindowMemo(r)
-    # path[p] is the vertex of the last key entered at level p; every key
-    # entered since a key's parent is deeper, so path[:p + 1] is its path
-    path = [g.s] * (ell + 1)
     witness = None
-    stack = [start]
+    stack: list[tuple[tuple, tuple | None]] = [(start, None)]
     while stack:
-        key = stack.pop()
+        key, link = stack.pop()
         p, u, mask, window = key
         if walk:
             if not memo.enter((p, u), window):
@@ -112,14 +114,13 @@ def _path_search(
             continue
         else:
             seen.add(key)
-        path[p] = u
         if u == t and (mode != "exact" or p == ell):
-            witness = Witness(tuple(path[: p + 1]))
+            witness = unwind(u, link)
             break
-        free, near_next, stem = near[p] ^ mask, near[p + 1], window[1:]
+        free, near_next, stem, via = near[p] ^ mask, near[p + 1], window[1:], (u, link)
         # pushed in reverse, so they pop in arc order
         stack += [
-            (p + 1, v, (mask | bit[v]) & near_next, stem + added[v])
+            ((p + 1, v, (mask | bit[v]) & near_next, stem + added[v]), via)
             for v in reversed(out_adj[u])
             if free >> v & 1 and colors[v] not in window
         ]

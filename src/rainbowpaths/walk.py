@@ -48,10 +48,12 @@ def _last_level(
 
     The DP stops after level ``ell``, after an empty level, or, outside
     mode "exact", after the first level holding t. ``stats`` receives
-    ``levels``, ``max_cell``, ``total_windows`` (windows entered, summed
-    over levels) and, once a memo's filter switches on, ``rep_calls``
-    (the cells filtered); a gate that refuses s leaves ``levels`` and
-    ``total_windows`` at 0.
+    what the search of ``path._path_search`` counts: ``levels`` (the
+    deepest level holding a window), ``max_cell`` (the most windows
+    entered at one level and vertex), ``total_windows`` (windows entered,
+    s's included, summed over levels) and, once a memo's filter switches
+    on, ``rep_calls`` (the cells filtered); a gate that refuses s leaves
+    ``levels`` and ``total_windows`` at 0.
     """
     colors, out_adj, dist_t = g.colors, g.out_neighbors, g.dist_to_t
     start = ((_PAD,) * (r - 1) + (colors[g.s],))[:r]
@@ -65,6 +67,7 @@ def _last_level(
     added = [(c,)[:r] for c in colors]
     memo = WindowMemo(r)
     memo.enter(g.s, start)
+    stats["total_windows"] = stats["max_cell"] = 1
     filters = p = 0
     while p < last:
         p += 1
@@ -81,11 +84,12 @@ def _last_level(
                     if colors[u] not in window and enter(u, successor := stem + added[u]):
                         nxt.setdefault(u, {})[successor] = via
         level = nxt
+        if not level:
+            break
         stats["levels"] = p
         stats["total_windows"] += sum(map(len, level.values()))
-        if level:
-            stats["max_cell"] = max(stats.get("max_cell", 0), *map(len, level.values()))
-        if not level or (mode != "exact" and g.t in level):
+        stats["max_cell"] = max(stats["max_cell"], *map(len, level.values()))
+        if mode != "exact" and g.t in level:
             break
     filters += len(memo.keeps)
     if filters:

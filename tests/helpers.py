@@ -28,6 +28,38 @@ def run_cli(argv: list[str], stdin_text: str | None = None) -> tuple[int, str, s
     return code, out.getvalue(), err.getvalue()
 
 
+def chain(colors):
+    """The path 0 -> 1 -> ... -> n - 1 colored ``colors``, from s = 0 to t = n - 1."""
+    n = len(colors)
+    arcs = tuple((i, i + 1) for i in range(n - 1))
+    return ColoredDigraph(n, tuple(colors), arcs, 0, n - 1)
+
+
+def decode_phs_segments(witness, lay, m):
+    """Decode a ``phs_layout`` witness: per segment 1..m, (cols, w_rows).
+
+    ``cols`` maps each grid row to the column the witness visits there,
+    over grids v and w of that segment; ``w_rows`` lists, in walk order,
+    the rows at which it visits grid w.
+    """
+    rev = {}
+    for grid in ("v", "w"):
+        for (seg, i, j), x in lay[grid].items():
+            rev[x] = (grid, seg, i, j)
+    segments = []
+    for seg in range(1, m + 1):
+        cols = {}
+        w_rows = []
+        for x in witness:
+            if x in rev and rev[x][1] == seg:
+                grid, _, i, j = rev[x]
+                cols[i] = j
+                if grid == "w":
+                    w_rows.append(i)
+        segments.append((cols, w_rows))
+    return segments
+
+
 def claimed_slots(rho: tuple[int, ...], r: int) -> set[int]:
     """The slots continuation ``rho`` claims, encoded as ``slot_set`` encodes blocked ones."""
     return {rho[i] * r + i for i in range(min(r, len(rho)))}

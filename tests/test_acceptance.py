@@ -251,25 +251,6 @@ def test_criterion_05_slot_encoding_bridge_is_exact():
     assert mismatches == 0
 
 
-def decode_grid_permutations(witness, lay, k, m):
-    rev = {}
-    for grid in ("v", "w"):
-        for (seg, i, j), x in lay[grid].items():
-            rev[x] = (grid, seg, i, j)
-    segments = []
-    for seg in range(1, m + 1):
-        cols = {}
-        w_rows = []
-        for x in witness:
-            if x in rev and rev[x][1] == seg:
-                grid, _, i, j = rev[x]
-                cols[i] = j
-                if grid == "w":
-                    w_rows.append(i)
-        segments.append((cols, w_rows))
-    return segments
-
-
 @pytest.fixture(scope="module")
 def phs_runs() -> tuple[list, list[YesWitness]]:
     """Criterion 6's round trips: failures and YES witnesses."""
@@ -297,7 +278,7 @@ def phs_runs() -> tuple[list, list[YesWitness]]:
                 continue
             witnesses.append(witness_record(g, q, got.vertices, True))
             lay = phs_layout(k, m)
-            segments = decode_grid_permutations(got.vertices, lay, k, m)
+            segments = helpers.decode_phs_segments(got.vertices, lay, m)
             perms = set()
             for fam, (cols, w_rows) in zip(sets, segments):
                 if sorted(cols) != list(range(1, k + 1)):

@@ -80,26 +80,6 @@ def test_phs_conflicting_pins_no():
     assert solve_walk(g, q) is None
 
 
-def decode_permutation(witness, lay, k, m):
-    """Extract the row choice per column from the grid vertices visited."""
-    rev = {}
-    for grid in ("v", "w"):
-        for (qq, i, j), x in lay[grid].items():
-            rev[x] = (grid, qq, i, j)
-    per_segment = []
-    for qq in range(1, m + 1):
-        cols = {}
-        hit_rows = []
-        for x in witness:
-            if x in rev and rev[x][1] == qq:
-                grid, _, i, j = rev[x]
-                cols[i] = j
-                if grid == "w":
-                    hit_rows.append(i)
-        per_segment.append((cols, min(hit_rows) if hit_rows else None))
-    return per_segment
-
-
 def test_phs_worked_example():
     sets = (
         ((1, 2), (2, 2)),
@@ -112,7 +92,7 @@ def test_phs_worked_example():
     assert w is not None
     assert verify_witness(g, q, w.vertices, require_path=True) == []
     lay = phs_layout(3, 3)
-    segments = decode_permutation(w.vertices, lay, 3, 3)
+    segments = [(cols, min(w_rows, default=None)) for cols, w_rows in helpers.decode_phs_segments(w.vertices, lay, 3)]
     perms = []
     for cols, entry_row in segments:
         assert sorted(cols) == [1, 2, 3]

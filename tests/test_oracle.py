@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import chain
 from rainbowpaths import (
     ColoredDigraph,
     Query,
@@ -16,12 +17,6 @@ from rainbowpaths import (
     oracle_walk,
     verify_witness,
 )
-
-
-def chain(colors):
-    n = len(colors)
-    arcs = tuple((i, i + 1) for i in range(n - 1))
-    return ColoredDigraph(n, tuple(colors), arcs, 0, n - 1)
 
 
 def test_walk_chain_yes():

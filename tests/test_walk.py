@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from helpers import PruneChecker, cell_windows, core_windows, fan, keep_windows
+from helpers import PruneChecker, cell_windows, chain, core_windows, fan, keep_windows, parity_grid, tight_dag
 from rainbowpaths import (
     ColoredDigraph,
     Query,
@@ -20,12 +20,6 @@ from rainbowpaths import repfam, walk
 from rainbowpaths.core import _PAD, bfs_distances, unwind
 from rainbowpaths.repfam import WindowMemo, window_keep
 from reference import is_window_representative
-
-
-def chain(colors):
-    n = len(colors)
-    arcs = tuple((i, i + 1) for i in range(n - 1))
-    return ColoredDigraph(n, tuple(colors), arcs, 0, n - 1)
 
 
 def test_chain_walk():
@@ -220,21 +214,21 @@ def test_any_length_radius2_chain():
 
 
 def test_any_length_radius4_chain_answers():
-    # every vertex of a chain is reached by one window, so the search keeps n - 1 states
+    # every vertex of a chain is reached by one window, so the search keeps n states, s's included
     n = 400
     g = chain(tuple(i % 5 for i in range(n)))
     stats: dict = {}
     w = solve_walk(g, Query(4, 0, "any"), stats=stats)
     assert w is not None and w.length == 399
     assert verify_witness(g, Query(4, 0, "any"), w.vertices) == []
-    assert stats == {"levels": 399, "max_cell": 1, "total_windows": 399}
+    assert stats == {"levels": 399, "max_cell": 1, "total_windows": 400}
 
 
 def test_any_length_search_skips_vertices_that_cannot_reach_t():
     """Only the chain s -> 1 -> 2 -> t reaches t; s also steps into 2,000 vertices that cannot.
 
     The distance gate holds in mode "any" too, so the search keeps the
-    chain's three windows and never enters the rest of the graph.
+    chain's four windows, s's included, and never enters the rest of the graph.
     """
     blob = range(4, 2004)
     arcs = [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in blob]
@@ -243,7 +237,7 @@ def test_any_length_search_skips_vertices_that_cannot_reach_t():
     for r in range(4):
         stats: dict = {}
         assert solve_walk(g, Query(r, 0, "any"), stats=stats) == Witness((0, 1, 2, 3)), r
-        assert stats["total_windows"] == 3, (r, stats)
+        assert stats["total_windows"] == 4, (r, stats)
 
 
 def test_any_length_keeps_two_windows_per_tail():
@@ -439,7 +433,31 @@ def test_an_exact_walk_far_past_n_arcs_on_a_dag_answers_at_once():
     """
     stats: dict = {}
     assert solve_walk(chain((0, 1, 2, 3, 4)), Query(2, 10**9, "exact"), stats=stats) is None
-    assert stats["levels"] == 5, stats
+    assert stats["levels"] == 4, stats
+
+
+def test_both_walk_engines_count_an_exhausted_search_alike():
+    """On exact walk questions answered NO, the search and the level DP report the same counters.
+
+    Both engines count ``levels`` (the deepest level holding a window),
+    ``total_windows`` (s's window included) and ``max_cell`` (the most
+    windows at one level and vertex) alike, so where each exhausts what
+    its memo admits they agree: the grid at odd lengths 19-29, NO by
+    parity, and tight-color DAGs at budgets past their distance that no
+    walk meets.
+    """
+    grid = parity_grid(10)
+    questions = [(grid, 2, ell) for ell in range(19, 30, 2)]
+    for trial, ks in ((0, (1, 3)), (1, (1, 2, 3)), (2, (1, 2))):
+        g = tight_dag(random.Random(91_000 + trial), 40, 10, 4)
+        questions += [(g, 3, g.dist_to_t[g.s] + k) for k in ks]
+    keys = ("levels", "total_windows", "max_cell")
+    for g, r, ell in questions:
+        search: dict = {}
+        dp: dict = {}
+        assert solve_walk(g, Query(r, ell, "exact"), stats=search) is None, ell
+        assert g.t not in walk._last_level(g, r, ell, "exact", dp), ell
+        assert {k: search[k] for k in keys} == {k: dp[k] for k in keys}, (ell, search, dp)
 
 def test_exact_walk_filters_switched_on_early_match_oracle(monkeypatch):
     """With the memo filter's trigger forced down to 1 or 2 windows, exact walk answers still match the oracle.
